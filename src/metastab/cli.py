@@ -24,6 +24,7 @@ from .labeling import (FICTIVE_SADDLE, SaddleRecord, check_generic,
 from .manifolds import (classify_index, manifold_from_decl,
                         negative_direction_field, verify_critical)
 from .potential import check_confinement, load_spec_file, parse_potential
+from .spectral import EigenResult
 from .sublevel import classify_separating, sample_grid
 
 COMMANDS = ("check", "classify", "label", "predict", "solve", "quasimode",
@@ -162,11 +163,8 @@ class Pipeline:
         self.predictions = kramers.predict_all(
             self.p, self.labeling, self.minima, self.saddle_manifolds)
         path = self._out("predictions.csv")
-        kramers.write_prediction_csv(path, self.predictions, self.h_list)
-        with open(path) as fh:
-            body = fh.read()
-        with open(path, "w") as fh:
-            fh.write(f"# manifest {self.hash}\n" + body)
+        kramers.write_prediction_csv(path, self.predictions, self.h_list,
+                                     header_line=f"# manifest {self.hash}")
         print(f"wrote {path}")
 
     def solve(self):
@@ -321,7 +319,6 @@ class Pipeline:
 
 
 def _truncate(eig, k):
-    from .spectral import EigenResult
     return EigenResult(values=eig.values[:k], vectors=eig.vectors[:, :k],
                        floor=eig.floor)
 

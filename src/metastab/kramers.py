@@ -210,10 +210,15 @@ def compare_1d_profile(pr_radial: KramersPrediction,
         exponent_gap=pr_profile.exponent - pr_radial.exponent)
 
 
-def write_prediction_csv(path, predictions, h_values=()):
-    """Prediction table; one row per minimum, saddle breakdown inline."""
+def write_prediction_csv(path, predictions, h_values=(), header_line=None):
+    """Prediction table; one row per minimum, saddle breakdown inline.
+
+    `header_line`, if given, is written first as its own line (the CLI's
+    manifest line).  Lines end in "\\n"."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        if header_line is not None:
+            fh.write(header_line + "\n")
+        w = csv.writer(fh, lineterminator="\n")
         header = ["minimum", "S", "exponent", "D", "saddles"]
         header += [f"lambda(h={h:g})" for h in h_values]
         w.writerow(header)

@@ -248,7 +248,6 @@ def check_generic(g: GridSampling, result: LabelingResult, minima,
     """Uniqueness of the deepest minimum per component and disjointness of
     the saddle sets j(m)."""
     messages = []
-    by_name = {m.name: m for m in minima}
     reps = np.array([m.nodes[0] for m in minima])
     names = [m.name for m in minima]
     fvals = np.array([m.value for m in minima])
@@ -277,5 +276,4 @@ def check_generic(g: GridSampling, result: LabelingResult, minima,
                 messages.append(
                     f"saddle {s} appears in both j({seen[s]}) and j({L.name})")
             seen[s] = L.name
-    _ = by_name
     return GenericityReport(ok=not messages, messages=messages)

@@ -200,10 +200,23 @@ def manifold_parametrized(maps, param_box, periodic, n_nodes, ambient_dim,
     )
 
 
+_REQUIRED_FIELDS = {
+    "point": ("coords",),
+    "sphere": ("center", "radius"),
+    "parametrized": ("maps", "param_box"),
+}
+
+
 def manifold_from_decl(decl, ambient_dim) -> CriticalManifold:
     """Build a manifold from a spec-file declaration dict."""
     kind = decl.get("kind")
     name = decl.get("name", kind)
+    if kind not in _REQUIRED_FIELDS:
+        raise ValueError(f"manifold {name!r}: unknown kind {kind!r}")
+    for key in _REQUIRED_FIELDS[kind]:
+        if key not in decl:
+            raise ValueError(f"manifold {name!r}: {kind} declaration "
+                             f"missing field {key!r}")
     if kind == "point":
         return manifold_point(decl["coords"], name=name)
     if kind == "sphere":
@@ -215,7 +228,6 @@ def manifold_from_decl(decl, ambient_dim) -> CriticalManifold:
             decl["maps"], decl["param_box"],
             decl.get("periodic", [False] * k),
             decl.get("nodes", 256), ambient_dim, name=name)
-    raise ValueError(f"unknown manifold kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,11 @@ __all__ = [
     "DomainError",
 ]
 
+# points per block in `values`/`gradients`: the expression tree's
+# temporaries stay cache-sized; every operation is elementwise, so the
+# result does not depend on the block size
+_BLOCK = 1 << 16
+
 
 def _substitute_r(node: Node) -> Node:
     """Rewrite the radial symbol as the single coordinate of a 1D profile."""
@@ -83,29 +88,44 @@ class Potential:
 
     def values(self, points):
         """Vectorized evaluation at an (n, d) array of points."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise ValueError(f"expected (n, {self.dim}) points array")
-        if self.radial:
-            r = np.sqrt(np.sum(points**2, axis=1))
-            return self._profile_root.eval_array([r])
-        cols = [points[:, i] for i in range(self.dim)]
-        return self._root.eval_array(cols)
+        points = self._check_points(points)
+        out = np.empty(points.shape[0])
+        for start in range(0, points.shape[0], _BLOCK):
+            block = points[start:start + _BLOCK]
+            rows = slice(start, start + _BLOCK)
+            if self.radial:
+                r = np.sqrt(np.sum(block**2, axis=1))
+                out[rows] = self._profile_root.eval_array([r])
+            else:
+                cols = [block[:, i] for i in range(self.dim)]
+                out[rows] = self._root.eval_array(cols)
+        return out
 
     def gradients(self, points):
         """Vectorized values and gradients: (values (n,), grads (n, d))."""
+        points = self._check_points(points)
+        v = np.empty(points.shape[0])
+        g = np.empty(points.shape)
+        for start in range(0, points.shape[0], _BLOCK):
+            block = points[start:start + _BLOCK]
+            rows = slice(start, start + _BLOCK)
+            if self.radial:
+                r = np.sqrt(np.sum(block**2, axis=1))
+                v[rows], (dr,) = self._profile_root.eval_vg([r])
+                safe = np.where(r > 0.0, r, 1.0)
+                scale = np.where(r > 0.0, dr / safe, 0.0)
+                g[rows] = scale[:, None] * block
+            else:
+                cols = [block[:, i] for i in range(self.dim)]
+                v[rows], grads = self._root.eval_vg(cols)
+                g[rows] = np.stack(grads, axis=-1)
+        return v, g
+
+    def _check_points(self, points):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"expected (n, {self.dim}) points array")
-        if self.radial:
-            r = np.sqrt(np.sum(points**2, axis=1))
-            v, (dr,) = self._profile_root.eval_vg([r])
-            safe = np.where(r > 0.0, r, 1.0)
-            scale = np.where(r > 0.0, dr / safe, 0.0)
-            return v, scale[:, None] * points
-        cols = [points[:, i] for i in range(self.dim)]
-        v, g = self._root.eval_vg(cols)
-        return v, np.stack(g, axis=-1)
+        return points
 
     def eval2(self, x):
         """Value, gradient and Hessian at a point, exact to rounding."""

@@ -4,6 +4,13 @@ and the separating classification.
 The flood fill uses face adjacency (2d neighbors) on cell-center samples
 with strict inequality f < sigma; levels that would graze a critical value
 are probed at sigma - eps with eps proportional to the value scale.
+
+Local structure is computed on a tube grid: the cells whose centers lie
+within `radius` of some node of the manifold.  The tube mask is built by
+stamping each node's bounding box into a running minimum of squared
+distances, so it costs about (number of nodes) x (cells per node box) and
+never forms a full-grid coordinate array; f is then evaluated on the tube
+cells only.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
+# unused here; kept bound because the benchmark tracer wraps sublevel.cKDTree
+from scipy.spatial import cKDTree  # noqa: F401
 
 from .manifolds import CriticalManifold, SaddleFrame
 from .potential import Potential
@@ -26,7 +34,6 @@ __all__ = [
     "local_structure",
     "SeparatingClassification",
     "classify_separating",
-    "dump_component_map",
     "LEVEL_EPS_REL",
 ]
 
@@ -53,9 +60,7 @@ class GridSampling:
         return (self.box[:, 1] - self.box[:, 0]) / np.asarray(self.shape)
 
     def centers(self, axis):
-        lo, hi = self.box[axis]
-        n = self.shape[axis]
-        return lo + (hi - lo) * (np.arange(n) + 0.5) / n
+        return _cell_centers(self.box[axis], self.shape[axis])
 
     def index_of(self, points):
         """Cell multi-indices of points; -1 marks out-of-box coordinates."""
@@ -75,14 +80,12 @@ class GridSampling:
         return float(np.max(np.abs(finite))) if finite.size else 1.0
 
 
-def sample_grid(p: Potential, box, shape=None, mask_fn=None) -> GridSampling:
-    """Evaluate f at cell centers of an axis-aligned grid.
+def _cell_centers(interval, n):
+    lo, hi = interval
+    return lo + (hi - lo) * (np.arange(n) + 0.5) / n
 
-    `mask_fn(points) -> bool array` restricts the grid (tube enumeration);
-    masked-out cells never enter any flood fill.
-    """
-    box = np.asarray(box, dtype=float)
-    d = box.shape[0]
+
+def _grid_shape(d, shape):
     if shape is None:
         shape = (DEFAULT_RESOLUTION.get(d, 64),) * d
     elif np.isscalar(shape):
@@ -90,22 +93,40 @@ def sample_grid(p: Potential, box, shape=None, mask_fn=None) -> GridSampling:
     shape = tuple(int(s) for s in shape)
     if any(s < 2 for s in shape):
         raise ValueError("resolutions must be >= 2")
-    axes = [box[a, 0] + (box[a, 1] - box[a, 0]) * (np.arange(shape[a]) + 0.5)
-            / shape[a] for a in range(d)]
+    return shape
+
+
+def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
+    """Evaluate f at cell centers of an axis-aligned grid.
+
+    `mask`, a boolean array of shape `shape`, restricts the grid (tube
+    grids): f is evaluated only at the cells it marks, masked-out cells hold
+    +inf and never enter any flood fill.  Only the masked cells' coordinates
+    are formed, read from the per-axis cell centers.
+    """
+    box = np.asarray(box, dtype=float)
+    d = box.shape[0]
+    shape = _grid_shape(d, shape)
+    axes = [_cell_centers(box[a], shape[a]) for a in range(d)]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != shape:
+            raise ValueError(f"mask shape {mask.shape} does not match grid "
+                             f"shape {shape}")
+        idx = np.nonzero(mask)
+        points = np.empty((idx[0].size, d))
+        for a in range(d):
+            points[:, a] = axes[a][idx[a]]
+        del idx
+        values = np.full(shape, np.inf)
+        values[mask] = p.values(points)
+        return GridSampling(box=box, shape=shape, values=values, mask=mask)
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    mask = None
-    if mask_fn is not None:
-        flat_mask = mask_fn(points)
-        mask = flat_mask.reshape(shape)
-        values = np.full(points.shape[0], np.inf)
-        values[flat_mask] = p.values(points[flat_mask])
-        values = values.reshape(shape)
-    else:
-        values = p.values(points).reshape(shape)
-    if mask is None and not np.all(np.isfinite(values)):
+    values = p.values(points).reshape(shape)
+    if not np.all(np.isfinite(values)):
         raise ValueError("non-finite potential values on grid")
-    return GridSampling(box=box, shape=shape, values=values, mask=mask)
+    return GridSampling(box=box, shape=shape, values=values)
 
 
 @dataclass
@@ -184,17 +205,42 @@ class LocalStructure:
     minus_label: int | None = None
 
 
+def _tube_mask(nodes, axes, radius):
+    """Cells of the grid with cell-center axes `axes` whose centers lie
+    strictly within `radius` of some node.
+
+    Exactly the nearest-node test `min_k |c - x_k| < radius`, evaluated per
+    node on the cells of its box [x - r, x + r] (padded by one cell): their
+    squared distances, summed axis by axis, are folded into a running
+    minimum over the grid.  Cost is about len(nodes) x (cells per node box)
+    plus one pass over the grid.
+    """
+    d2 = np.full(tuple(ax.size for ax in axes), np.inf)
+    for x in nodes:
+        window = []
+        sq = []
+        for ax, xa in zip(axes, x):
+            lo = max(int(np.searchsorted(ax, xa - radius)) - 1, 0)
+            hi = int(np.searchsorted(ax, xa + radius, side="right")) + 1
+            window.append(slice(lo, hi))
+            sq.append((ax[lo:hi] - xa) ** 2)
+        # same summation order as a nearest-neighbour distance: axis 0 first
+        acc = sq[0]
+        for a in range(1, len(axes)):
+            acc = acc[..., None] + sq[a]
+        block = d2[tuple(window)]
+        np.minimum(block, acc, out=block)
+    np.sqrt(d2, out=d2)
+    return d2 < radius
+
+
 def _tube_grid(p: Potential, M: CriticalManifold, radius, resolution):
     lo = np.min(M.nodes, axis=0) - 1.2 * radius
     hi = np.max(M.nodes, axis=0) + 1.2 * radius
     box = np.stack([lo, hi], axis=1)
-    tree = cKDTree(M.nodes)
-
-    def mask_fn(points):
-        dist, _ = tree.query(points, workers=-1)
-        return dist < radius
-
-    return sample_grid(p, box, resolution, mask_fn=mask_fn)
+    shape = _grid_shape(M.ambient_dim, resolution)
+    axes = [_cell_centers(box[a], shape[a]) for a in range(len(shape))]
+    return sample_grid(p, box, shape, mask=_tube_mask(M.nodes, axes, radius))
 
 
 def local_structure(p: Potential, M: CriticalManifold,
@@ -279,13 +325,3 @@ def classify_separating(p: Potential, M: CriticalManifold,
     return SeparatingClassification(
         status="separating", sigma=sigma, local=local, b_plus=bp, b_minus=bm)
 
-
-def dump_component_map(path_prefix, g: GridSampling, cmap: ComponentMap):
-    """Flat int32 binary dump plus a small text header for visualization."""
-    cmap.labels.astype(np.int32).tofile(f"{path_prefix}.bin")
-    with open(f"{path_prefix}.txt", "w") as fh:
-        fh.write(f"dims {' '.join(str(s) for s in g.shape)}\n")
-        for a in range(g.dim):
-            fh.write(f"axis{a} {g.box[a, 0]:.17g} {g.box[a, 1]:.17g}\n")
-        fh.write(f"sigma {cmap.sigma:.17g}\n")
-        fh.write(f"components {cmap.count}\n")

@@ -77,6 +77,27 @@ def test_missing_saddle_declaration_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,field", [("point", "coords"),
+                                        ("sphere", "radius"),
+                                        ("parametrized", "maps")])
+def test_manifold_missing_field_reported(tmp_path, capsys, kind, field):
+    with open(SPEC) as fh:
+        data = json.load(fh)
+    decl = {"point": {"coords": [0.0]},
+            "sphere": {"center": [0.0], "radius": 1.0},
+            "parametrized": {"maps": ["x1"], "param_box": [[0.0, 1.0]]}}[kind]
+    del decl[field]
+    data["manifolds"][0] = dict(decl, name="broken", kind=kind,
+                                role="minimum")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code = main(["check", "--spec", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'broken'" in err and repr(field) in err
+
+
 def test_bad_role_rejected(tmp_path):
     with open(SPEC) as fh:
         data = json.load(fh)

@@ -27,6 +27,34 @@ def test_gradients_match_eval2():
         assert np.allclose(grads[k], g, rtol=1e-13)
 
 
+@pytest.mark.parametrize("text,d", [
+    ("((sqrt(x1^2 + x2^2) - 1)^2 - x3^2) * x1 / sqrt(x1^2 + x2^2)", 3),
+    ("x1^2*x2 + sin(x1*x2) - exp(-x2^2) + x1/10", 2),
+    ("r^6/6 - r^4/2 + 0.35*r^2", 2),
+    ("r^4/4 - r^2/2", 3),
+])
+def test_blocked_evaluation_matches_one_shot(text, d):
+    # values/gradients evaluate in blocks of 2^16 points; more than one
+    # block must reproduce a single pass over the expression tree exactly
+    p = parse_potential(text, d)
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(-1.5, 1.5, size=((1 << 16) + 3, d))
+    if p.radial:
+        r = np.sqrt(np.sum(pts**2, axis=1))
+        v_ref = p._profile_root.eval_array([r])
+        w_ref, (dr,) = p._profile_root.eval_vg([r])
+        g_ref = (dr / r)[:, None] * pts
+    else:
+        cols = [pts[:, i] for i in range(d)]
+        v_ref = p._root.eval_array(cols)
+        w_ref, grads = p._root.eval_vg(cols)
+        g_ref = np.stack(grads, axis=-1)
+    v, g = p.gradients(pts)
+    assert np.array_equal(p.values(pts), v_ref)
+    assert np.array_equal(v, w_ref)
+    assert np.array_equal(g, g_ref)
+
+
 def test_radial_gradient_formula():
     # grad f = F'(r)/r * x, and 0 at the origin for a smooth radial f
     p = parse_potential("r^4/4 - r^2/2", 3)

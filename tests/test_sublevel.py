@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from metastab.manifolds import (manifold_point, manifold_sphere,
                                 negative_direction_field, verify_critical)
@@ -131,3 +132,60 @@ def test_sample_grid_geometry():
     assert g.spacings[1] == pytest.approx(0.1)
     idx = g.index_of(np.array([[0.95, 1.95]]))
     assert tuple(idx[0]) == (9, 19)
+
+
+# ---------------------------------------------------------------------------
+# Tube grids: the stamped mask against the nearest-node reference
+
+
+def kdtree_tube_mask(grid, nodes, radius):
+    """Reference tube mask: nearest-node distance of every cell center."""
+    axes = [grid.centers(a) for a in range(grid.dim)]
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                      axis=-1)
+    dist, _ = cKDTree(nodes).query(points)
+    return (dist < radius).reshape(grid.shape)
+
+
+def assert_tube_grid_exact(p, M, radius, resolution=None):
+    local = local_structure(p, M, None, radius=radius, resolution=resolution)
+    g = local.grid
+    expected = kdtree_tube_mask(g, M.nodes, radius)
+    assert np.array_equal(g.mask, expected)
+    assert np.count_nonzero(g.mask) > 0
+    # masked sampling: full-grid values on the tube, +inf elsewhere
+    full = sample_grid(p, g.box, g.shape)
+    assert np.array_equal(g.values[g.mask], full.values[g.mask])
+    assert np.all(np.isinf(g.values[~g.mask]))
+    return local
+
+
+def test_tube_mask_exact_tilted_2d_point_saddle():
+    p = parse_potential("x1^4/4 - x1^2/2 + x1/10 + x2^2/2", 2)
+    xs = np.sort(np.roots([1.0, 0.0, -1.0, 0.1]).real)[1]
+    M = manifold_point([xs, 0.0], name="saddle")
+    assert verify_critical(p, M).ok
+    local = assert_tube_grid_exact(p, M, radius=0.7)
+    assert local.grid.shape == (1024, 1024)
+    assert local.n_components == 2
+
+
+def test_tube_mask_exact_mexican_saddle_ring(mexican):
+    assert mexican.saddle.n_nodes == 256
+    local = assert_tube_grid_exact(mexican.p, mexican.saddle, radius=0.45)
+    assert local.n_components == 2
+
+
+def test_tube_mask_exact_3d_circle():
+    p = parse_potential(UNTWISTED, 3)
+    M = unit_circle(128)
+    verify_critical(p, M)
+    local = assert_tube_grid_exact(p, M, radius=0.3, resolution=96)
+    assert local.grid.shape == (96, 96, 96)
+
+
+def test_sample_grid_mask_shape_checked():
+    p = parse_potential("x1^2 + x2^2", 2)
+    with pytest.raises(ValueError, match="mask shape"):
+        sample_grid(p, [[-1.0, 1.0], [-1.0, 1.0]], shape=(8, 8),
+                    mask=np.ones((8, 9), dtype=bool))
