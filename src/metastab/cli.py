@@ -66,14 +66,10 @@ class Pipeline:
         for decl in self.spec["manifolds"]:
             M = manifold_from_decl(decl, self.p.dim)
             M.meta["decl"] = decl
-            role = decl.get("role")
-            if role == "minimum":
+            if decl["role"] == "minimum":
                 self.minima.append(M)
-            elif role == "saddle":
-                self.saddle_manifolds[M.name] = M
             else:
-                raise SystemExit(f"manifold {M.name}: role must be "
-                                 "'minimum' or 'saddle'")
+                self.saddle_manifolds[M.name] = M
         self.grid = None
         self.labeling = None
         self.eigs = {}          # h -> EigenResult

@@ -260,9 +260,10 @@ def check_confinement(p: Potential, box, shell_fraction=0.1, C=10.0,
 
 
 def load_spec_file(path):
-    """Load a potential spec file.
+    """Load a potential spec file and check its fields.
 
-    Schema::
+    Schema (`box` holds `dim` finite [lo, hi] pairs with lo < hi; every
+    manifold also has "role": "minimum" or "saddle")::
 
         {
           "expression": "...",
@@ -283,7 +284,26 @@ def load_spec_file(path):
     for key in ("expression", "dim", "box"):
         if key not in data:
             raise ValueError(f"spec file missing field {key!r}")
+    dim = data["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError("spec field 'dim' must be a positive integer, "
+                         f"got {dim!r}")
+    try:
+        box = np.asarray(data["box"], dtype=float)
+    except (TypeError, ValueError):
+        box = None
+    if box is None or box.shape != (dim, 2):
+        raise ValueError(f"spec field 'box' must be {dim} [lo, hi] pairs, "
+                         f"got {data['box']!r}")
+    if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
+        raise ValueError("spec field 'box' needs finite bounds with "
+                         f"lo < hi on every axis, got {data['box']!r}")
     data.setdefault("manifolds", [])
+    for decl in data["manifolds"]:
+        role = decl.get("role")
+        if role not in ("minimum", "saddle"):
+            raise ValueError(f"manifold {decl.get('name')!r}: field 'role' "
+                             f"must be 'minimum' or 'saddle', got {role!r}")
     return data
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "rayleigh",
     "InteractionMatrix",
     "interaction_matrix",
-    "perturbed_diag_eigs",
 ]
 
 
@@ -378,43 +377,3 @@ def interaction_matrix(op, psis, eig, L: LabelingResult,
     M = AE.T @ AE
     return InteractionMatrix(names=names, gram=G, quad=Q, projected=M,
                              norm_loss=loss)
-
-
-def perturbed_diag_eigs(nu, E):
-    """Eigenvalues of diag(nu)(I + E)diag(nu) with a perturbation bound.
-
-    Returns (eigenvalues aligned with nu, certificate dict).  For pairwise
-    separated nu_j^2 each eigenvalue lies within a relative n*max|E| of
-    nu_j^2; zero entries of nu give exact zero eigenvalues.
-    """
-    nu = np.asarray(nu, dtype=float)
-    E = np.asarray(E, dtype=float)
-    n = nu.shape[0]
-    emax = float(np.max(np.abs(E))) if E.size else 0.0
-    if emax >= 1.0 / (2.0 * n):
-        raise ValueError(f"perturbation max |E| = {emax:.3g} not below "
-                         f"1/(2n) = {1/(2*n):.3g}")
-    D = np.diag(nu)
-    M = D @ (np.eye(n) + E) @ D
-    raw = np.linalg.eigvals(M)
-    raw = np.real(raw)
-    targets = nu**2
-    # align each eigenvalue to the nearest target
-    out = np.empty(n)
-    remaining = list(range(n))
-    for j in np.argsort(-targets):
-        if targets[j] == 0.0:
-            # zero row and column: exact zero eigenvalue
-            k = remaining[int(np.argmin(np.abs(raw[remaining])))]
-            out[j] = 0.0
-        else:
-            k = remaining[int(np.argmin(np.abs(raw[remaining] - targets[j])))]
-            out[j] = raw[k]
-        remaining.remove(k)
-    gaps = np.array([np.min(np.abs(np.delete(targets, j) - targets[j]))
-                     if n > 1 else np.inf for j in range(n)])
-    certificate = {
-        "relative_bound": n * emax,
-        "separated": bool(np.all(gaps > n * emax * np.maximum(targets, 1e-300))),
-    }
-    return out, certificate

@@ -197,7 +197,9 @@ class EigenResult:
 
 def smallest_eigs(op, k, tol=0.0) -> EigenResult:
     """k smallest eigenpairs of A^T A via shift-invert at a small negative
-    shift; eigenvalues sorted ascending, floor = 100 eps ||A^T A||."""
+    shift; eigenvalues sorted ascending, floor = 100 eps ||A^T A||.
+    ARPACK starts from a fixed vector, so repeated calls on the same
+    operator return the same values and vectors."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= op.n_cells:
@@ -210,9 +212,12 @@ def smallest_eigs(op, k, tol=0.0) -> EigenResult:
     shifted = (G - sigma * sparse.identity(G.shape[0], format="csc")).tocsc()
     lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
     op_inv = LinearOperator(G.shape, matvec=lu.solve)
+    # ARPACK's default start vector is random; a constant one needs more
+    # shift-invert solves than this fixed random one
+    v0 = np.random.default_rng(0).standard_normal(G.shape[0])
     try:
         vals, vecs = eigsh(G, k=k, sigma=sigma, which="LM", tol=tol,
-                           OPinv=op_inv)
+                           OPinv=op_inv, v0=v0)
     except ArpackNoConvergence as exc:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(vals)

@@ -7,14 +7,22 @@ are probed at sigma - eps with eps proportional to the value scale.
 
 Local structure is computed on a tube grid: the cells whose centers lie
 within `radius` of some node of the manifold.  The tube mask is built by
-stamping each node's bounding box into a running minimum of squared
-distances, so it costs about (number of nodes) x (cells per node box) and
-never forms a full-grid coordinate array; f is then evaluated on the tube
-cells only.
+stamping each node's bounding box into a boolean grid, so it costs about
+(number of nodes) x (cells per node box) and never forms a full-grid
+coordinate or distance array; f is then evaluated on the tube cells only.
+
+Grid passes that need temporaries (masked sampling, `probe_level`) stream
+over slabs of consecutive axis-0 planes: at most 2**18 cells per slab for
+sampling and 2**20 for `probe_level` (or one plane, if a plane is larger).
+Their scratch memory is therefore bounded by the slab, not the grid, and
+the arithmetic is the same cell for cell, so results do not depend on the
+slab size.  Beyond the slabs, a tube grid holds its float64 values and
+boolean mask, and `components` adds one int32 label grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +48,10 @@ __all__ = [
 LEVEL_EPS_REL = 1e-6
 
 DEFAULT_RESOLUTION = {1: 4096, 2: 1024, 3: 160}
+
+# cells per axis-0 slab of the streamed grid passes
+_SAMPLE_SLAB = 1 << 18
+_PROBE_SLAB = 1 << 20
 
 
 @dataclass
@@ -75,14 +87,18 @@ class GridSampling:
             idx[:, a] = j
         return idx
 
-    def value_scale(self):
-        finite = self.values[np.isfinite(self.values)]
-        return float(np.max(np.abs(finite))) if finite.size else 1.0
-
 
 def _cell_centers(interval, n):
     lo, hi = interval
     return lo + (hi - lo) * (np.arange(n) + 0.5) / n
+
+
+def _slabs(shape, max_cells):
+    """Axis-0 plane ranges (start, stop) covering a grid of shape `shape`,
+    each of at most `max_cells` cells or a single plane."""
+    step = max(1, max_cells // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        yield start, min(start + step, shape[0])
 
 
 def _grid_shape(d, shape):
@@ -102,7 +118,8 @@ def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
     `mask`, a boolean array of shape `shape`, restricts the grid (tube
     grids): f is evaluated only at the cells it marks, masked-out cells hold
     +inf and never enter any flood fill.  Only the masked cells' coordinates
-    are formed, read from the per-axis cell centers.
+    are formed, read from the per-axis cell centers one axis-0 slab at a
+    time.
     """
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
@@ -113,13 +130,15 @@ def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
         if mask.shape != shape:
             raise ValueError(f"mask shape {mask.shape} does not match grid "
                              f"shape {shape}")
-        idx = np.nonzero(mask)
-        points = np.empty((idx[0].size, d))
-        for a in range(d):
-            points[:, a] = axes[a][idx[a]]
-        del idx
         values = np.full(shape, np.inf)
-        values[mask] = p.values(points)
+        for start, stop in _slabs(shape, _SAMPLE_SLAB):
+            inside = mask[start:stop]
+            centers = np.ix_(axes[0][start:stop], *axes[1:])
+            points = np.empty((np.count_nonzero(inside), d))
+            for a in range(d):
+                grid_a = np.broadcast_to(centers[a], inside.shape)
+                points[:, a] = grid_a[inside]
+            values[start:stop][inside] = p.values(points)
         return GridSampling(box=box, shape=shape, values=values, mask=mask)
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
@@ -134,7 +153,7 @@ class ComponentMap:
     """Face-adjacent component labels of {f < sigma}; label -1 = excluded."""
 
     sigma: float
-    labels: np.ndarray         # int array, -1 excluded, 0..count-1 otherwise
+    labels: np.ndarray         # int32, -1 excluded, 0..count-1 otherwise
     count: int
     representatives: list      # one cell multi-index per component
 
@@ -154,16 +173,18 @@ def components(g: GridSampling, sigma) -> ComponentMap:
     if g.mask is not None:
         inside &= g.mask
     structure = ndimage.generate_binary_structure(g.dim, 1)
-    raw, count = ndimage.label(inside, structure=structure)
-    labels = raw.astype(np.int64) - 1
+    labels, count = ndimage.label(inside, structure=structure)
+    del inside
+    boxes = ndimage.find_objects(labels)
+    labels -= 1
     reps = []
-    if count:
-        # deterministic representative: first cell in scan order per label
-        flat = labels.ravel()
-        order = np.argsort(flat, kind="stable")
-        first = np.searchsorted(flat[order], np.arange(count))
-        for c in range(count):
-            reps.append(np.unravel_index(order[first[c]], g.shape))
+    for c, box in enumerate(boxes):
+        # deterministic representative: the label's first cell in scan
+        # order, which lies in the first axis-0 plane of its bounding box
+        plane = (slice(box[0].start, box[0].start + 1),) + box[1:]
+        hit = labels[plane] == c
+        offset = np.unravel_index(np.argmax(hit), hit.shape)
+        reps.append(tuple(s.start + i for s, i in zip(plane, offset)))
     return ComponentMap(sigma=float(sigma), labels=labels, count=count,
                         representatives=reps)
 
@@ -177,18 +198,40 @@ def probe_level(g: GridSampling, sigma):
     connect them unless levels within one quadratic cell variation of sigma
     are excluded.  The bound uses second differences of the sampled values,
     restricted to cells the sigma level surface actually crosses.
+
+    Runs slab by slab along axis 0, each slab read with a one-plane halo so
+    its axis-0 second differences are those of the whole grid.
     """
-    eps = LEVEL_EPS_REL * max(g.value_scale(), 1.0)
-    v = np.where(np.isfinite(g.values), g.values, np.nan)
-    d2max = np.zeros_like(v)
-    for a in range(g.dim):
-        d2 = np.abs(np.diff(v, 2, axis=a))
-        interior = [slice(None)] * g.dim
-        interior[a] = slice(1, -1)
-        np.fmax(d2max[tuple(interior)], d2, out=d2max[tuple(interior)])
-    band = np.isfinite(v) & (np.abs(v - sigma) <= d2max)
-    if np.any(band):
-        eps = max(eps, float(np.max(d2max[band])) / 4.0)
+    n0 = g.shape[0]
+    scale = 1.0
+    band_max = -np.inf
+    for start, stop in _slabs(g.shape, _PROBE_SLAB):
+        lo, hi = max(start - 1, 0), min(stop + 1, n0)
+        v = g.values[lo:hi]
+        v = np.where(np.isfinite(v), v, np.nan)
+        d2max = np.zeros((stop - start,) + g.shape[1:])
+        # axis-0 second differences, centred on planes first .. last - 1
+        # (the grid's first and last planes have none)
+        first, last = max(start, 1), min(stop, n0 - 1)
+        if first < last:
+            d2 = np.abs(np.diff(v[first - 1 - lo:last + 1 - lo], 2, axis=0))
+            own = d2max[first - start:last - start]
+            np.fmax(own, d2, out=own)
+        v = v[start - lo:stop - lo]
+        for a in range(1, g.dim):
+            d2 = np.abs(np.diff(v, 2, axis=a))
+            interior = [slice(None)] * g.dim
+            interior[a] = slice(1, -1)
+            np.fmax(d2max[tuple(interior)], d2, out=d2max[tuple(interior)])
+        # non-finite cells are NaN here and fall out of the max and the band
+        scale = max(scale, float(np.fmax.reduce(np.abs(v), axis=None,
+                                                initial=0.0)))
+        band = np.abs(v - sigma) <= d2max
+        band_max = max(band_max, float(np.max(d2max, where=band,
+                                              initial=-np.inf)))
+    eps = LEVEL_EPS_REL * scale
+    if band_max >= 0.0:
+        eps = max(eps, band_max / 4.0)
     return sigma - eps
 
 
@@ -211,11 +254,12 @@ def _tube_mask(nodes, axes, radius):
 
     Exactly the nearest-node test `min_k |c - x_k| < radius`, evaluated per
     node on the cells of its box [x - r, x + r] (padded by one cell): their
-    squared distances, summed axis by axis, are folded into a running
-    minimum over the grid.  Cost is about len(nodes) x (cells per node box)
-    plus one pass over the grid.
+    squared distances, summed axis by axis, are compared with the squared
+    radius bound of `_squared_radius_bound` and ORed into the mask.  Cost is
+    about len(nodes) x (cells per node box).
     """
-    d2 = np.full(tuple(ax.size for ax in axes), np.inf)
+    t = _squared_radius_bound(radius)
+    mask = np.zeros(tuple(ax.size for ax in axes), dtype=bool)
     for x in nodes:
         window = []
         sq = []
@@ -228,10 +272,24 @@ def _tube_mask(nodes, axes, radius):
         acc = sq[0]
         for a in range(1, len(axes)):
             acc = acc[..., None] + sq[a]
-        block = d2[tuple(window)]
-        np.minimum(block, acc, out=block)
-    np.sqrt(d2, out=d2)
-    return d2 < radius
+        block = mask[tuple(window)]
+        block |= acc < t
+    return mask
+
+
+def _squared_radius_bound(radius):
+    """The smallest float t with sqrt(t) >= radius.
+
+    sqrt is correctly rounded, hence monotone, so for every float d2 the
+    test `d2 < t` is exactly `sqrt(d2) < radius`.
+    """
+    r = max(float(radius), 0.0)
+    t = r * r
+    while math.sqrt(t) < radius:
+        t = math.nextafter(t, math.inf)
+    while t > 0.0 and math.sqrt(math.nextafter(t, -math.inf)) >= radius:
+        t = math.nextafter(t, -math.inf)
+    return t
 
 
 def _tube_grid(p: Potential, M: CriticalManifold, radius, resolution):

@@ -98,14 +98,41 @@ def test_manifold_missing_field_reported(tmp_path, capsys, kind, field):
     assert "'broken'" in err and repr(field) in err
 
 
-def test_bad_role_rejected(tmp_path):
+def test_bad_role_rejected(tmp_path, capsys):
     with open(SPEC) as fh:
         data = json.load(fh)
     data["manifolds"][0]["role"] = "monkey"
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(SystemExit):
-        main(["check", "--spec", str(path), "--out", str(tmp_path)])
+    code = main(["check", "--spec", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'role'" in err and "'monkey'" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dim", 0), ("dim", 1.5), ("dim", True),
+    ("box", [[-2.4, 2.4], [-1.0, 1.0]]), ("box", [-2.4, 2.4]),
+    ("box", [[2.4, -2.4]]), ("box", [[-2.4, 2.4, 0.0]]),
+    ("box", [[-2.4, float("inf")]]), ("box", [["a", 2.4]]),
+], ids=["dim-zero", "dim-float", "dim-bool", "box-too-many-axes", "box-flat",
+        "box-reversed", "box-triple", "box-infinite", "box-text"])
+def test_malformed_spec_field_reported(tmp_path, capsys, field, value):
+    spec = edited_spec(tmp_path, **{field: value})
+    code = main(["check", "--spec", spec, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(field) in err
+
+
+def test_solve_is_reproducible(tmp_path, capsys):
+    for out in ("a", "b"):
+        assert main(["solve", "--spec", SPEC, "--h", "0.2,0.1",
+                     "--out", str(tmp_path / out)]) == 0
+    first = (tmp_path / "a" / "spectrum.csv").read_bytes()
+    assert first == (tmp_path / "b" / "spectrum.csv").read_bytes()
 
 
 def test_confinement_gate(tmp_path, capsys):

@@ -13,9 +13,8 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from metastab.quasimodes import (agmon_distance, build_gluing, build_psi,
-                                 interaction_matrix, perturbed_diag_eigs,
-                                 plateau_feasible_tau, rayleigh, smoothstep,
-                                 zeta)
+                                 interaction_matrix, plateau_feasible_tau,
+                                 rayleigh, smoothstep, zeta)
 from metastab.spectral import assemble_witten, smallest_eigs
 from metastab.sublevel import sample_grid
 
@@ -191,18 +190,3 @@ def test_interaction_matrix_loss_guard(tilted):
     eig1 = smallest_eigs(W, 1)
     with pytest.raises(ValueError, match="loses"):
         interaction_matrix(W, psis, eig1, tilted.labeling)
-
-
-def test_perturbed_diag_eigs():
-    rng = np.random.default_rng(3)
-    nu = np.array([0.0, 3e-2, 1e-3])
-    E = 1e-3 * rng.standard_normal((3, 3))
-    E = 0.5 * (E + E.T)
-    out, cert = perturbed_diag_eigs(nu, E)
-    assert out[0] == 0.0
-    bound = cert["relative_bound"]
-    assert cert["separated"]
-    for j in (1, 2):
-        assert abs(out[j] - nu[j] ** 2) <= bound * nu[j] ** 2
-    with pytest.raises(ValueError):
-        perturbed_diag_eigs(nu, np.full((3, 3), 0.2))

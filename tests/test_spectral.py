@@ -126,3 +126,12 @@ def test_radial_accepts_explicit_profile(mexican):
     a = smallest_eigs(via_radial, 2).values
     b = smallest_eigs(via_profile, 2).values
     assert a[1] == pytest.approx(b[1], rel=1e-12)
+
+
+def test_smallest_eigs_is_deterministic():
+    p = parse_potential("x1^4/4 - x1^2/2 + x1/10 + x2^2/2", 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
+    first = smallest_eigs(W, 4)
+    second = smallest_eigs(W, 4)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from metastab import sublevel
 from metastab.manifolds import (manifold_point, manifold_sphere,
                                 negative_direction_field, verify_critical)
 from metastab.potential import parse_potential
-from metastab.sublevel import (classify_separating, components,
+from metastab.sublevel import (ComponentMap, GridSampling,
+                               classify_separating, components,
                                local_structure, probe_level, sample_grid)
 
 from conftest import TWISTED, UNTWISTED, unit_circle
@@ -189,3 +192,177 @@ def test_sample_grid_mask_shape_checked():
     with pytest.raises(ValueError, match="mask shape"):
         sample_grid(p, [[-1.0, 1.0], [-1.0, 1.0]], shape=(8, 8),
                     mask=np.ones((8, 9), dtype=bool))
+
+
+def test_squared_radius_bound_is_tight():
+    radii = [0.3, 0.45, 0.7, 0.25, 1.0 / 3.0, 1e-3, 2.0, 1e150, 5e-324]
+    radii += list(np.random.default_rng(5).uniform(1e-3, 3.0, 2000))
+    for radius in radii:
+        t = sublevel._squared_radius_bound(radius)
+        assert math.sqrt(t) >= radius > math.sqrt(math.nextafter(t, -math.inf))
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.45, 0.7, 1.0 / 3.0])
+def test_tube_mask_boundary_cells(radius):
+    # cells whose squared distance is the bound t, or the float below it:
+    # sqrt decides, so the first is outside although t < radius * radius
+    t = sublevel._squared_radius_bound(radius)
+    assert t < radius * radius
+    a = math.nextafter(radius, 0.0)
+    b = np.array([math.sqrt(t - a * a),
+                  math.sqrt(math.nextafter(t, 0.0) - a * a)])
+    d2 = a * a + b * b
+    assert d2[0] == t and d2[1] == math.nextafter(t, 0.0)
+    mask = sublevel._tube_mask(np.zeros((1, 2)), [np.array([a]), b], radius)
+    assert mask.tolist() == [[False, True]]
+    assert np.array_equal(mask[0], np.sqrt(d2) < radius)
+
+
+# ---------------------------------------------------------------------------
+# Slab-wise probe_level and bounding-box representatives against the
+# whole-grid reference implementations
+
+
+def reference_probe_level(g, sigma):
+    """probe_level on whole-grid temporaries."""
+    finite = g.values[np.isfinite(g.values)]
+    scale = float(np.max(np.abs(finite))) if finite.size else 1.0
+    eps = sublevel.LEVEL_EPS_REL * max(scale, 1.0)
+    v = np.where(np.isfinite(g.values), g.values, np.nan)
+    d2max = np.zeros_like(v)
+    for a in range(g.dim):
+        d2 = np.abs(np.diff(v, 2, axis=a))
+        interior = [slice(None)] * g.dim
+        interior[a] = slice(1, -1)
+        np.fmax(d2max[tuple(interior)], d2, out=d2max[tuple(interior)])
+    band = np.isfinite(v) & (np.abs(v - sigma) <= d2max)
+    if np.any(band):
+        eps = max(eps, float(np.max(d2max[band])) / 4.0)
+    return sigma - eps
+
+
+def reference_components(g, sigma):
+    """components with representatives from a full-grid argsort."""
+    inside = g.values < sigma
+    if g.mask is not None:
+        inside &= g.mask
+    structure = ndimage.generate_binary_structure(g.dim, 1)
+    raw, count = ndimage.label(inside, structure=structure)
+    labels = raw.astype(np.int64) - 1
+    reps = []
+    if count:
+        flat = labels.ravel()
+        order = np.argsort(flat, kind="stable")
+        first = np.searchsorted(flat[order], np.arange(count))
+        for c in range(count):
+            reps.append(np.unravel_index(order[first[c]], g.shape))
+    return ComponentMap(sigma=float(sigma), labels=labels, count=count,
+                        representatives=reps)
+
+
+@pytest.fixture(params=[None, 1, 2900, 30000],
+                ids=["default-slabs", "one-plane", "2900-cells",
+                     "30000-cells"])
+def slab_cells(request, monkeypatch):
+    """Run with the module's slab sizes, or with both set to `param` cells
+    (at least one axis-0 plane per slab)."""
+    if request.param is not None:
+        monkeypatch.setattr(sublevel, "_PROBE_SLAB", request.param)
+        monkeypatch.setattr(sublevel, "_SAMPLE_SLAB", request.param)
+    return request.param
+
+
+def assert_matches_reference(g, sigma, level=None):
+    """probe_level(g, sigma) and the components at `level` (default: the
+    probed level) equal the references."""
+    probed = probe_level(g, sigma)
+    assert probed == reference_probe_level(g, sigma)
+    if level is None:
+        level = probed
+    cmap = components(g, level)
+    ref = reference_components(g, level)
+    assert cmap.labels.dtype == np.int32
+    assert np.array_equal(cmap.labels, ref.labels)
+    assert cmap.count == ref.count
+    assert ([tuple(map(int, r)) for r in cmap.representatives]
+            == [tuple(map(int, r)) for r in ref.representatives])
+    return cmap
+
+
+def test_reference_equivalence_tilted_1d(tilted, slab_cells):
+    cmap = assert_matches_reference(tilted.g, tilted.saddle.value)
+    assert cmap.count == 2
+
+
+def test_reference_equivalence_lsns_640(slab_cells):
+    p, g, s_low, s_high = lsns_fixture()
+    assert g.shape == (640, 640)
+    for M in (s_low, s_high):
+        assert_matches_reference(g, M.value)
+
+
+def test_reference_equivalence_3d_tube(slab_cells):
+    p = parse_potential(UNTWISTED, 3)
+    M = unit_circle(128)
+    verify_critical(p, M)
+    g = local_structure(p, M, None, radius=0.3, resolution=96).grid
+    assert g.shape == (96, 96, 96)
+    assert assert_matches_reference(g, M.value).count == 2
+
+
+def test_reference_equivalence_slab_remainder():
+    # 37 planes of 128 x 256 cells: sampling slabs of 8 planes and
+    # probe_level slabs of 32 both leave a remainder of 5
+    p = parse_potential(UNTWISTED, 3)
+    M = unit_circle(128)
+    verify_critical(p, M)
+    shape = (37, 128, 256)
+    assert sublevel._SAMPLE_SLAB // (128 * 256) == 8
+    assert sublevel._PROBE_SLAB // (128 * 256) == 32
+    local = assert_tube_grid_exact(p, M, radius=0.3, resolution=shape)
+    assert local.grid.shape == shape
+    assert assert_matches_reference(local.grid, M.value).count == 2
+
+
+@pytest.mark.parametrize("kink", [31, 32])
+def test_reference_equivalence_kink_at_slab_boundary(kink):
+    # f = |i - kink| along axis 0: the curvature bound is the second
+    # difference on the plane either side of the first slab boundary
+    shape = (40, 128, 256)
+    assert sublevel._PROBE_SLAB // (128 * 256) == 32
+    values = (np.abs(np.arange(shape[0]) - kink)[:, None, None]
+              + 1e-3 * np.linspace(0.0, 1.0, 128)[:, None]
+              + np.zeros(shape))
+    g = GridSampling(box=np.array([[0.0, 1.0]] * 3), shape=shape,
+                     values=values)
+    assert_matches_reference(g, 5e-4)
+    assert probe_level(g, 5e-4) == 5e-4 - 2.0 / 4.0
+
+
+def test_reference_equivalence_smaller_than_one_slab():
+    values = np.random.default_rng(11).standard_normal((6, 7, 8))
+    g = GridSampling(box=np.array([[0.0, 1.0]] * 3), shape=(6, 7, 8),
+                     values=values)
+    assert g.values.size < sublevel._SAMPLE_SLAB
+    assert assert_matches_reference(g, 0.0, level=-0.5).count > 1
+
+
+def test_reference_equivalence_many_components(slab_cells):
+    rng = np.random.default_rng(7)
+    shape = (40, 50, 60)
+    values = rng.random(shape)
+    mask = rng.random(shape) < 0.9
+    values[~mask] = np.inf
+    g = GridSampling(box=np.array([[-1.0, 1.0]] * 3), shape=shape,
+                     values=values, mask=mask)
+    cmap = assert_matches_reference(g, 0.2, level=0.2)
+    assert cmap.count > 500
+
+
+def test_reference_equivalence_empty_sublevel(tilted, slab_cells):
+    g = tilted.g
+    sigma = float(np.min(g.values)) - 1.0
+    cmap = assert_matches_reference(g, sigma)
+    assert cmap.count == 0
+    assert cmap.representatives == []
+    assert np.all(cmap.labels == -1)
