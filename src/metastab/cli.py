@@ -179,12 +179,13 @@ class Pipeline:
             n, ratio = spectral.count_small(res.values, h)
             rows.append([h, "x".join(str(s) for s in W.shape), k,
                          ";".join(f"{v:.12g}" for v in res.values),
-                         f"{res.floor:.3g}", n, f"{ratio:.4g}"])
+                         f"{res.floor:.3g}", n, f"{ratio:.4g}",
+                         f"{np.max(res.residuals):.3g}"])
         with open(self._out("spectrum.csv"), "w", newline="") as fh:
             fh.write(f"# manifest {self.hash}\n")
             w = csv.writer(fh)
             w.writerow(["h", "grid", "k", "eigenvalues", "floor",
-                        "count_small", "gap_ratio"])
+                        "count_small", "gap_ratio", "max_residual"])
             w.writerows(rows)
         print(f"wrote {self._out('spectrum.csv')}")
 
@@ -316,7 +317,7 @@ class Pipeline:
 
 def _truncate(eig, k):
     return EigenResult(values=eig.values[:k], vectors=eig.vectors[:, :k],
-                       floor=eig.floor)
+                       floor=eig.floor, residuals=eig.residuals[:k])
 
 
 def main(argv=None):

@@ -190,6 +190,7 @@ class EigenResult:
     values: np.ndarray            # ascending, length k
     vectors: np.ndarray           # (n_cells, k)
     floor: float                  # below this, magnitudes are unreliable
+    residuals: np.ndarray         # ||G v - lambda v|| per pair, below floor
 
     def reliable(self):
         return self.values >= self.floor
@@ -199,7 +200,9 @@ def smallest_eigs(op, k, tol=0.0) -> EigenResult:
     """k smallest eigenpairs of A^T A via shift-invert at a small negative
     shift; eigenvalues sorted ascending, floor = 100 eps ||A^T A||.
     ARPACK starts from a fixed vector, so repeated calls on the same
-    operator return the same values and vectors."""
+    operator return the same values and vectors.  Each pair's residual
+    ||G v - lambda v|| is checked against the floor: a pair above it
+    raises RuntimeError rather than being trusted."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= op.n_cells:
@@ -226,7 +229,12 @@ def smallest_eigs(op, k, tol=0.0) -> EigenResult:
     if np.any(vals < -1e-14 * norm):
         raise RuntimeError("negative eigenvalue beyond rounding; "
                            "factored operator corrupted")
-    return EigenResult(values=vals, vectors=vecs, floor=floor)
+    residuals = np.linalg.norm(G @ vecs - vecs * vals, axis=0)
+    if np.any(residuals > floor):
+        raise RuntimeError(f"eigenpair residual {np.max(residuals):.3g} "
+                           f"exceeds the reliability floor {floor:.3g}")
+    return EigenResult(values=vals, vectors=vecs, floor=floor,
+                       residuals=residuals)
 
 
 def count_small(values, h, eta0=DEFAULT_ETA0):

@@ -6,10 +6,13 @@ with strict inequality f < sigma; levels that would graze a critical value
 are probed at sigma - eps with eps proportional to the value scale.
 
 Local structure is computed on a tube grid: the cells whose centers lie
-within `radius` of some node of the manifold.  The tube mask is built by
-stamping each node's bounding box into a boolean grid, so it costs about
-(number of nodes) x (cells per node box) and never forms a full-grid
-coordinate or distance array; f is then evaluated on the tube cells only.
+within `radius` of some node of the manifold.  Each row of cells along the
+last axis meets a node's ball in one run, so the tube mask is built from
+runs: their ends are found exactly with a few float evaluations per row,
+and the merged runs are written into the boolean grid in one pass.  That
+costs about (number of nodes) x (rows per node box) plus one pass over the
+grid, and never forms a full-grid coordinate or distance array; f is then
+evaluated on the tube cells only.
 
 Grid passes that need temporaries (masked sampling, `probe_level`) stream
 over slabs of consecutive axis-0 planes: at most 2**18 cells per slab for
@@ -17,12 +20,15 @@ sampling and 2**20 for `probe_level` (or one plane, if a plane is larger).
 Their scratch memory is therefore bounded by the slab, not the grid, and
 the arithmetic is the same cell for cell, so results do not depend on the
 slab size.  Beyond the slabs, a tube grid holds its float64 values and
-boolean mask, and `components` adds one int32 label grid.
+boolean mask, and `components` adds one int32 label grid: about 13 bytes
+per cell.  A grid shape whose cells would need more than the machine's
+physical memory at that rate is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +58,11 @@ DEFAULT_RESOLUTION = {1: 4096, 2: 1024, 3: 160}
 # cells per axis-0 slab of the streamed grid passes
 _SAMPLE_SLAB = 1 << 18
 _PROBE_SLAB = 1 << 20
+# padded window rows per batch of nodes in the tube-mask run search
+_RUN_BATCH = 1 << 18
+# bytes per cell of a dense tube grid: float64 values, bool mask and the
+# int32 labels of `components`
+_CELL_BYTES = 8 + 1 + 4
 
 
 @dataclass
@@ -109,7 +120,23 @@ def _grid_shape(d, shape):
     shape = tuple(int(s) for s in shape)
     if any(s < 2 for s in shape):
         raise ValueError("resolutions must be >= 2")
+    need = _CELL_BYTES * math.prod(shape)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"grid of shape {shape} needs about {need:.3g} bytes "
+            f"({_CELL_BYTES} per cell), more than the {have:.3g} bytes of "
+            f"physical memory; lower the resolution (`resolution`, or "
+            f"`--grid` on the command line)")
     return shape
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
@@ -119,7 +146,7 @@ def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
     grids): f is evaluated only at the cells it marks, masked-out cells hold
     +inf and never enter any flood fill.  Only the masked cells' coordinates
     are formed, read from the per-axis cell centers one axis-0 slab at a
-    time.
+    time.  A non-finite value of f at a sampled cell raises ValueError.
     """
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
@@ -138,14 +165,20 @@ def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
             for a in range(d):
                 grid_a = np.broadcast_to(centers[a], inside.shape)
                 points[:, a] = grid_a[inside]
-            values[start:stop][inside] = p.values(points)
+            slab = p.values(points)
+            _check_finite(slab)
+            values[start:stop][inside] = slab
         return GridSampling(box=box, shape=shape, values=values, mask=mask)
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
     values = p.values(points).reshape(shape)
+    _check_finite(values)
+    return GridSampling(box=box, shape=shape, values=values)
+
+
+def _check_finite(values):
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite potential values on grid")
-    return GridSampling(box=box, shape=shape, values=values)
 
 
 @dataclass
@@ -252,29 +285,129 @@ def _tube_mask(nodes, axes, radius):
     """Cells of the grid with cell-center axes `axes` whose centers lie
     strictly within `radius` of some node.
 
-    Exactly the nearest-node test `min_k |c - x_k| < radius`, evaluated per
-    node on the cells of its box [x - r, x + r] (padded by one cell): their
-    squared distances, summed axis by axis, are compared with the squared
-    radius bound of `_squared_radius_bound` and ORed into the mask.  Cost is
-    about len(nodes) x (cells per node box).
+    Exactly the nearest-node test `min_k |c - x_k| < radius`: a cell is in
+    the tube iff, for some node, its squared distance, summed axis by axis
+    with axis 0 first, is below the bound t of `_squared_radius_bound`.
+    Only cells of a node's window, its box [x - r, x + r] padded by one
+    cell, are tested.
+
+    Each row of a window along the last axis meets the node's ball in one
+    run of cells (see `_row_runs`), found exactly from a few float
+    evaluations per row rather than one per cell.  The nodes are handled
+    in batches of at most `_RUN_BATCH` padded window rows; each batch's
+    runs are merged into the union so far (`_merge_runs`), and the union
+    is written out in one pass.  Cost is about len(nodes) x (rows per
+    window) for the runs and their sorts, plus one pass over the mask;
+    scratch memory is bounded by the batch and the merged runs.
     """
     t = _squared_radius_bound(radius)
-    mask = np.zeros(tuple(ax.size for ax in axes), dtype=bool)
-    for x in nodes:
-        window = []
-        sq = []
-        for ax, xa in zip(axes, x):
-            lo = max(int(np.searchsorted(ax, xa - radius)) - 1, 0)
-            hi = int(np.searchsorted(ax, xa + radius, side="right")) + 1
-            window.append(slice(lo, hi))
-            sq.append((ax[lo:hi] - xa) ** 2)
-        # same summation order as a nearest-neighbour distance: axis 0 first
-        acc = sq[0]
-        for a in range(1, len(axes)):
-            acc = acc[..., None] + sq[a]
-        block = mask[tuple(window)]
-        block |= acc < t
-    return mask
+    shape = tuple(ax.size for ax in axes)
+    d = len(axes)
+    nodes = np.asarray(nodes, dtype=float).reshape(-1, d)
+    lo = np.stack([np.maximum(np.searchsorted(ax, nodes[:, a] - radius) - 1,
+                              0) for a, ax in enumerate(axes)], axis=1)
+    hi = np.stack([np.minimum(np.searchsorted(ax, nodes[:, a] + radius,
+                                              side="right") + 1, ax.size)
+                   for a, ax in enumerate(axes)], axis=1)
+    hi = np.maximum(hi, lo)
+    rows_per_node = math.prod(int(np.max(hi[:, a] - lo[:, a], initial=0))
+                              for a in range(d - 1))
+    step = max(1, _RUN_BATCH // max(rows_per_node, 1))
+    first = last = np.empty(0, dtype=np.int64)
+    for s in range(0, len(nodes), step):
+        row, start, stop = _row_runs(nodes[s:s + step], lo[s:s + step],
+                                     hi[s:s + step], axes, t)
+        first, last = _merge_runs(
+            np.concatenate([first, row * shape[-1] + start]),
+            np.concatenate([last, row * shape[-1] + stop]))
+    # in flat order the merged runs alternate with the gaps between them
+    lengths = np.diff(np.stack([first, last], axis=1).ravel(), prepend=0,
+                      append=math.prod(shape))
+    return np.repeat(np.arange(lengths.size) % 2 == 1, lengths).reshape(shape)
+
+
+def _row_runs(nodes, lo, hi, axes, t):
+    """The runs [start, stop) of cells along the last axis, one per window
+    row of each node, whose squared distance to the node is below t.
+
+    A row's squared distance is part + sq[k], part the sum over the other
+    axes and sq[k] = (c[k] - x)**2.  Along a monotone axis the rounded
+    offsets c[k] - x are monotone, so sq falls to its first minimum, at mid,
+    and does not fall after it.  Rounded addition is monotone too, so the
+    test holds on a suffix of the cells left of mid and a prefix of the
+    cells from mid on: one interval.  Its ends are estimated from
+    sqrt(t - part) and then moved with the exact float test until it
+    flips, usually by a cell at most.  Returns flat row indices over axes
+    0..d-2, starts and stops.
+    """
+    n = len(nodes)
+    part = np.zeros(n)
+    row = np.zeros(n, dtype=np.int64)
+    for a, ax in enumerate(axes[:-1]):
+        k, sq = _window_squares(ax, nodes[:, a], lo[:, a], hi[:, a])
+        fan = (n,) + (1,) * a + (-1,)
+        part = part[..., None] + sq.reshape(fan)
+        row = row[..., None] * ax.size + k.reshape(fan)
+    ax = axes[-1]
+    _, sq = _window_squares(ax, nodes[:, -1], lo[:, -1], hi[:, -1])
+    mid = lo[:, -1] + np.argmin(sq, axis=1)
+
+    near = part < t
+    node = np.nonzero(near)[0]
+    part = part[near]
+    row = np.broadcast_to(row, near.shape)[near]
+    x = nodes[node, -1]
+    lo, hi, mid = lo[node, -1], hi[node, -1], mid[node]
+    reach = np.sqrt(t - part)
+    start = np.clip(np.searchsorted(ax, x - reach), lo, mid)
+    stop = np.clip(np.searchsorted(ax, x + reach), mid, hi)
+
+    def inside(k, i):
+        return part[i] + (ax[k] - x[i]) ** 2 < t
+
+    # start: the first cell inside left of mid; stop: the first cell
+    # outside from mid on
+    _walk(start, mid, +1, False, inside)
+    _walk(start, lo, -1, True, inside)
+    _walk(stop, mid, -1, False, inside)
+    _walk(stop, hi, +1, True, inside)
+    return row, start, stop
+
+
+def _window_squares(ax, x, lo, hi):
+    """Per node, the cells k of its window [lo, hi) on the axis with cell
+    centers `ax`, padded to the widest window, and (ax[k] - x)**2 on them
+    (+inf on the padding)."""
+    k = lo[:, None] + np.arange(max(int(np.max(hi - lo)), 1))
+    valid = k < hi[:, None]
+    k = np.minimum(k, ax.size - 1)
+    return k, np.where(valid, (ax[k] - x[:, None]) ** 2, np.inf)
+
+
+def _walk(k, limit, step, want, inside):
+    """Move each k[i] by `step` while it differs from limit[i] and the cell
+    it would pass, k[i] or k[i] - 1, has inside(...) == want; in place."""
+    probe = min(step, 0)
+    i = np.nonzero(k != limit)[0]
+    while i.size:
+        i = i[inside(k[i] + probe, i) == want]
+        k[i] += step
+        i = i[k[i] != limit[i]]
+
+
+def _merge_runs(first, last):
+    """The union of the flat runs [first, last) as disjoint, non-touching
+    runs in increasing order."""
+    keep = first < last
+    first, last = first[keep], last[keep]
+    # runs arrive mostly in order, which the stable sort exploits
+    order = np.argsort(first, kind="stable")
+    first, last = first[order], last[order]
+    reach = np.maximum.accumulate(last)
+    # a run that starts before or where the runs so far end joins them
+    opens = np.ones(first.size, dtype=bool)
+    opens[1:] = first[1:] > reach[:-1]
+    return first[opens], reach[np.roll(opens, -1)]
 
 
 def _squared_radius_bound(radius):

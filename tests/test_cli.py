@@ -1,6 +1,8 @@
 """End-to-end pipeline tests through the command-line entry point."""
 
+import csv
 import json
+import pathlib
 
 import pytest
 
@@ -150,3 +152,52 @@ def test_validate_tolerance_gate(tmp_path, capsys):
     spec_ok = edited_spec(tmp_path, validate_tolerance=0.4)
     assert main(["validate", "--spec", spec_ok, "--h", "0.2,0.1",
                  "--out", str(tmp_path)]) == 0
+
+
+# `out/` holds the reference artifacts of this command, run from the
+# repository root; rerunning it must reproduce them.
+GOLDEN_ARGV = ["all", "--spec", SPEC, "--h", "0.2,0.15,0.1", "--seed", "0"]
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "out"
+
+
+def read_table(path):
+    """Header lines and data rows (dicts) of an artifact CSV."""
+    lines = path.read_text().splitlines()
+    return lines[:2], list(csv.DictReader(lines[1:]))
+
+
+def assert_field_matches(got, want, floor):
+    """Numbers (also inside ';'-joined lists) to rtol 1e-8, or both at most
+    `floor` in magnitude where the reference is; other text exactly."""
+    got_parts, want_parts = got.split(";"), want.split(";")
+    assert len(got_parts) == len(want_parts), (got, want)
+    for g, w in zip(got_parts, want_parts):
+        try:
+            g_num, w_num = float(g), float(w)
+        except ValueError:
+            assert g == w
+            continue
+        if abs(w_num) <= floor:
+            assert abs(g_num) <= floor, (g, w, floor)
+        else:
+            assert g_num == pytest.approx(w_num, rel=1e-8, abs=0.0), (g, w)
+
+
+def test_golden_artifacts_reproduced(tmp_path, capsys):
+    assert main(GOLDEN_ARGV + ["--out", str(tmp_path)]) == 0
+    for name in ("labeling.txt", "predictions.csv"):
+        assert (tmp_path / name).read_bytes() == \
+            (GOLDEN_DIR / name).read_bytes(), name
+    # the reliability floor of each h bounds the values it cannot resolve
+    _, spectrum = read_table(GOLDEN_DIR / "spectrum.csv")
+    floors = {row["h"]: float(row["floor"]) for row in spectrum}
+    for name in ("spectrum.csv", "interaction.csv", "validate.csv",
+                 "exit_times.csv"):
+        got_head, got_rows = read_table(tmp_path / name)
+        want_head, want_rows = read_table(GOLDEN_DIR / name)
+        assert got_head == want_head, name
+        assert len(got_rows) == len(want_rows), name
+        for got, want in zip(got_rows, want_rows):
+            floor = floors[want["h"]]
+            for key in want:
+                assert_field_matches(got[key], want[key], floor)

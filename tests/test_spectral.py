@@ -9,7 +9,9 @@ the scheme error directly.
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
+from metastab import spectral
 from metastab.potential import parse_potential
 from metastab.spectral import (DEFAULT_ETA0, GridResolutionError,
                                assemble_radial, assemble_witten, count_small,
@@ -135,3 +137,33 @@ def test_smallest_eigs_is_deterministic():
     second = smallest_eigs(W, 4)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
+
+
+TILTED_2D = "x1^4/4 - x1^2/2 + x1/10 + x2^2/2"
+
+
+def test_residuals_below_floor_tilted_2d():
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 128, 0.2)
+    res = smallest_eigs(W, 5)
+    G = W.gram()
+    direct = [np.linalg.norm(G @ v - lam * v)
+              for lam, v in zip(res.values, res.vectors.T)]
+    assert res.residuals == pytest.approx(direct, rel=1e-12, abs=1e-300)
+    assert np.all(res.residuals <= res.floor)
+
+
+def test_residual_check_rejects_perturbed_eigenvector(monkeypatch):
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        vecs[:, 1] += 1e-6 * np.random.default_rng(3).standard_normal(
+            vecs.shape[0])
+        vecs[:, 1] /= np.linalg.norm(vecs[:, 1])
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "eigsh", perturbed)
+    with pytest.raises(RuntimeError, match="residual"):
+        smallest_eigs(W, 3)

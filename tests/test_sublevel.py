@@ -2,9 +2,12 @@
 structure and the separating / locally-separating / non-separating verdicts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
@@ -150,11 +153,35 @@ def kdtree_tube_mask(grid, nodes, radius):
     return (dist < radius).reshape(grid.shape)
 
 
+def reference_tube_mask(nodes, axes, radius):
+    """Tube mask by stamping each node's whole window: the squared
+    distances of all its cells, summed axis by axis with axis 0 first, are
+    compared with the squared radius bound and ORed into the mask."""
+    t = sublevel._squared_radius_bound(radius)
+    mask = np.zeros(tuple(ax.size for ax in axes), dtype=bool)
+    for x in nodes:
+        window = []
+        sq = []
+        for ax, xa in zip(axes, x):
+            lo = max(int(np.searchsorted(ax, xa - radius)) - 1, 0)
+            hi = int(np.searchsorted(ax, xa + radius, side="right")) + 1
+            window.append(slice(lo, hi))
+            sq.append((ax[lo:hi] - xa) ** 2)
+        acc = sq[0]
+        for a in range(1, len(axes)):
+            acc = acc[..., None] + sq[a]
+        block = mask[tuple(window)]
+        block |= acc < t
+    return mask
+
+
 def assert_tube_grid_exact(p, M, radius, resolution=None):
     local = local_structure(p, M, None, radius=radius, resolution=resolution)
     g = local.grid
     expected = kdtree_tube_mask(g, M.nodes, radius)
     assert np.array_equal(g.mask, expected)
+    axes = [g.centers(a) for a in range(g.dim)]
+    assert np.array_equal(g.mask, reference_tube_mask(M.nodes, axes, radius))
     assert np.count_nonzero(g.mask) > 0
     # masked sampling: full-grid values on the tube, +inf elsewhere
     full = sample_grid(p, g.box, g.shape)
@@ -185,6 +212,99 @@ def test_tube_mask_exact_3d_circle():
     verify_critical(p, M)
     local = assert_tube_grid_exact(p, M, radius=0.3, resolution=96)
     assert local.grid.shape == (96, 96, 96)
+
+
+@pytest.mark.parametrize("batch", [1, 3000])
+def test_tube_mask_node_batches(batch, monkeypatch):
+    # one node per batch, and batches of a few nodes with a remainder
+    M = unit_circle(128)
+    box = [[-1.36, 1.36], [-1.36, 1.36], [-0.36, 0.36]]
+    axes = [sublevel._cell_centers(b, n) for b, n in zip(box, (48, 40, 36))]
+    expected = reference_tube_mask(M.nodes, axes, 0.3)
+    monkeypatch.setattr(sublevel, "_RUN_BATCH", batch)
+    assert np.array_equal(sublevel._tube_mask(M.nodes, axes, 0.3), expected)
+
+
+@st.composite
+def tube_cases(draw, dim):
+    """Anisotropic cell-center axes, nodes on centers, on cell faces or
+    anywhere (some outside the box, some repeated), and radii from a
+    fraction of a cell to beyond the box."""
+    max_cells = {1: 400, 2: 60, 3: 24}[dim]
+    axes = []
+    for _ in range(dim):
+        n = draw(st.integers(2, max_cells))
+        lo = draw(st.floats(-3.0, 3.0))
+        width = draw(st.floats(0.05, 4.0))
+        axes.append(sublevel._cell_centers((lo, lo + width), n))
+    nodes = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = []
+        for ax in axes:
+            lo, hi = 1.5 * ax[0] - 0.5 * ax[1], 1.5 * ax[-1] - 0.5 * ax[-2]
+            where = draw(st.sampled_from(["center", "face", "anywhere"]))
+            if where == "center":
+                x.append(float(ax[draw(st.integers(0, ax.size - 1))]))
+            elif where == "face":
+                k = draw(st.integers(0, ax.size))
+                x.append(lo + (hi - lo) * k / ax.size)
+            else:
+                pad = 0.5 * (hi - lo)
+                x.append(draw(st.floats(lo - pad, hi + pad)))
+        nodes.append(x)
+    nodes += [nodes[i] for i in draw(st.lists(
+        st.integers(0, len(nodes) - 1), max_size=3))]
+    cell = min(ax[1] - ax[0] for ax in axes)
+    span = max(ax[-1] - ax[0] for ax in axes)
+    radius = math.exp(draw(st.floats(math.log(0.3 * cell),
+                                     math.log(2.0 * span + cell))))
+    return np.array(nodes), axes, radius
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tube_mask_matches_box_stamping(dim, data):
+    nodes, axes, radius = data.draw(tube_cases(dim))
+    mask = sublevel._tube_mask(nodes, axes, radius)
+    assert mask.dtype == bool and mask.flags.c_contiguous
+    assert np.array_equal(mask, reference_tube_mask(nodes, axes, radius))
+
+
+def test_masked_sampling_rejects_non_finite_values():
+    # exp(10 x2^4) overflows to inf for |x2| > 2.91: a tube of radius 0.5
+    # around the saddle stays clear of that, one of radius 3.5 reaches it
+    p = parse_potential("x1^2 - x2^2 + exp(10*x2^4)", 2)
+    M = manifold_point([0.0, 0.0], name="saddle")
+    assert verify_critical(p, M).ok
+    local = local_structure(p, M, None, radius=0.5, resolution=64)
+    assert np.all(np.isfinite(local.grid.values[local.grid.mask]))
+    with pytest.raises(ValueError, match="non-finite potential values"):
+        local_structure(p, M, None, radius=3.5, resolution=64)
+
+
+@pytest.mark.parametrize("call", ["sample_grid", "local_structure"])
+def test_oversized_grid_rejected_before_allocation(call):
+    if sublevel._physical_memory() is None:
+        pytest.skip("physical memory not reported by os.sysconf")
+    p = parse_potential(UNTWISTED, 3)
+    M = unit_circle(16)
+    verify_critical(p, M)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            if call == "sample_grid":
+                sample_grid(p, [[-1.0, 1.0]] * 3, shape=10**5)
+            else:
+                local_structure(p, M, None, radius=0.3, resolution=10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    message = str(err.value)
+    assert "(100000, 100000, 100000)" in message
+    assert "1.3e+16 bytes" in message
+    assert "`resolution`" in message and "`--grid`" in message
 
 
 def test_sample_grid_mask_shape_checked():
