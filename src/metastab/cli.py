@@ -27,8 +27,9 @@ from .potential import check_confinement, load_spec_file, parse_potential
 from .spectral import EigenResult
 from .sublevel import classify_separating, sample_grid
 
-COMMANDS = ("check", "classify", "label", "predict", "solve", "quasimode",
-            "validate", "simulate", "all")
+STAGES = ("check", "classify", "label", "predict", "solve", "quasimode",
+          "validate", "simulate")
+COMMANDS = STAGES + ("all",)
 DEFAULT_H = (0.2, 0.15, 0.1, 0.05)
 
 
@@ -307,12 +308,11 @@ class Pipeline:
         print(f"wrote {self._out('exit_times.csv')}")
 
     def run(self, command):
-        if command == "all":
-            for c in ("check", "classify", "label", "predict", "solve",
-                      "quasimode", "validate", "simulate"):
-                getattr(self, c)()
-        else:
-            getattr(self, command)()
+        """Run one stage, or every stage for `all`; `self.stage` names the
+        stage running."""
+        for stage in STAGES if command == "all" else (command,):
+            self.stage = stage
+            getattr(self, stage)()
 
 
 def _truncate(eig, k):
@@ -336,12 +336,20 @@ def main(argv=None):
     ap.add_argument("--strict", action="store_true",
                     help="escalate warnings to errors")
     args = ap.parse_args(argv)
+    pipeline = None
     try:
-        Pipeline(args).run(args.command)
+        pipeline = Pipeline(args)
+        pipeline.run(args.command)
     except SystemExit:
         raise
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # an expression evaluated outside its domain (DomainError) or a
+        # floating-point trap, in the stage that was running
+        stage = getattr(pipeline, "stage", "setup")
+        print(f"error: {stage}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -2,14 +2,17 @@
 
 The grammar covers `+ - * / ^`, unary minus, parentheses, decimal literals,
 function calls (exp, log, sin, cos, sqrt) and the variables ``x1..xd`` or the
-radial symbol ``r``.  Derivatives are propagated as truncated Taylor jets
-(value, gradient, Hessian), so they are exact to rounding without any
-symbolic simplification.
+radial symbol ``r``.  Each node has one array method, `evaluate(cols, order)`:
+it walks the tree once over arrays of samples and returns the value, the
+gradient (order >= 1) and the Hessian (order 2), each node applying the
+chain rule to its children's results.  The derivatives are exact to rounding
+without any symbolic simplification.  Outside a function's domain, or at a
+zero divisor, evaluation raises `DomainError` at every order.
 """
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,102 +37,38 @@ class DomainError(ArithmeticError):
     """Elementary function evaluated outside its domain (log/sqrt/pow)."""
 
 
-class Jet:
-    """Second-order Taylor data (value, gradient, Hessian) at a point.
-
-    Arithmetic on jets implements the chain rule through second order, so
-    evaluating an expression tree on seed jets yields the exact value,
-    gradient and (symmetric) Hessian of the expression.
-    """
-
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v, g, h):
-        self.v = float(v)
-        self.g = np.asarray(g, dtype=float)
-        self.h = np.asarray(h, dtype=float)
-
-    @staticmethod
-    def constant(value, d):
-        return Jet(value, np.zeros(d), np.zeros((d, d)))
-
-    @staticmethod
-    def variable(value, index, d):
-        g = np.zeros(d)
-        g[index] = 1.0
-        return Jet(value, g, np.zeros((d, d)))
-
-    def __add__(self, o):
-        return Jet(self.v + o.v, self.g + o.g, self.h + o.h)
-
-    def __sub__(self, o):
-        return Jet(self.v - o.v, self.g - o.g, self.h - o.h)
-
-    def __neg__(self):
-        return Jet(-self.v, -self.g, -self.h)
-
-    def __mul__(self, o):
-        outer = np.outer(self.g, o.g)
-        return Jet(
-            self.v * o.v,
-            self.v * o.g + o.v * self.g,
-            self.v * o.h + o.v * self.h + outer + outer.T,
-        )
-
-    def __truediv__(self, o):
-        if o.v == 0.0:
-            raise DomainError("division by zero")
-        return self * o._reciprocal()
-
-    def _reciprocal(self):
-        iv = 1.0 / self.v
-        g = -self.g * iv * iv
-        outer = np.outer(self.g, self.g)
-        h = (2.0 * iv**3) * outer - iv * iv * self.h
-        return Jet(iv, g, h)
-
-    def compose(self, f0, f1, f2):
-        """Chain rule for a scalar function with derivatives f1, f2 at self.v."""
-        outer = np.outer(self.g, self.g)
-        return Jet(f0, f1 * self.g, f1 * self.h + f2 * outer)
+def _zero_derivatives(cols, order):
+    """Zero gradient (d, ...) and Hessian (d, d, ...), None past `order`."""
+    d, shape = len(cols), np.shape(cols[0])
+    return (np.zeros((d,) + shape) if order >= 1 else None,
+            np.zeros((d, d) + shape) if order == 2 else None)
 
 
-def _jet_pow_int(x: Jet, n: int) -> Jet:
-    if n == 0:
-        return Jet.constant(1.0, x.g.shape[0])
-    if n < 0:
-        if x.v == 0.0:
-            raise DomainError("zero raised to a negative power")
-        return _jet_pow_int(x, -n)._reciprocal()
-    v = x.v
-    f0 = v**n
-    f1 = n * v ** (n - 1)
-    f2 = n * (n - 1) * v ** (n - 2) if n >= 2 else 0.0
-    return x.compose(f0, f1, f2)
+def _product_hessian(a, ga, Ha, b, gb, Hb):
+    """Hessian of a * b."""
+    o = ga[:, None] * gb[None]
+    return a * Hb + b * Ha + o + o.swapaxes(0, 1)
 
 
-_FUNCTIONS = {
-    "exp": lambda v: (math.exp(v), math.exp(v), math.exp(v)),
-    "sin": lambda v: (math.sin(v), math.cos(v), -math.sin(v)),
-    "cos": lambda v: (math.cos(v), -math.sin(v), -math.cos(v)),
+def _compose(order, a, ga, Ha, f0, f1, f2):
+    """Chain rule for F(a), with F = f0(a), F' = f1(a, F), F'' = f2(a, F)."""
+    v = f0(a)
+    if order == 0:
+        return v, None, None
+    d1 = f1(a, v)
+    if order == 1:
+        return v, d1 * ga, None
+    return v, d1 * ga, d1 * Ha + f2(a, v) * (ga[:, None] * ga[None])
+
+
+# name -> (F, F', F''); the derivatives take (a, F(a))
+_CALLS = {
+    "exp": (np.exp, lambda a, v: v, lambda a, v: v),
+    "sin": (np.sin, lambda a, v: np.cos(a), lambda a, v: -v),
+    "cos": (np.cos, lambda a, v: -np.sin(a), lambda a, v: -v),
+    "log": (np.log, lambda a, v: 1.0 / a, lambda a, v: -1.0 / a**2),
+    "sqrt": (np.sqrt, lambda a, v: 0.5 / v, lambda a, v: -0.25 / (v * a)),
 }
-
-
-def _jet_call(name: str, x: Jet) -> Jet:
-    if name in _FUNCTIONS:
-        return x.compose(*_FUNCTIONS[name](x.v))
-    if name == "log":
-        if x.v <= 0.0:
-            raise DomainError("log of non-positive value")
-        return x.compose(math.log(x.v), 1.0 / x.v, -1.0 / x.v**2)
-    if name == "sqrt":
-        if x.v < 0.0:
-            raise DomainError("sqrt of negative value")
-        if x.v == 0.0:
-            raise DomainError("sqrt differentiated at zero")
-        s = math.sqrt(x.v)
-        return x.compose(s, 0.5 / s, -0.25 / (s * x.v))
-    raise AssertionError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +77,12 @@ def _jet_call(name: str, x: Jet) -> Jet:
 
 @dataclass(frozen=True)
 class Node:
-    def eval_jet(self, seeds: list[Jet]) -> Jet:
-        raise NotImplementedError
+    def evaluate(self, cols, order=0):
+        """(value, gradient, Hessian) at samples; cols[i] holds x_{i+1}.
 
-    def eval_array(self, cols: list[np.ndarray]) -> np.ndarray:
-        """Vectorized value-only evaluation; cols[i] holds x_{i+1} samples."""
-        raise NotImplementedError
-
-    def eval_vg(self, cols: list[np.ndarray]):
-        """Vectorized value and gradient: (values, [d/dx_i arrays])."""
+        The gradient has shape (d, ...) and the Hessian (d, d, ...), where
+        ... is the samples' shape; both are None past `order` (0, 1 or 2).
+        """
         raise NotImplementedError
 
 
@@ -154,47 +90,29 @@ class Node:
 class Const(Node):
     value: float
 
-    def eval_jet(self, seeds):
-        return Jet.constant(self.value, seeds[0].g.shape[0])
-
-    def eval_array(self, cols):
-        return np.full_like(cols[0], self.value)
-
-    def eval_vg(self, cols):
-        zero = np.zeros_like(cols[0])
-        return np.full_like(cols[0], self.value), [zero] * len(cols)
+    def evaluate(self, cols, order=0):
+        return (np.full_like(cols[0], self.value),
+                *_zero_derivatives(cols, order))
 
 
 @dataclass(frozen=True)
 class Var(Node):
     index: int  # 0-based; the radial symbol is stored as index -1
 
-    def eval_jet(self, seeds):
-        return seeds[self.index]
-
-    def eval_array(self, cols):
-        return cols[self.index]
-
-    def eval_vg(self, cols):
-        k = self.index % len(cols)
-        grads = [np.ones_like(cols[0]) if i == k else np.zeros_like(cols[0])
-                 for i in range(len(cols))]
-        return cols[self.index], grads
+    def evaluate(self, cols, order=0):
+        g, H = _zero_derivatives(cols, order)
+        if g is not None:
+            g[self.index % len(cols)] = 1.0
+        return cols[self.index], g, H
 
 
 @dataclass(frozen=True)
 class Neg(Node):
     arg: Node
 
-    def eval_jet(self, seeds):
-        return -self.arg.eval_jet(seeds)
-
-    def eval_array(self, cols):
-        return -self.arg.eval_array(cols)
-
-    def eval_vg(self, cols):
-        v, g = self.arg.eval_vg(cols)
-        return -v, [-gi for gi in g]
+    def evaluate(self, cols, order=0):
+        return tuple(None if t is None else -t
+                     for t in self.arg.evaluate(cols, order))
 
 
 @dataclass(frozen=True)
@@ -203,42 +121,30 @@ class BinOp(Node):
     lhs: Node
     rhs: Node
 
-    def eval_jet(self, seeds):
-        a = self.lhs.eval_jet(seeds)
-        b = self.rhs.eval_jet(seeds)
+    def evaluate(self, cols, order=0):
+        a, ga, Ha = self.lhs.evaluate(cols, order)
+        b, gb, Hb = self.rhs.evaluate(cols, order)
         if self.op == "+":
-            return a + b
+            return (a + b, None if order == 0 else ga + gb,
+                    None if order < 2 else Ha + Hb)
         if self.op == "-":
-            return a - b
+            return (a - b, None if order == 0 else ga - gb,
+                    None if order < 2 else Ha - Hb)
         if self.op == "*":
-            return a * b
-        return a / b
-
-    def eval_array(self, cols):
-        a = self.lhs.eval_array(cols)
-        b = self.rhs.eval_array(cols)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        with np.errstate(divide="raise", invalid="raise"):
-            return a / b
-
-    def eval_vg(self, cols):
-        a, ga = self.lhs.eval_vg(cols)
-        b, gb = self.rhs.eval_vg(cols)
-        if self.op == "+":
-            return a + b, [x + y for x, y in zip(ga, gb)]
-        if self.op == "-":
-            return a - b, [x - y for x, y in zip(ga, gb)]
-        if self.op == "*":
-            return a * b, [x * b + a * y for x, y in zip(ga, gb)]
-        with np.errstate(divide="raise", invalid="raise"):
-            inv = 1.0 / b
+            H = _product_hessian(a, ga, Ha, b, gb, Hb) if order == 2 else None
+            return a * b, None if order == 0 else ga * b + a * gb, H
+        if not b.all():
+            raise DomainError("division by zero")
+        if order == 0:
+            return a / b, None, None
+        inv = 1.0 / b
         v = a * inv
-        return v, [(x - v * y) * inv for x, y in zip(ga, gb)]
+        g = (ga - v * gb) * inv
+        if order == 1:
+            return v, g, None
+        # a * (1/b) by the product rule, with the Hessian of 1/b
+        rh = 2.0 * inv**3 * (gb[:, None] * gb[None]) - inv * inv * Hb
+        return v, g, _product_hessian(a, ga, Ha, inv, -gb * inv * inv, rh)
 
 
 @dataclass(frozen=True)
@@ -246,20 +152,16 @@ class PowInt(Node):
     base: Node
     exponent: int
 
-    def eval_jet(self, seeds):
-        return _jet_pow_int(self.base.eval_jet(seeds), self.exponent)
-
-    def eval_array(self, cols):
-        return self.base.eval_array(cols) ** self.exponent
-
-    def eval_vg(self, cols):
-        a, ga = self.base.eval_vg(cols)
+    def evaluate(self, cols, order=0):
+        a, ga, Ha = self.base.evaluate(cols, order)
         n = self.exponent
+        if n < 0 and not a.all():
+            raise DomainError("zero raised to a negative power")
         if n == 0:
-            zero = np.zeros_like(a)
-            return np.ones_like(a), [zero] * len(cols)
-        chain = n * a ** (n - 1)
-        return a ** n, [chain * x for x in ga]
+            return (np.ones_like(a), *_zero_derivatives(cols, order))
+        return _compose(
+            order, a, ga, Ha, lambda a: a**n, lambda a, v: n * a ** (n - 1),
+            lambda a, v: n * (n - 1) * a ** (n - 2) if n != 1 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -267,99 +169,42 @@ class Call(Node):
     name: str
     arg: Node
 
-    def eval_jet(self, seeds):
-        return _jet_call(self.name, self.arg.eval_jet(seeds))
-
-    def eval_array(self, cols):
-        a = self.arg.eval_array(cols)
-        if self.name == "exp":
-            return np.exp(a)
-        if self.name == "sin":
-            return np.sin(a)
-        if self.name == "cos":
-            return np.cos(a)
-        if self.name == "log":
-            if np.any(a <= 0.0):
-                raise DomainError("log of non-positive value")
-            return np.log(a)
+    def evaluate(self, cols, order=0):
+        a, ga, Ha = self.arg.evaluate(cols, order)
+        if self.name == "log" and np.any(a <= 0.0):
+            raise DomainError("log of non-positive value")
         if self.name == "sqrt":
             if np.any(a < 0.0):
                 raise DomainError("sqrt of negative value")
-            return np.sqrt(a)
-        raise AssertionError(self.name)
-
-    def eval_vg(self, cols):
-        a, ga = self.arg.eval_vg(cols)
-        if self.name == "exp":
-            v = np.exp(a)
-            chain = v
-        elif self.name == "sin":
-            v, chain = np.sin(a), np.cos(a)
-        elif self.name == "cos":
-            v, chain = np.cos(a), -np.sin(a)
-        elif self.name == "log":
-            if np.any(a <= 0.0):
-                raise DomainError("log of non-positive value")
-            v, chain = np.log(a), 1.0 / a
-        elif self.name == "sqrt":
-            if np.any(a <= 0.0):
-                raise DomainError("sqrt gradient at non-positive value")
-            v = np.sqrt(a)
-            chain = 0.5 / v
-        else:
-            raise AssertionError(self.name)
-        return v, [chain * x for x in ga]
-
-
-_FUNCTION_NAMES = {"exp", "log", "sin", "cos", "sqrt"}
+            if order >= 1 and not a.all():
+                raise DomainError("sqrt differentiated at zero")
+        return _compose(order, a, ga, Ha, *_CALLS[self.name])
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer / recursive-descent parser
 
 
+# numbers hold at most one dot; an exponent needs a digit after e[+-]
+_TOKEN = re.compile(r"(?P<num>(?:\d+\.?\d*|\.\d*)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S)")
+
+
 def _tokenize(text):
+    """(kind, value, position) tokens; operators are their own kind."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
+    for m in _TOKEN.finditer(text):
+        kind, word, i = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {word!r}", i)
+        if kind == "num":
             try:
-                value = float(text[i:j])
+                tokens.append(("num", float(word), i))
             except ValueError:
-                raise ExprSyntaxError(f"bad numeric literal {text[i:j]!r}", i)
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
+                raise ExprSyntaxError(f"bad numeric literal {word!r}", i)
+        else:
+            tokens.append((word if kind == "op" else kind, word, i))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -393,19 +238,15 @@ class _Parser:
         return node
 
     def parse_sum(self):
-        node = self.parse_product()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.parse_product()
-            node = BinOp(op, node, rhs)
-        return node
+        return self._left_assoc(("+", "-"), self.parse_product)
 
     def parse_product(self):
-        node = self.parse_unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.parse_unary()
-            node = BinOp(op, node, rhs)
+        return self._left_assoc(("*", "/"), self.parse_unary)
+
+    def _left_assoc(self, ops, operand):
+        node = operand()
+        while self.peek()[0] in ops:
+            node = BinOp(self.next()[0], node, operand())
         return node
 
     def parse_unary(self):
@@ -443,7 +284,7 @@ class _Parser:
             return node
         if kind == "name":
             if self.peek()[0] == "(":
-                if value not in _FUNCTION_NAMES:
+                if value not in _CALLS:
                     raise UnknownIdentifierError(value, pos)
                 self.next()
                 arg = self.parse_sum()
@@ -456,12 +297,10 @@ class _Parser:
         if name == "r":
             self.uses_r = True
             return Var(-1)
-        if name.startswith("x") and name[1:].isdigit():
-            idx = int(name[1:])
-            if 1 <= idx <= self.dim:
-                self.uses_x = True
-                return Var(idx - 1)
-            raise UnknownIdentifierError(name, pos)
+        idx = int(name[1:]) if name[0] == "x" and name[1:].isdecimal() else 0
+        if 1 <= idx <= self.dim:
+            self.uses_x = True
+            return Var(idx - 1)
         raise UnknownIdentifierError(name, pos)
 
 

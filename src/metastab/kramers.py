@@ -71,31 +71,34 @@ class KramersPrediction:
         return evaluate(self, h)
 
 
+def _check_nodes(M: CriticalManifold, det, mu=None):
+    """Raise for the first node whose transversal Hessian is nearly singular
+    or, when `mu` is given, has no negative direction."""
+    singular = np.abs(det) < DEGENERACY_FLOOR
+    bad = singular if mu is None else singular | (mu >= 0)
+    if not np.any(bad):
+        return
+    i = int(np.argmax(bad))
+    if singular[i]:
+        raise ValueError(f"{M.name}: transversal Hessian nearly singular "
+                         f"at node {i} (|det| = {abs(det[i]):.3g})")
+    raise ValueError(f"{M.name}: no negative transversal direction "
+                     f"at node {i}; not an index-1 manifold")
+
+
 def weight_integral(p: Potential, M: CriticalManifold):
     """int_M |det Hess_perp f|^{-1/2} ds by the manifold's quadrature."""
-    total = 0.0
-    for i in range(M.nodes.shape[0]):
-        _, det, _ = transversal_hessian(p, M, i)
-        if abs(det) < DEGENERACY_FLOOR:
-            raise ValueError(f"{M.name}: transversal Hessian nearly singular "
-                             f"at node {i} (|det| = {abs(det):.3g})")
-        total += M.weights[i] / math.sqrt(abs(det))
-    return total
+    _, det, _ = transversal_hessian(p, M)
+    _check_nodes(M, det)
+    return float(np.sum(M.weights / np.sqrt(np.abs(det))))
 
 
 def saddle_flux_integral(p: Potential, M: CriticalManifold):
     """int_M |mu| |det Hess_perp f|^{-1/2} ds, mu the negative eigenvalue."""
-    total = 0.0
-    for i in range(M.nodes.shape[0]):
-        _, det, eig = transversal_hessian(p, M, i)
-        if abs(det) < DEGENERACY_FLOOR:
-            raise ValueError(f"{M.name}: transversal Hessian nearly singular "
-                             f"at node {i} (|det| = {abs(det):.3g})")
-        if eig[0] >= 0:
-            raise ValueError(f"{M.name}: no negative transversal direction "
-                             f"at node {i}; not an index-1 manifold")
-        total += M.weights[i] * abs(eig[0]) / math.sqrt(abs(det))
-    return total
+    _, det, eig = transversal_hessian(p, M)
+    mu = eig[:, 0]
+    _check_nodes(M, det, mu)
+    return float(np.sum(M.weights * np.abs(mu) / np.sqrt(np.abs(det))))
 
 
 def prefactor(p: Potential, m: CriticalManifold, L: LabelingResult,
@@ -166,8 +169,9 @@ def radial_predict(p: Potential, d, r_m, s_m, barrier) -> KramersPrediction:
     """
     if not p.radial:
         raise ValueError("radial_predict needs a rotation-invariant potential")
-    _, _, F2_s = p.profile_eval2(s_m)
-    _, _, F2_r = p.profile_eval2(r_m)
+    profile = p.profile()
+    F2_s = float(profile.eval2(s_m)[2][0, 0])
+    F2_r = float(profile.eval2(r_m)[2][0, 0])
     if r_m == 0.0:
         if F2_r <= 0:
             raise ValueError("0 is not a minimum of the profile")

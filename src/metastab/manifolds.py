@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import null_space
 
-from .expr import Jet
 from .potential import Potential, parse_potential
 
 __all__ = [
@@ -175,22 +173,17 @@ def manifold_parametrized(maps, param_box, periodic, n_nodes, ambient_dim,
     w_tensor = np.prod(np.stack([w.ravel() for w in wg], axis=0), axis=0)
 
     nodes = np.empty((params.shape[0], ambient_dim))
-    tangents = np.empty((params.shape[0], ambient_dim, k))
-    weights = np.empty(params.shape[0])
-    for i, t in enumerate(params):
-        jac = np.empty((ambient_dim, k))
-        for c, cm in enumerate(coord_maps):
-            v, g, _ = cm.eval2(t)
-            nodes[i, c] = v
-            jac[c] = g
-        svals = np.linalg.svd(jac, compute_uv=False)
-        if svals[-1] < 1e-10 * max(svals[0], 1.0):
-            raise DegenerateParametrizationError(
-                f"rank-deficient Jacobian at parameter {t}")
-        gram = jac.T @ jac
-        weights[i] = w_tensor[i] * np.sqrt(np.linalg.det(gram))
-        q, _ = np.linalg.qr(jac)
-        tangents[i] = q[:, :k]
+    jac = np.empty((params.shape[0], ambient_dim, k))
+    for c, cm in enumerate(coord_maps):
+        nodes[:, c], jac[:, c] = cm.gradients(params)
+    svals = np.linalg.svd(jac, compute_uv=False)
+    bad = svals[:, -1] < 1e-10 * np.maximum(svals[:, 0], 1.0)
+    if np.any(bad):
+        raise DegenerateParametrizationError(
+            f"rank-deficient Jacobian at parameter {params[np.argmax(bad)]}")
+    gram = jac.transpose(0, 2, 1) @ jac
+    weights = w_tensor * np.sqrt(np.linalg.det(gram))
+    tangents = np.linalg.qr(jac)[0]
     closed = k == 1 and bool(periodic[0])
     return CriticalManifold(
         name=name, kind="parametrized", dim=k, ambient_dim=ambient_dim,
@@ -246,37 +239,25 @@ class VerificationResult:
     messages: list
 
 
-def _node_spectrum(p: Potential, M: CriticalManifold, i, tols: Tolerances):
-    """Eigen-split of Hess f at node i into near-zero and transversal parts."""
-    _, _, hess = p.eval2(M.nodes[i])
-    eigvals = np.linalg.eigvalsh(hess)
-    radius = max(np.max(np.abs(eigvals)), 1e-300)
-    tol = tols.eig_rel * radius
-    small = np.abs(eigvals) < tol
-    return eigvals, small, tol
-
-
 def verify_critical(p: Potential, M: CriticalManifold,
                     tols: Tolerances | None = None) -> VerificationResult:
     """Check criticality, value constancy and Morse-Bott nondegeneracy."""
     tols = tols or Tolerances()
     messages = []
-    values = np.empty(M.n_nodes)
-    max_grad = 0.0
-    nondeg = True
-    indices = set()
-    for i in range(M.n_nodes):
-        v, g, hess = p.eval2(M.nodes[i])
-        values[i] = v
-        max_grad = max(max_grad, float(np.linalg.norm(g)))
-        eigvals, small, tol = _node_spectrum(p, M, i, tols)
-        if int(np.sum(small)) != M.dim:
-            nondeg = False
-            messages.append(
-                f"node {i}: {int(np.sum(small))} near-zero Hessian eigenvalues, "
-                f"expected {M.dim} (tol {tol:.3g})")
-        trans = eigvals[~small]
-        indices.add(int(np.sum(trans < 0.0)))
+    values, grads, hess = p.hessians(M.nodes)
+    max_grad = float(np.max(np.linalg.norm(grads, axis=1)))
+    # eigen-split of Hess f at each node into near-zero and transversal parts
+    eigvals = np.linalg.eigvalsh(hess)
+    radius = np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
+    tol = tols.eig_rel * radius
+    small = np.abs(eigvals) < tol[:, None]
+    n_small = np.sum(small, axis=1)
+    for i in np.flatnonzero(n_small != M.dim):
+        messages.append(
+            f"node {i}: {n_small[i]} near-zero Hessian eigenvalues, "
+            f"expected {M.dim} (tol {tol[i]:.3g})")
+    nondeg = bool(np.all(n_small == M.dim))
+    indices = {int(j) for j in np.sum((eigvals < 0.0) & ~small, axis=1)}
     spread = float(np.max(values) - np.min(values))
     index_constant = len(indices) == 1
     if not index_constant:
@@ -299,44 +280,47 @@ def verify_critical(p: Potential, M: CriticalManifold,
     return result
 
 
-def _normal_basis(M: CriticalManifold, i):
+def _normal_bases(M: CriticalManifold):
+    """(k, d, d - dim) orthonormal normal bases, from one batched SVD of the
+    tangent frames (the null space of each frame's transpose)."""
     d = M.ambient_dim
     if M.dim == 0:
-        return np.eye(d)
-    basis = null_space(M.tangents[i].T)
-    if basis.shape[1] != d - M.dim:
+        return np.broadcast_to(np.eye(d), (M.n_nodes, d, d))
+    _, s, vh = np.linalg.svd(M.tangents.transpose(0, 2, 1))
+    tol = s[:, :1] * (np.finfo(float).eps * d)
+    rank = np.sum(s > tol, axis=1)
+    if np.any(rank != M.dim):
         raise DegenerateParametrizationError(
-            f"tangent/normal split ill-conditioned at node {i}")
-    return basis
+            "tangent/normal split ill-conditioned at node "
+            f"{np.argmax(rank != M.dim)}")
+    return vh[:, M.dim:].transpose(0, 2, 1)
 
 
-def transversal_hessian(p: Potential, M: CriticalManifold, i):
-    """Hess f restricted to the normal space at node i.
+def transversal_hessian(p: Potential, M: CriticalManifold):
+    """Hess f restricted to the normal space at every node.
 
-    Returns (matrix, det, eigenvalues).  The determinant is independent of
-    the orthonormal normal basis chosen.
+    Returns (matrices (k, m, m), dets (k,), eigenvalues (k, m)) with
+    m = d - dim.  The determinants do not depend on the orthonormal normal
+    bases chosen.
     """
-    _, _, hess = p.eval2(M.nodes[i])
-    N = _normal_basis(M, i)
-    hperp = N.T @ hess @ N
-    hperp = 0.5 * (hperp + hperp.T)
+    _, _, hess = p.hessians(M.nodes)
+    N = _normal_bases(M)
+    hperp = N.transpose(0, 2, 1) @ hess @ N
+    hperp = 0.5 * (hperp + hperp.transpose(0, 2, 1))
     eigvals = np.linalg.eigvalsh(hperp)
-    return hperp, float(np.prod(eigvals)), eigvals
+    return hperp, np.prod(eigvals, axis=1), eigvals
 
 
 def classify_index(p: Potential, M: CriticalManifold) -> int:
     """Number of negative transversal Hessian eigenvalues (constant on M)."""
-    indices = set()
-    for i in range(M.n_nodes):
-        _, _, eigvals = transversal_hessian(p, M, i)
-        indices.add(int(np.sum(eigvals < 0.0)))
+    _, _, eigvals = transversal_hessian(p, M)
+    indices = sorted({int(j) for j in np.sum(eigvals < 0.0, axis=1)})
     if len(indices) != 1:
         raise ValueError(
-            f"inconsistent index across nodes of {M.name}: {sorted(indices)} "
+            f"inconsistent index across nodes of {M.name}: {indices} "
             "(signature of Hess f must be constant on a critical manifold)")
-    j = indices.pop()
-    M.index = j
-    return j
+    M.index = indices[0]
+    return M.index
 
 
 @dataclass
@@ -371,25 +355,23 @@ def negative_direction_field(p: Potential, M: CriticalManifold,
                                   "manifolds of dimension 0 or 1")
     k = M.n_nodes
     d = M.ambient_dim
-    mu = np.empty(k)
-    nu = np.empty((k, d))
-    for i in range(k):
-        _, _, hess = p.eval2(M.nodes[i])
-        eigvals, eigvecs = np.linalg.eigh(hess)
-        mu[i] = eigvals[0]
-        if mu[i] >= 0:
-            raise ValueError(f"no negative Hessian eigenvalue at node {i}")
-        gap = eigvals[1] - eigvals[0] if d > 1 else np.inf
-        if gap < separation_tol * abs(mu[i]):
-            raise ValueError(
-                f"negative eigenvalue nearly degenerate at node {i} "
-                f"(gap {gap:.3g})")
-        vec = eigvecs[:, 0]
-        if i > 0:
-            overlap = float(np.dot(vec, nu[i - 1]))
-            if overlap < 0:
-                vec = -vec
-        nu[i] = vec
+    _, _, hess = p.hessians(M.nodes)
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    mu = eigvals[:, 0]
+    if np.any(mu >= 0):
+        raise ValueError("no negative Hessian eigenvalue at node "
+                         f"{np.argmax(mu >= 0)}")
+    gap = eigvals[:, 1] - mu if d > 1 else np.full(k, np.inf)
+    close = gap < separation_tol * np.abs(mu)
+    if np.any(close):
+        i = np.argmax(close)
+        raise ValueError(
+            f"negative eigenvalue nearly degenerate at node {i} "
+            f"(gap {gap[i]:.3g})")
+    nu = eigvecs[:, :, 0].copy()
+    for i in range(1, k):
+        if float(np.dot(nu[i], nu[i - 1])) < 0:
+            nu[i] = -nu[i]
     if M.closed_chain and k > 1:
         closure = float(np.dot(nu[-1], nu[0]))
         if closure < 0:

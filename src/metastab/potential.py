@@ -13,7 +13,6 @@ from .expr import (
     BinOp,
     Const,
     DomainError,
-    Jet,
     Neg,
     Node,
     PowInt,
@@ -31,7 +30,7 @@ __all__ = [
     "DomainError",
 ]
 
-# points per block in `values`/`gradients`: the expression tree's
+# points per block in `_evaluate`: the expression tree's
 # temporaries stay cache-sized; every operation is elementwise, so the
 # result does not depend on the block size
 _BLOCK = 1 << 16
@@ -88,38 +87,27 @@ class Potential:
 
     def values(self, points):
         """Vectorized evaluation at an (n, d) array of points."""
-        points = self._check_points(points)
-        out = np.empty(points.shape[0])
-        for start in range(0, points.shape[0], _BLOCK):
-            block = points[start:start + _BLOCK]
-            rows = slice(start, start + _BLOCK)
-            if self.radial:
-                r = np.sqrt(np.sum(block**2, axis=1))
-                out[rows] = self._profile_root.eval_array([r])
-            else:
-                cols = [block[:, i] for i in range(self.dim)]
-                out[rows] = self._root.eval_array(cols)
-        return out
+        return self._evaluate(points, 0)[0]
 
     def gradients(self, points):
         """Vectorized values and gradients: (values (n,), grads (n, d))."""
+        return self._evaluate(points, 1)[:2]
+
+    def hessians(self, points):
+        """Values, gradients and Hessians at an (n, d) array of points:
+        (n,), (n, d) and (n, d, d) arrays, exact to rounding."""
         points = self._check_points(points)
-        v = np.empty(points.shape[0])
-        g = np.empty(points.shape)
-        for start in range(0, points.shape[0], _BLOCK):
-            block = points[start:start + _BLOCK]
-            rows = slice(start, start + _BLOCK)
-            if self.radial:
-                r = np.sqrt(np.sum(block**2, axis=1))
-                v[rows], (dr,) = self._profile_root.eval_vg([r])
-                safe = np.where(r > 0.0, r, 1.0)
-                scale = np.where(r > 0.0, dr / safe, 0.0)
-                g[rows] = scale[:, None] * block
-            else:
-                cols = [block[:, i] for i in range(self.dim)]
-                v[rows], grads = self._root.eval_vg(cols)
-                g[rows] = np.stack(grads, axis=-1)
-        return v, g
+        if not np.all(np.isfinite(points)):
+            raise ValueError("non-finite evaluation point")
+        return self._evaluate(points, 2)
+
+    def eval2(self, x):
+        """Value, gradient and Hessian at a point, exact to rounding."""
+        x = np.asarray(x, dtype=float).ravel()
+        if x.shape[0] != self.dim:
+            raise ValueError(f"expected point of dimension {self.dim}")
+        v, g, h = self.hessians(x[None])
+        return v[0], g[0], h[0]
 
     def _check_points(self, points):
         points = np.asarray(points, dtype=float)
@@ -127,42 +115,44 @@ class Potential:
             raise ValueError(f"expected (n, {self.dim}) points array")
         return points
 
-    def eval2(self, x):
-        """Value, gradient and Hessian at a point, exact to rounding."""
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError(f"expected point of dimension {self.dim}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite evaluation point")
-        if self.radial:
-            return self._eval2_radial(x)
-        d = self.dim
-        seeds = [Jet.variable(x[i], i, d) for i in range(d)]
-        jet = self._root.eval_jet(seeds)
-        hess = 0.5 * (jet.h + jet.h.T)  # exact symmetry
-        return jet.v, jet.g, hess
-
-    def _eval2_radial(self, x):
-        d = self.dim
-        r = float(np.sqrt(np.sum(x**2)))
-        if r < 1e-12:
-            # smooth radial profile: F'(0) = 0, Hess = F''(0) I
-            jet = self._profile_root.eval_jet([Jet.variable(0.0, 0, 1)])
-            return jet.v, np.zeros(d), jet.h[0, 0] * np.eye(d)
-        jet = self._profile_root.eval_jet([Jet.variable(r, 0, 1)])
-        F1, F2 = jet.g[0], jet.h[0, 0]
-        u = x / r
-        outer = np.outer(u, u)
-        grad = F1 * u
-        hess = F2 * outer + (F1 / r) * (np.eye(d) - outer)
-        return jet.v, grad, 0.5 * (hess + hess.T)
-
-    def profile_eval2(self, r):
-        """(F, F', F'') of the radial profile at scalar r >= 0."""
-        if not self.radial:
-            raise ValueError("potential is not radial")
-        jet = self._profile_root.eval_jet([Jet.variable(float(r), 0, 1)])
-        return jet.v, jet.g[0], jet.h[0, 0]
+    def _evaluate(self, points, order):
+        """Values, then gradients (order >= 1) and symmetric Hessians
+        (order 2) at (n, d) points; None past `order`."""
+        points = self._check_points(points)
+        n, d = points.shape
+        v = np.empty(n)
+        g = np.empty((n, d)) if order >= 1 else None
+        h = np.empty((n, d, d)) if order == 2 else None
+        for start in range(0, n, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            x = points[rows]
+            if not self.radial:
+                v[rows], gx, hx = self._root.evaluate(x.T, order)
+                if order >= 1:
+                    g[rows] = gx.T
+                if order == 2:
+                    hx = 0.5 * (hx + hx.swapaxes(0, 1))
+                    h[rows] = hx.transpose(2, 0, 1)
+                continue
+            # radial chain rule: grad f = F'(r) x / r and
+            # Hess f = F''(r) u u^T + F'(r)/r (I - u u^T) with u = x / r
+            r = np.sqrt(np.sum(x**2, axis=1))
+            v[rows], gr, hr = self._profile_root.evaluate([r], order)
+            if order >= 1:
+                pos = r > 0.0
+                safe = np.where(pos, r, 1.0)
+                g[rows] = np.where(pos, gr[0] / safe, 0.0)[:, None] * x
+            if order == 2:
+                # a smooth profile has F'(0) = 0: Hess f = F''(0) I there
+                tiny = r < 1e-12
+                safe = np.where(tiny, 1.0, r)[:, None]
+                u = x / safe
+                uu = u[:, :, None] * u[:, None, :]
+                hx = (hr[0, 0][:, None, None] * uu
+                      + (gr[0] / safe[:, 0])[:, None, None] * (np.eye(d) - uu))
+                hx[tiny] = hr[0, 0][tiny, None, None] * np.eye(d)
+                h[rows] = 0.5 * (hx + hx.swapaxes(1, 2))
+        return v, g, h
 
 
 def parse_potential(text, d) -> Potential:
@@ -230,17 +220,14 @@ def check_confinement(p: Potential, box, shell_fraction=0.1, C=10.0,
     if box.shape != (p.dim, 2):
         raise ValueError(f"expected box of shape ({p.dim}, 2)")
     samples = _shell_samples(box, shell_fraction, n_samples, seed=seed)
-    min_f = np.inf
-    min_grad = np.inf
-    max_ratio = 0.0
-    for x in samples:
-        v, g, h = p.eval2(x)
-        gn = float(np.linalg.norm(g))
-        hn = float(np.linalg.norm(h, 2))
-        min_f = min(min_f, v)
-        min_grad = min(min_grad, gn)
-        ratio = hn / gn**2 if gn > 0 else np.inf
-        max_ratio = max(max_ratio, ratio)
+    v, g, h = p.hessians(samples)
+    gn = np.linalg.norm(g, axis=1)
+    ratio = np.full(gn.shape, np.inf)
+    np.divide(np.linalg.norm(h, 2, axis=(1, 2)), gn**2, out=ratio,
+              where=gn > 0)
+    min_f = float(np.min(v, initial=np.inf))
+    min_grad = float(np.min(gn, initial=np.inf))
+    max_ratio = float(np.max(ratio, initial=0.0))
     return ConfinementReport(
         box=box,
         shell_fraction=shell_fraction,

@@ -31,11 +31,8 @@ __all__ = [
 
 def stability_dt(p: Potential, points, h, factor=10.0):
     """Largest stable step h / (factor * max |Hess f|) over sample points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    worst = 0.0
-    for x in points:
-        _, _, H = p.eval2(x)
-        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(H)))))
+    _, _, H = p.hessians(np.atleast_2d(np.asarray(points, dtype=float)))
+    worst = float(np.max(np.abs(np.linalg.eigvalsh(H)), initial=0.0))
     if worst == 0.0:
         raise ValueError("vanishing Hessian sample; cannot bound the step")
     return h / (factor * worst)

@@ -129,6 +129,19 @@ def test_malformed_spec_field_reported(tmp_path, capsys, field, value):
     assert repr(field) in err
 
 
+@pytest.mark.parametrize("expression,message", [
+    ("log(x1) + x1^2", "log of non-positive value"),
+    ("sqrt(x1) + x1^2", "sqrt of negative value"),
+], ids=["log", "sqrt"])
+def test_domain_error_reported(tmp_path, capsys, expression, message):
+    # the confinement shell of [-2, 2] reaches x1 < 0
+    spec = edited_spec(tmp_path, expression=expression, box=[[-2.0, 2.0]],
+                       manifolds=[])
+    code = main(["check", "--spec", spec, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: check: {message}\n"
+
+
 def test_solve_is_reproducible(tmp_path, capsys):
     for out in ("a", "b"):
         assert main(["solve", "--spec", SPEC, "--h", "0.2,0.1",

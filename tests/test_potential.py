@@ -41,14 +41,13 @@ def test_blocked_evaluation_matches_one_shot(text, d):
     pts = rng.uniform(-1.5, 1.5, size=((1 << 16) + 3, d))
     if p.radial:
         r = np.sqrt(np.sum(pts**2, axis=1))
-        v_ref = p._profile_root.eval_array([r])
-        w_ref, (dr,) = p._profile_root.eval_vg([r])
+        v_ref = p._profile_root.evaluate([r])[0]
+        w_ref, (dr,), _ = p._profile_root.evaluate([r], 1)
         g_ref = (dr / r)[:, None] * pts
     else:
-        cols = [pts[:, i] for i in range(d)]
-        v_ref = p._root.eval_array(cols)
-        w_ref, grads = p._root.eval_vg(cols)
-        g_ref = np.stack(grads, axis=-1)
+        v_ref = p._root.evaluate(pts.T)[0]
+        w_ref, grads, _ = p._root.evaluate(pts.T, 1)
+        g_ref = grads.T
     v, g = p.gradients(pts)
     assert np.array_equal(p.values(pts), v_ref)
     assert np.array_equal(v, w_ref)
@@ -83,7 +82,7 @@ def test_radial_eval2_matches_cartesian_equivalent():
 def test_profile_eval2():
     p = parse_potential("r^6/6 - r^4/2 + 0.35*r^2", 2)
     r = 0.9
-    v, d1, d2 = p.profile_eval2(r)
+    v, (d1,), ((d2,),) = p.profile().eval2(r)
     assert v == pytest.approx(r**6 / 6 - r**4 / 2 + 0.35 * r * r, rel=1e-14)
     assert d1 == pytest.approx(r**5 - 2 * r**3 + 0.7 * r, rel=1e-13)
     assert d2 == pytest.approx(5 * r**4 - 6 * r * r + 0.7, rel=1e-12)
