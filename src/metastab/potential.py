@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .expr import (
     Call,
@@ -193,12 +193,62 @@ class ConfinementReport:
         )
 
 
+def _first_primes(d):
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % q for q in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+class _ScrambledHalton:
+    """Randomized Halton sequence in [0, 1)^d (Owen, *A randomized Halton
+    algorithm in R*, 2017); coordinate j has the j-th prime as its base.
+
+    Each base b gets one random permutation of its digits 0..b-1 per digit
+    position a double resolves, ceil(54 / log2 b) - 1 of them, drawn in
+    order from `np.random.default_rng(seed)`.  Point i is
+    sum_k perm_k[digit_k(i)] b^-(k+1); successive `random` calls continue
+    the index.  The points equal scipy.stats.qmc.Halton(d, scramble=True,
+    seed=seed) bit for bit, without that module's import cost.
+    """
+
+    def __init__(self, d, seed):
+        rng = np.random.default_rng(seed)
+        self.bases = _first_primes(d)
+        self.perms = [
+            np.array([rng.permutation(b)
+                      for _ in range(math.ceil(54 / math.log2(b)) - 1)])
+            for b in self.bases]
+        self.n_drawn = 0
+
+    def random(self, n):
+        index = np.arange(self.n_drawn, self.n_drawn + n, dtype=np.int64)
+        self.n_drawn += n
+        columns = []
+        for b, perms in zip(self.bases, self.perms):
+            quotient, scale = index, 1.0
+            column = np.zeros(n)
+            for perm in perms:
+                scale /= b
+                if quotient.any():
+                    quotient, digit = np.divmod(quotient, b)
+                    column += perm[digit] * scale
+                else:
+                    # every index is out of digits: digit 0 from here on
+                    column += perm[0] * scale
+            columns.append(column)
+        return np.stack(columns, axis=1)
+
+
 def _shell_samples(box, shell_fraction, n_samples, seed=0):
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
     widths = box[:, 1] - box[:, 0]
     depth = shell_fraction * widths
-    sampler = qmc.Halton(d=d, scramble=True, seed=seed)
+    sampler = _ScrambledHalton(d, seed)
     points = []
     # rejection from the full box; the shell has positive volume fraction
     frac = 1.0 - np.prod(1.0 - 2.0 * shell_fraction)

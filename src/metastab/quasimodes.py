@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from .labeling import FICTIVE_SADDLE, LabelingResult, SaddleRecord
 from .manifolds import CriticalManifold
 from .potential import Potential
-from .spectral import DiscreteWitten, RadialWitten
+from .spectral import WittenOperator
 from .sublevel import GridSampling
 
 __all__ = [
@@ -318,13 +318,12 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
     return field_
 
 
-def rayleigh(op: DiscreteWitten | RadialWitten, psi: QuasimodeField):
+def rayleigh(op: WittenOperator, psi: QuasimodeField):
     """||A psi||^2 / ||psi||^2 in factored form."""
     u = psi.flat()
     if u.shape[0] != op.n_cells:
         raise ValueError("quasimode grid does not match the operator grid")
-    w = op.A @ u
-    return float(w @ w) / float(u @ u)
+    return op.quadratic_form(u) / float(u @ u)
 
 
 # ---------------------------------------------------------------------------

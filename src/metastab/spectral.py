@@ -11,7 +11,7 @@ handles rotation-invariant potentials in any dimension.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -21,6 +21,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
 from .potential import Potential
 
 __all__ = [
+    "WittenOperator",
     "DiscreteWitten",
     "RadialWitten",
     "assemble_witten",
@@ -50,20 +51,18 @@ def _diff_avg(n, delta):
     return D, Avg
 
 
-@dataclass
-class DiscreteWitten:
-    box: np.ndarray
-    shape: tuple
-    spacings: np.ndarray
-    h: float
-    A: sparse.csr_matrix          # faces x cells twisted gradient factor
-    _gram: sparse.csr_matrix | None = field(default=None, repr=False)
+class WittenOperator:
+    """The Witten Laplacian A^T A held as its sparse factor.  Subclasses
+    supply `A` (faces x cells); everything else is shared."""
+
+    _gram = None
 
     @property
     def n_cells(self):
-        return int(np.prod(self.shape))
+        return self.A.shape[1]
 
     def gram(self):
+        """A^T A in CSC form, built on first use."""
         if self._gram is None:
             self._gram = (self.A.T @ self.A).tocsc()
         return self._gram
@@ -72,12 +71,23 @@ class DiscreteWitten:
         return self.A.T @ (self.A @ u)
 
     def norm_bound(self):
+        """Max absolute row sum of A^T A, a bound on its 2-norm."""
         G = self.gram()
         return float(np.max(np.abs(G).sum(axis=1)))
 
     def quadratic_form(self, u):
+        """||A u||^2 = <u, A^T A u> without forming A^T A."""
         w = self.A @ u
         return float(w @ w)
+
+
+@dataclass
+class DiscreteWitten(WittenOperator):
+    box: np.ndarray
+    shape: tuple
+    spacings: np.ndarray
+    h: float
+    A: sparse.csr_matrix          # faces x cells twisted gradient factor
 
 
 def _check_resolution(spacings, h, strict):
@@ -129,7 +139,7 @@ def assemble_witten(p: Potential, box, shape, h, strict=False) -> DiscreteWitten
 
 
 @dataclass
-class RadialWitten:
+class RadialWitten(WittenOperator):
     """Radial sector of the Witten Laplacian for a rotation-invariant f.
 
     Finite volumes on (0, R] with weight r^{d-1}: Neumann at 0 (the zero
@@ -143,23 +153,6 @@ class RadialWitten:
     h: float
     A: sparse.csr_matrix          # symmetrized factor in y = r^{(d-1)/2} u
     r_cells: np.ndarray
-    _gram: sparse.csr_matrix | None = field(default=None, repr=False)
-
-    def gram(self):
-        if self._gram is None:
-            self._gram = (self.A.T @ self.A).tocsc()
-        return self._gram
-
-    def apply(self, u):
-        return self.A.T @ (self.A @ u)
-
-    def norm_bound(self):
-        G = self.gram()
-        return float(np.max(np.abs(G).sum(axis=1)))
-
-    @property
-    def n_cells(self):
-        return self.n
 
     def to_radial(self, y):
         """Convert a symmetrized eigenvector back to u(r)."""

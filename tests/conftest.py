@@ -3,6 +3,7 @@ critical manifolds and labelings, built once per session."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -168,7 +169,8 @@ def unit_circle(n=256):
 
 # ---------------------------------------------------------------------------
 # Acceptance reporting: one pass/fail line per criterion in the terminal
-# summary, regardless of capture settings.
+# summary, regardless of capture settings, and the same records in
+# acceptance.json at the rootdir so they can be compared across runs.
 
 CRITERIA = {}
 
@@ -181,7 +183,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not CRITERIA:
         return
     terminalreporter.section("acceptance criteria")
+    records = []
     for num in sorted(CRITERIA):
         ok, detail = CRITERIA[num]
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {num:2d}: {verdict}  {detail}")
+        records.append({"criterion": num, "passed": ok, "detail": detail})
+    (config.rootpath / "acceptance.json").write_text(
+        json.dumps(records, indent=2) + "\n")

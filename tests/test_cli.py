@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -194,6 +197,21 @@ def assert_field_matches(got, want, floor):
             assert abs(g_num) <= floor, (g, w, floor)
         else:
             assert g_num == pytest.approx(w_num, rel=1e-8, abs=0.0), (g, w)
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats takes about a second to import; nothing in the package
+    # may pull it in, or every command pays that at start-up
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys; import metastab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'stats']))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_golden_artifacts_reproduced(tmp_path, capsys):

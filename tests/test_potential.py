@@ -1,12 +1,17 @@
 """Potential evaluation, radial profiles, confinement and spec files."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from metastab.potential import (check_confinement, load_spec_file,
+from metastab.potential import (_ScrambledHalton, _shell_samples,
+                                check_confinement, load_spec_file,
                                 parse_potential, save_spec_file)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_values_match_eval2():
@@ -98,6 +103,48 @@ def test_mixing_r_and_x_is_rejected():
     from metastab.expr import ExprSyntaxError
     with pytest.raises(ExprSyntaxError):
         parse_potential("r^2 + x1", 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scrambled_halton_matches_scipy(d, seed):
+    from scipy.stats import qmc
+    ref = qmc.Halton(d=d, scramble=True, seed=seed)
+    ours = _ScrambledHalton(d, seed)
+    for n in (100, 4160, 37):
+        assert np.array_equal(ours.random(n), ref.random(n))
+
+
+def _shell_samples_scipy(box, shell_fraction, n_samples, seed=0):
+    # the shell sampler as it was written on scipy.stats.qmc.Halton
+    from scipy.stats import qmc
+    box = np.asarray(box, dtype=float)
+    d = box.shape[0]
+    widths = box[:, 1] - box[:, 0]
+    depth = shell_fraction * widths
+    sampler = qmc.Halton(d=d, scramble=True, seed=seed)
+    points = []
+    frac = 1.0 - np.prod(1.0 - 2.0 * shell_fraction)
+    frac = max(frac, 2.0 * shell_fraction)
+    while sum(len(p) for p in points) < n_samples:
+        raw = box[:, 0] + sampler.random(int(n_samples / frac) + 64) * widths
+        dist_to_boundary = np.minimum(raw - box[:, 0], box[:, 1] - raw)
+        in_shell = np.any(dist_to_boundary < depth, axis=1)
+        points.append(raw[in_shell])
+    return np.concatenate(points)[:n_samples]
+
+
+@pytest.mark.parametrize("box", [
+    json.loads((ROOT / "specs/tilted_double_well.json").read_text())["box"],
+    json.loads((ROOT / "perfbench/specs/tilted_2d.json").read_text())["box"],
+    [[-1.6, 1.6], [-1.6, 1.6], [-0.9, 1.2]],
+], ids=["1d", "tilted_2d", "3d"])
+@pytest.mark.parametrize("shell_fraction,seed", [(0.1, 0), (0.2, 7)])
+def test_shell_samples_match_scipy_sampler(box, shell_fraction, seed):
+    got = _shell_samples(box, shell_fraction, 4096, seed=seed)
+    want = _shell_samples_scipy(box, shell_fraction, 4096, seed=seed)
+    assert got.shape == (4096, len(box))
+    assert np.array_equal(got, want)
 
 
 def test_confinement_passes_on_growing_quartic():
