@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .manifolds import (classify_index, manifold_from_decl,
                         negative_direction_field, verify_critical)
 from .potential import check_confinement, load_spec_file, parse_potential
 from .spectral import EigenResult
-from .sublevel import classify_separating, sample_grid
+from .sublevel import Grid, classify_separating, sample_grid
 
 STAGES = ("check", "classify", "label", "predict", "solve", "quasimode",
           "validate", "simulate")
@@ -58,7 +59,7 @@ class Pipeline:
         self.spec = load_spec_file(args.spec)
         self.hash = _manifest_hash(self.spec, args)
         self.p = parse_potential(self.spec["expression"], self.spec["dim"])
-        self.box = np.asarray(self.spec["box"], dtype=float)
+        self.grid = Grid(self.spec["box"], args.grid)
         self.h_list = args.h
         os.makedirs(args.out, exist_ok=True)
         self.minima = []
@@ -71,7 +72,6 @@ class Pipeline:
                 self.minima.append(M)
             else:
                 self.saddle_manifolds[M.name] = M
-        self.grid = None
         self.labeling = None
         self.eigs = {}          # h -> EigenResult
         self.witten = {}        # h -> DiscreteWitten
@@ -82,16 +82,10 @@ class Pipeline:
     def _out(self, name):
         return os.path.join(self.args.out, name)
 
-    def _grid_shape(self):
-        if self.args.grid:
-            return tuple(self.args.grid) if len(self.args.grid) > 1 \
-                else self.args.grid[0]
-        return None
-
-    def ensure_grid(self):
-        if self.grid is None:
-            self.grid = sample_grid(self.p, self.box, self._grid_shape())
-        return self.grid
+    @cached_property
+    def sampling(self):
+        """f sampled on `self.grid`, once a stage needs it."""
+        return sample_grid(self.p, self.grid.box, self.grid.shape)
 
     def default_radius(self, M):
         others = [m for m in self.minima if m.name != M.name]
@@ -102,14 +96,14 @@ class Pipeline:
     # -- stages -------------------------------------------------------------
 
     def check(self):
-        rep = check_confinement(self.p, self.box)
+        rep = check_confinement(self.p, self.grid.box)
         print(f"# manifest {self.hash}")
         print(rep.summary())
         if not rep.passed:
             raise SystemExit("confinement check failed")
 
     def classify(self):
-        g = self.ensure_grid()
+        g = self.sampling
         lines = [f"# manifest {self.hash}"]
         for M in self.minima:
             res = verify_critical(self.p, M)
@@ -141,7 +135,7 @@ class Pipeline:
     def label(self):
         if not self.saddle_records:
             self.classify()
-        g = self.ensure_grid()
+        g = self.sampling
         self.labeling = run_labeling(self.p, g, self.minima,
                                      self.saddle_records,
                                      require_separating=False)
@@ -170,15 +164,14 @@ class Pipeline:
         k = len(self.minima) + 3
         rows = []
         for h in self.h_list:
-            W = spectral.assemble_witten(self.p, self.box,
-                                         self._grid_shape() or
-                                         self.ensure_grid().shape, h,
+            W = spectral.assemble_witten(self.p, self.grid.box,
+                                         self.grid.shape, h,
                                          strict=self.args.strict)
             res = spectral.smallest_eigs(W, k)
             self.witten[h] = W
             self.eigs[h] = res
             n, ratio = spectral.count_small(res.values, h)
-            rows.append([h, "x".join(str(s) for s in W.shape), k,
+            rows.append([h, "x".join(str(s) for s in W.grid.shape), k,
                          ";".join(f"{v:.12g}" for v in res.values),
                          f"{res.floor:.3g}", n, f"{ratio:.4g}",
                          f"{np.max(res.residuals):.3g}"])
@@ -191,7 +184,7 @@ class Pipeline:
         print(f"wrote {self._out('spectrum.csv')}")
 
     def _quasimode_bundle(self, h):
-        g = self.ensure_grid()
+        g = self.sampling
         L = self.labeling
         psis = []
         for M in self.minima:
@@ -272,7 +265,7 @@ class Pipeline:
     def simulate(self):
         if self.labeling is None:
             self.label()
-        g = self.ensure_grid()
+        g = self.sampling
         rows = []
         samples = {}
         for M in self.minima:

@@ -109,11 +109,9 @@ def _cluster_levels(saddles):
 
 def _side_labels(g: GridSampling, cmap: ComponentMap, rec: SaddleRecord):
     """Global component ids of the two sides of a saddle, at a given level."""
-    M, nu, r = rec.manifold, rec.frame.nu, rec.radius
     out = []
-    for sign in (+1.0, -1.0):
-        lab = cmap.label_at(g, M.nodes + sign * 0.5 * r * nu)
-        lab = np.unique(lab[lab >= 0])
+    for lab in cmap.side_labels(g, rec.manifold.nodes,
+                                0.5 * rec.radius * rec.frame.nu):
         if lab.size != 1:
             raise LabelingError(
                 f"saddle {rec.name}: side offsets map to {lab.size} "

@@ -75,10 +75,6 @@ class CriticalManifold:
     def measure(self):
         return float(np.sum(self.weights))
 
-    def closest_node(self, x):
-        d2 = np.sum((self.nodes - np.asarray(x, dtype=float)) ** 2, axis=1)
-        return int(np.argmin(d2))
-
 
 def manifold_point(coords, name="point") -> CriticalManifold:
     coords = np.asarray(coords, dtype=float).ravel()

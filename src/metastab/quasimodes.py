@@ -79,9 +79,7 @@ def agmon_distance(p: Potential, target: CriticalManifold, g: GridSampling,
     shape = g.shape
     d = g.dim
     spac = g.spacings
-    axes = [g.centers(a) for a in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = g.points()
     _, grads = p.gradients(pts)
     speed = np.sqrt(np.sum(grads**2, axis=1)).reshape(shape)
 
@@ -223,9 +221,7 @@ def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
             raise ValueError(
                 f"saddle {rec.name} does not border component "
                 f"{minimum_component}")
-    axes = [g.centers(a) for a in range(g.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = g.points()
     ell0 = _signed_quadratic_ell0(rec, pts)
     if mode == "agmon":
         phi = agmon_distance(p, rec.manifold, g).ravel()
@@ -310,8 +306,7 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
     for other in other_minima:
         if other.name == m.name:
             continue
-        idx = g.index_of(other.nodes[:1])
-        if np.all(idx >= 0) and psi[tuple(idx[0])] > 1e-12 * np.max(psi):
+        if g.lookup(psi, other.nodes[:1], 0.0)[0] > 1e-12 * np.max(psi):
             raise ValueError(
                 f"support of psi_{m.name} leaks into the well of "
                 f"{other.name}; decrease delta")

@@ -109,13 +109,7 @@ def simulate_exit(p: Potential, m: CriticalManifold, L: LabelingResult,
         x = x - 2.0 * cfg.dt * grad + sigma_step * rng.standard_normal(x.shape)
         X[idx] = x
         t += cfg.dt
-        cells = g.index_of(x)
-        outside = np.any(cells < 0, axis=1)
-        exited = outside.copy()
-        ok = ~outside
-        if np.any(ok):
-            exited[ok] = exit_mask[tuple(cells[ok].T)]
-        done = idx[exited]
+        done = idx[g.lookup(exit_mask, x, True)]
         times[done] = t
         alive[done] = False
     return ExitSampleSet(h=cfg.h, times=times, censored=alive)

@@ -19,6 +19,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
 from .potential import Potential
+from .sublevel import Grid
 
 __all__ = [
     "WittenOperator",
@@ -83,9 +84,7 @@ class WittenOperator:
 
 @dataclass
 class DiscreteWitten(WittenOperator):
-    box: np.ndarray
-    shape: tuple
-    spacings: np.ndarray
+    grid: Grid                    # the cells, in C order
     h: float
     A: sparse.csr_matrix          # faces x cells twisted gradient factor
 
@@ -106,36 +105,23 @@ def assemble_witten(p: Potential, box, shape, h, strict=False) -> DiscreteWitten
     grad f is evaluated exactly at staggered face midpoints, one family of
     faces per axis.
     """
-    box = np.asarray(box, dtype=float)
-    d = box.shape[0]
-    if np.isscalar(shape):
-        shape = (int(shape),) * d
-    shape = tuple(int(s) for s in shape)
-    spacings = (box[:, 1] - box[:, 0]) / np.asarray(shape)
-    _check_resolution(spacings, h, strict)
-    centers = [box[a, 0] + spacings[a] * (np.arange(shape[a]) + 0.5)
-               for a in range(d)]
-    edges = [box[a, 0] + spacings[a] * np.arange(shape[a] + 1)
-             for a in range(d)]
+    grid = Grid(box, shape)
+    _check_resolution(grid.spacings, h, strict)
     blocks = []
-    for a in range(d):
-        D1, Avg1 = _diff_avg(shape[a], spacings[a])
+    for a in range(grid.dim):
+        D1, Avg1 = _diff_avg(grid.shape[a], grid.spacings[a])
         Dk, Ak = None, None
-        for b in range(d):
-            n_b = shape[b]
+        for b, n_b in enumerate(grid.shape):
             eye = sparse.identity(n_b, format="csr")
             db = D1 if b == a else eye
             ab = Avg1 if b == a else eye
             Dk = db if Dk is None else sparse.kron(Dk, db, format="csr")
             Ak = ab if Ak is None else sparse.kron(Ak, ab, format="csr")
-        axes = [edges[b] if b == a else centers[b] for b in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        _, grads = p.gradients(pts)
+        _, grads = p.gradients(grid.points(face_axis=a))
         ga = sparse.diags(grads[:, a])
         blocks.append((h * Dk + ga @ Ak).tocsr())
     A = sparse.vstack(blocks, format="csr")
-    return DiscreteWitten(box=box, shape=shape, spacings=spacings, h=h, A=A)
+    return DiscreteWitten(grid=grid, h=h, A=A)
 
 
 @dataclass
@@ -152,11 +138,6 @@ class RadialWitten(WittenOperator):
     d: int
     h: float
     A: sparse.csr_matrix          # symmetrized factor in y = r^{(d-1)/2} u
-    r_cells: np.ndarray
-
-    def to_radial(self, y):
-        """Convert a symmetrized eigenvector back to u(r)."""
-        return y / self.r_cells ** ((self.d - 1) / 2.0)
 
 
 def assemble_radial(p: Potential, d, R, n, h, strict=False) -> RadialWitten:
@@ -165,17 +146,16 @@ def assemble_radial(p: Potential, d, R, n, h, strict=False) -> RadialWitten:
     profile = p.profile() if p.radial else p
     if profile.dim != 1:
         raise ValueError("need a 1D profile or a radial potential")
-    delta = R / n
-    _check_resolution(np.array([delta]), h, strict)
-    r_cells = delta * (np.arange(n) + 0.5)
-    r_faces = delta * np.arange(n + 1)
-    D1, Avg1 = _diff_avg(n, delta)
-    _, grads = profile.gradients(r_faces.reshape(-1, 1))
+    grid = Grid([[0.0, R]], n)
+    _check_resolution(grid.spacings, h, strict)
+    r_cells, r_faces = grid.centers(0), grid.edges(0)
+    D1, Avg1 = _diff_avg(n, grid.spacings[0])
+    _, grads = profile.gradients(grid.points(face_axis=0))
     B = h * D1 + sparse.diags(grads[:, 0]) @ Avg1
     w_face = sparse.diags(r_faces ** ((d - 1) / 2.0))
     w_cell_inv = sparse.diags(r_cells ** (-(d - 1) / 2.0))
     A = (w_face @ B @ w_cell_inv).tocsr()
-    return RadialWitten(R=R, n=n, d=d, h=h, A=A, r_cells=r_cells)
+    return RadialWitten(R=R, n=n, d=d, h=h, A=A)
 
 
 @dataclass

@@ -1,6 +1,9 @@
 """Grid-based sublevel-set topology: components, local saddle structure,
 and the separating classification.
 
+`Grid` is the cell-centred geometry shared by the sampled and tube grids,
+the factored Witten operator and the quasimodes.
+
 The flood fill uses face adjacency (2d neighbors) on cell-center samples
 with strict inequality f < sigma; levels that would graze a critical value
 are probed at sigma - eps with eps proportional to the value scale.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -40,6 +44,7 @@ from .manifolds import CriticalManifold, SaddleFrame
 from .potential import Potential
 
 __all__ = [
+    "Grid",
     "GridSampling",
     "ComponentMap",
     "sample_grid",
@@ -65,14 +70,43 @@ _RUN_BATCH = 1 << 18
 _CELL_BYTES = 8 + 1 + 4
 
 
-@dataclass
-class GridSampling:
-    """Axis-aligned cell-centered sampling of f; immutable after fill."""
+@dataclass(eq=False)
+class Grid:
+    """Cell-centred grid on an axis-aligned box, `shape[a]` equal cells
+    along axis a: the one home of cell centres, faces and spacings.
+
+    The shape is normalised on construction: None is the default
+    resolution, a single count applies to every axis, else there is one
+    count per box axis; each axis needs 2 cells, and a shape needing more
+    than physical memory (`_CELL_BYTES` per cell) is refused.
+    """
 
     box: np.ndarray            # (d, 2)
     shape: tuple               # per-axis cell counts
-    values: np.ndarray         # f at cell centers, shape `shape`
-    mask: np.ndarray | None = None   # optional validity mask (tube grids)
+
+    def __post_init__(self):
+        self.box = np.asarray(self.box, dtype=float)
+        d = self.dim
+        shape = self.shape
+        shape = DEFAULT_RESOLUTION.get(d, 64) if shape is None else shape
+        shape = tuple(int(s) for s in np.atleast_1d(shape))
+        if len(shape) == 1:
+            shape *= d
+        if len(shape) != d:
+            raise ValueError(
+                f"grid shape {shape} has {len(shape)} entries but the box "
+                f"has dimension {d}; give one entry, or one per dimension")
+        if any(s < 2 for s in shape):
+            raise ValueError("resolutions must be >= 2")
+        need = _CELL_BYTES * math.prod(shape)
+        have = _physical_memory()
+        if have is not None and need > have:
+            raise ValueError(
+                f"grid of shape {shape} needs about {need:.3g} bytes "
+                f"({_CELL_BYTES} per cell), more than the {have:.3g} bytes "
+                f"of physical memory; lower the resolution (`resolution`, "
+                f"or `--grid` on the command line)")
+        self.shape = shape
 
     @property
     def dim(self):
@@ -82,8 +116,34 @@ class GridSampling:
     def spacings(self):
         return (self.box[:, 1] - self.box[:, 0]) / np.asarray(self.shape)
 
+    @cached_property
+    def axes(self):
+        """Cell-centre coordinates along each axis; read-only, since every
+        caller shares them."""
+        axes = tuple(lo + (hi - lo) * (np.arange(n) + 0.5) / n
+                     for (lo, hi), n in zip(self.box, self.shape))
+        for ax in axes:
+            ax.flags.writeable = False
+        return axes
+
     def centers(self, axis):
-        return _cell_centers(self.box[axis], self.shape[axis])
+        return self.axes[axis]
+
+    def edges(self, axis):
+        """Face coordinates along `axis`: the shape[axis] + 1 cell bounds."""
+        lo, hi = self.box[axis]
+        n = self.shape[axis]
+        return lo + (hi - lo) * np.arange(n + 1) / n
+
+    def points(self, face_axis=None):
+        """Cell centres, one row per cell in C order.  With `face_axis`,
+        the midpoints of the faces normal to that axis instead: its
+        `edges` along it, cell centres along the others."""
+        axes = list(self.axes)
+        if face_axis is not None:
+            axes[face_axis] = self.edges(face_axis)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def index_of(self, points):
         """Cell multi-indices of points; -1 marks out-of-box coordinates."""
@@ -98,10 +158,22 @@ class GridSampling:
             idx[:, a] = j
         return idx
 
+    def lookup(self, array, points, outside):
+        """`array`, shaped like the grid, read at the cells holding
+        `points`; `outside` for points out of the box."""
+        idx = self.index_of(points)
+        ok = np.all(idx >= 0, axis=1)
+        out = np.full(idx.shape[0], outside, dtype=array.dtype)
+        out[ok] = array[tuple(idx[ok].T)]
+        return out
 
-def _cell_centers(interval, n):
-    lo, hi = interval
-    return lo + (hi - lo) * (np.arange(n) + 0.5) / n
+
+@dataclass(eq=False)
+class GridSampling(Grid):
+    """Samples of f at the cell centres of a grid; immutable after fill."""
+
+    values: np.ndarray         # f at cell centers, shape `shape`
+    mask: np.ndarray | None = None   # optional validity mask (tube grids)
 
 
 def _slabs(shape, max_cells):
@@ -110,25 +182,6 @@ def _slabs(shape, max_cells):
     step = max(1, max_cells // math.prod(shape[1:]))
     for start in range(0, shape[0], step):
         yield start, min(start + step, shape[0])
-
-
-def _grid_shape(d, shape):
-    if shape is None:
-        shape = (DEFAULT_RESOLUTION.get(d, 64),) * d
-    elif np.isscalar(shape):
-        shape = (int(shape),) * d
-    shape = tuple(int(s) for s in shape)
-    if any(s < 2 for s in shape):
-        raise ValueError("resolutions must be >= 2")
-    need = _CELL_BYTES * math.prod(shape)
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ValueError(
-            f"grid of shape {shape} needs about {need:.3g} bytes "
-            f"({_CELL_BYTES} per cell), more than the {have:.3g} bytes of "
-            f"physical memory; lower the resolution (`resolution`, or "
-            f"`--grid` on the command line)")
-    return shape
 
 
 def _physical_memory():
@@ -148,32 +201,29 @@ def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
     are formed, read from the per-axis cell centers one axis-0 slab at a
     time.  A non-finite value of f at a sampled cell raises ValueError.
     """
-    box = np.asarray(box, dtype=float)
-    d = box.shape[0]
-    shape = _grid_shape(d, shape)
-    axes = [_cell_centers(box[a], shape[a]) for a in range(d)]
+    grid = Grid(box, shape)
+    shape = grid.shape
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != shape:
             raise ValueError(f"mask shape {mask.shape} does not match grid "
                              f"shape {shape}")
         values = np.full(shape, np.inf)
+        axes = grid.axes
         for start, stop in _slabs(shape, _SAMPLE_SLAB):
             inside = mask[start:stop]
             centers = np.ix_(axes[0][start:stop], *axes[1:])
-            points = np.empty((np.count_nonzero(inside), d))
-            for a in range(d):
+            points = np.empty((np.count_nonzero(inside), grid.dim))
+            for a in range(grid.dim):
                 grid_a = np.broadcast_to(centers[a], inside.shape)
                 points[:, a] = grid_a[inside]
             slab = p.values(points)
             _check_finite(slab)
             values[start:stop][inside] = slab
-        return GridSampling(box=box, shape=shape, values=values, mask=mask)
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    values = p.values(points).reshape(shape)
-    _check_finite(values)
-    return GridSampling(box=box, shape=shape, values=values)
+    else:
+        values = p.values(grid.points()).reshape(shape)
+        _check_finite(values)
+    return GridSampling(grid.box, shape, values, mask)
 
 
 def _check_finite(values):
@@ -192,12 +242,14 @@ class ComponentMap:
 
     def label_at(self, grid: GridSampling, points):
         """Component label at given points; -1 if excluded or out of box."""
-        idx = grid.index_of(points)
-        out = np.full(idx.shape[0], -1, dtype=np.int64)
-        ok = np.all(idx >= 0, axis=1)
-        if np.any(ok):
-            out[ok] = self.labels[tuple(idx[ok].T)]
-        return out
+        return grid.lookup(self.labels, points, -1)
+
+    def side_labels(self, grid: GridSampling, nodes, offset):
+        """The distinct labels, ascending, at nodes + offset and at
+        nodes - offset; excluded and out-of-box points are dropped."""
+        return tuple(np.unique(lab[lab >= 0]) for lab in
+                     (self.label_at(grid, nodes + offset),
+                      self.label_at(grid, nodes - offset)))
 
 
 def components(g: GridSampling, sigma) -> ComponentMap:
@@ -428,10 +480,9 @@ def _squared_radius_bound(radius):
 def _tube_grid(p: Potential, M: CriticalManifold, radius, resolution):
     lo = np.min(M.nodes, axis=0) - 1.2 * radius
     hi = np.max(M.nodes, axis=0) + 1.2 * radius
-    box = np.stack([lo, hi], axis=1)
-    shape = _grid_shape(M.ambient_dim, resolution)
-    axes = [_cell_centers(box[a], shape[a]) for a in range(len(shape))]
-    return sample_grid(p, box, shape, mask=_tube_mask(M.nodes, axes, radius))
+    grid = Grid(np.stack([lo, hi], axis=1), resolution)
+    return sample_grid(p, grid.box, grid.shape,
+                       mask=_tube_mask(M.nodes, grid.axes, radius))
 
 
 def local_structure(p: Potential, M: CriticalManifold,
@@ -444,25 +495,19 @@ def local_structure(p: Potential, M: CriticalManifold,
     """
     if M.value is None:
         raise ValueError("manifold value unknown; run verify_critical first")
-    if resolution is None:
-        resolution = DEFAULT_RESOLUTION.get(M.ambient_dim, 64)
     grid = _tube_grid(p, M, radius, resolution)
     cmap = components(grid, probe_level(grid, M.value))
     result = LocalStructure(n_components=cmap.count, grid=grid, cmap=cmap)
     if cmap.count != 2 or frame is None:
         return result
-    plus = cmap.label_at(grid, M.nodes + 0.5 * radius * frame.nu)
-    minus = cmap.label_at(grid, M.nodes - 0.5 * radius * frame.nu)
-    plus = plus[plus >= 0]
-    minus = minus[minus >= 0]
+    plus, minus = cmap.side_labels(grid, M.nodes, 0.5 * radius * frame.nu)
     if plus.size == 0 or minus.size == 0:
         raise ValueError("offset points fall outside the sublevel tube; "
                          "adjust the tube radius")
-    lp, lm = np.unique(plus), np.unique(minus)
-    if lp.size != 1 or lm.size != 1 or lp[0] == lm[0]:
+    if plus.size != 1 or minus.size != 1 or plus[0] == minus[0]:
         raise ValueError("inconsistent side assignment from offset points")
-    result.plus_label = int(lp[0])
-    result.minus_label = int(lm[0])
+    result.plus_label = int(plus[0])
+    result.minus_label = int(minus[0])
     return result
 
 
@@ -502,10 +547,7 @@ def classify_separating(p: Potential, M: CriticalManifold,
         raise ValueError("two local components but no direction frame; "
                          "cannot match sides to global components")
     cmap = components(g, probe_level(g, sigma))
-    plus = cmap.label_at(g, M.nodes + 0.5 * radius * frame.nu)
-    minus = cmap.label_at(g, M.nodes - 0.5 * radius * frame.nu)
-    plus = np.unique(plus[plus >= 0])
-    minus = np.unique(minus[minus >= 0])
+    plus, minus = cmap.side_labels(g, M.nodes, 0.5 * radius * frame.nu)
     if plus.size != 1 or minus.size != 1:
         raise ValueError("offset points map to inconsistent global components")
     bp, bm = int(plus[0]), int(minus[0])

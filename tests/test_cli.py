@@ -145,6 +145,15 @@ def test_domain_error_reported(tmp_path, capsys, expression, message):
     assert capsys.readouterr().err == f"error: check: {message}\n"
 
 
+def test_grid_entries_must_match_dimension(tmp_path, capsys):
+    code = main(["label", "--spec", SPEC, "--grid", "512,512",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "2 entries" in err and "dimension 1" in err
+
+
 def test_solve_is_reproducible(tmp_path, capsys):
     for out in ("a", "b"):
         assert main(["solve", "--spec", SPEC, "--h", "0.2,0.1",

@@ -56,11 +56,11 @@ def test_harmonic_radial_even_levels():
 def test_gibbs_is_discrete_near_kernel(tilted):
     h = 0.1
     W = assemble_witten(tilted.p, tilted.box, (4096,), h)
-    x = W.box[0, 0] + W.spacings[0] * (np.arange(4096) + 0.5)
+    x = W.grid.centers(0)
     f = tilted.p.values(x.reshape(-1, 1))
     g = np.exp(-(f - f.min()) / h)
     g /= np.linalg.norm(g)
-    assert W.quadratic_form(g) < (W.spacings[0] ** 2 / h) ** 2
+    assert W.quadratic_form(g) < (W.grid.spacings[0] ** 2 / h) ** 2
 
 
 def test_second_eigenvalue_self_convergence(tilted):

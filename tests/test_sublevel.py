@@ -15,6 +15,7 @@ from metastab import sublevel
 from metastab.manifolds import (manifold_point, manifold_sphere,
                                 negative_direction_field, verify_critical)
 from metastab.potential import parse_potential
+from metastab.spectral import assemble_witten
 from metastab.sublevel import (ComponentMap, GridSampling,
                                classify_separating, components,
                                local_structure, probe_level, sample_grid)
@@ -140,6 +141,64 @@ def test_sample_grid_geometry():
     assert tuple(idx[0]) == (9, 19)
 
 
+@pytest.mark.parametrize("box,shape", [
+    ([[-2.4, 2.4]], (8,)),
+    ([[-0.3, 1.7]], (7,)),
+    ([[-2.4, 1.3], [0.5, 0.6]], (16, 8)),
+    ([[-2.4, 1.3], [0.5, 0.6]], (9, 5)),
+    ([[-1.0, 3.0], [0.5, 0.6], [-7.0, 3.0]], (4, 8, 2)),
+    ([[-1.0, 3.0], [0.5, 0.6], [-7.0, 3.0]], (5, 3, 7)),
+], ids=["1d-pow2", "1d-odd", "2d-pow2", "2d-odd", "3d-pow2", "3d-odd"])
+@pytest.mark.filterwarnings("ignore:grid spacing")
+def test_grid_geometry(box, shape):
+    grid = sublevel.Grid(box, shape)
+    d = len(shape)
+    assert grid.shape == shape and grid.dim == d
+    # every cell centre lies in its own cell, enumerated in C order
+    cells = np.indices(shape).reshape(d, -1).T
+    assert np.array_equal(grid.index_of(grid.points()), cells)
+    ranks = np.arange(math.prod(shape)).reshape(shape)
+    assert np.array_equal(grid.lookup(ranks, grid.points(), -1), ranks.ravel())
+    # below the box, and on its upper faces (cells are half-open)
+    beyond = np.array([[lo - 1.0 for lo, _ in box], [hi for _, hi in box]])
+    assert np.array_equal(grid.lookup(ranks, beyond, -1), [-1, -1])
+    for a in range(d):
+        edges, centers = grid.edges(a), grid.centers(a)
+        assert not centers.flags.writeable     # shared by every caller
+        assert edges.size == shape[a] + 1
+        assert edges[0] == box[a][0]
+        assert edges[-1] == pytest.approx(box[a][1], rel=1e-15, abs=1e-15)
+        assert np.all(edges[:-1] < centers) and np.all(centers < edges[1:])
+        assert np.allclose(np.diff(edges), grid.spacings[a], rtol=1e-12)
+        faces = grid.points(face_axis=a)
+        assert faces.shape == (math.prod(shape) // shape[a]
+                               * (shape[a] + 1), d)
+        assert np.array_equal(np.unique(faces[:, a]), edges)
+    # the Witten operator's cells are the sampled grid's cells
+    p = parse_potential("+".join(f"x{a + 1}^2" for a in range(d)), d)
+    g = sample_grid(p, box, shape)
+    W = assemble_witten(p, box, shape, 1.0)
+    assert W.grid.shape == g.shape
+    assert np.array_equal(W.grid.box, g.box)
+    assert np.array_equal(W.grid.spacings, g.spacings)
+    for a in range(d):
+        assert np.array_equal(W.grid.centers(a), g.centers(a))
+        assert np.array_equal(W.grid.edges(a), g.edges(a))
+    assert np.array_equal(W.grid.points(), g.points())
+    assert W.n_cells == g.values.size
+
+
+def test_grid_shape_normalised():
+    box = [[0.0, 1.0], [0.0, 2.0]]
+    assert sublevel.Grid(box, 6).shape == (6, 6)
+    assert sublevel.Grid(box, [6]).shape == (6, 6)
+    assert sublevel.Grid(box, None).shape == (1024, 1024)
+    with pytest.raises(ValueError, match="3 entries .* dimension 2"):
+        sublevel.Grid(box, (6, 6, 6))
+    with pytest.raises(ValueError, match=">= 2"):
+        sublevel.Grid(box, (6, 1))
+
+
 # ---------------------------------------------------------------------------
 # Tube grids: the stamped mask against the nearest-node reference
 
@@ -219,7 +278,7 @@ def test_tube_mask_node_batches(batch, monkeypatch):
     # one node per batch, and batches of a few nodes with a remainder
     M = unit_circle(128)
     box = [[-1.36, 1.36], [-1.36, 1.36], [-0.36, 0.36]]
-    axes = [sublevel._cell_centers(b, n) for b, n in zip(box, (48, 40, 36))]
+    axes = sublevel.Grid(box, (48, 40, 36)).axes
     expected = reference_tube_mask(M.nodes, axes, 0.3)
     monkeypatch.setattr(sublevel, "_RUN_BATCH", batch)
     assert np.array_equal(sublevel._tube_mask(M.nodes, axes, 0.3), expected)
@@ -236,7 +295,7 @@ def tube_cases(draw, dim):
         n = draw(st.integers(2, max_cells))
         lo = draw(st.floats(-3.0, 3.0))
         width = draw(st.floats(0.05, 4.0))
-        axes.append(sublevel._cell_centers((lo, lo + width), n))
+        axes.append(sublevel.Grid([[lo, lo + width]], n).centers(0))
     nodes = []
     for _ in range(draw(st.integers(1, 6))):
         x = []
