@@ -163,11 +163,16 @@ class Pipeline:
             self.label()
         k = len(self.minima) + 3
         rows = []
+        # the operator pieces and the LU ordering do not depend on h: the
+        # first h builds them, the others reuse them
+        pieces = ordering = None
         for h in self.h_list:
             W = spectral.assemble_witten(self.p, self.grid.box,
                                          self.grid.shape, h,
-                                         strict=self.args.strict)
-            res = spectral.smallest_eigs(W, k)
+                                         strict=self.args.strict,
+                                         pieces=pieces)
+            res = spectral.smallest_eigs(W, k, ordering=ordering)
+            pieces, ordering = W.pieces, res.ordering
             self.witten[h] = W
             self.eigs[h] = res
             n, ratio = spectral.count_small(res.values, h)

@@ -23,6 +23,7 @@ from .sublevel import Grid
 
 __all__ = [
     "WittenOperator",
+    "WittenPieces",
     "DiscreteWitten",
     "RadialWitten",
     "assemble_witten",
@@ -56,25 +57,16 @@ class WittenOperator:
     """The Witten Laplacian A^T A held as its sparse factor.  Subclasses
     supply `A` (faces x cells); everything else is shared."""
 
-    _gram = None
-
     @property
     def n_cells(self):
         return self.A.shape[1]
 
     def gram(self):
-        """A^T A in CSC form, built on first use."""
-        if self._gram is None:
-            self._gram = (self.A.T @ self.A).tocsc()
-        return self._gram
+        """A^T A in CSC form, built afresh on each call."""
+        return (self.A.T @ self.A).tocsc()
 
     def apply(self, u):
         return self.A.T @ (self.A @ u)
-
-    def norm_bound(self):
-        """Max absolute row sum of A^T A, a bound on its 2-norm."""
-        G = self.gram()
-        return float(np.max(np.abs(G).sum(axis=1)))
 
     def quadratic_form(self, u):
         """||A u||^2 = <u, A^T A u> without forming A^T A."""
@@ -82,11 +74,30 @@ class WittenOperator:
         return float(w @ w)
 
 
+@dataclass(eq=False)
+class WittenPieces:
+    """The h-independent parts of the twisted gradient A(h) = h D + Gamma
+    Avg of one f on one grid.  D stacks the forward differences along
+    each axis; Avg, the face averages, is 1/2 on D's sparsity pattern and
+    Gamma is grad f at the faces, so Gamma Avg is kept as its values `ga`
+    on that pattern.  Every A(h) then shares D's (read-only) index
+    arrays."""
+
+    p: Potential
+    grid: Grid
+    D: sparse.csr_matrix          # faces x cells
+    ga: np.ndarray                # Gamma Avg on D's pattern, like D.data
+
+
 @dataclass
 class DiscreteWitten(WittenOperator):
-    grid: Grid                    # the cells, in C order
-    h: float
     A: sparse.csr_matrix          # faces x cells twisted gradient factor
+    pieces: WittenPieces          # what A is built from, for other h
+
+    @property
+    def grid(self):
+        """The cells, in C order."""
+        return self.pieces.grid
 
 
 def _check_resolution(spacings, h, strict):
@@ -99,29 +110,56 @@ def _check_resolution(spacings, h, strict):
         warnings.warn(msg, stacklevel=3)
 
 
-def assemble_witten(p: Potential, box, shape, h, strict=False) -> DiscreteWitten:
+def _witten_pieces(p: Potential, grid: Grid) -> WittenPieces:
+    D_blocks, gamma = [], []
+    for a in range(grid.dim):
+        D1, _ = _diff_avg(grid.shape[a], grid.spacings[a])
+        Dk = None
+        for b, n_b in enumerate(grid.shape):
+            db = D1 if b == a else sparse.identity(n_b, format="csr")
+            Dk = db if Dk is None else sparse.kron(Dk, db, format="csr")
+        _, grads = p.gradients(grid.points(face_axis=a))
+        D_blocks.append(Dk)
+        gamma.append(grads[:, a])
+    D = sparse.vstack(D_blocks, format="csr")
+    # each row's entries in descending column order, the order in which
+    # scipy's sparse sum h D + Gamma Avg stores them
+    counts = np.diff(D.indptr)
+    rows = np.repeat(np.arange(D.shape[0]), counts)
+    rev = D.indptr[rows] + D.indptr[rows + 1] - 1 - np.arange(D.nnz)
+    D = sparse.csr_matrix((D.data[rev], D.indices[rev], D.indptr),
+                          shape=D.shape)
+    D.indices.flags.writeable = False
+    D.indptr.flags.writeable = False
+    ga = np.repeat(np.concatenate(gamma), counts) * 0.5
+    return WittenPieces(p=p, grid=grid, D=D, ga=ga)
+
+
+def assemble_witten(p: Potential, box, shape, h, strict=False,
+                    pieces=None) -> DiscreteWitten:
     """Factored Witten Laplacian on a Dirichlet box.
 
     grad f is evaluated exactly at staggered face midpoints, one family of
-    faces per axis.
+    faces per axis.  `pieces`, taken from an operator assembled earlier
+    for the same f and grid (`W.pieces`), skips everything but the sum
+    h D + Gamma Avg; the result is the same either way.
     """
     grid = Grid(box, shape)
     _check_resolution(grid.spacings, h, strict)
-    blocks = []
-    for a in range(grid.dim):
-        D1, Avg1 = _diff_avg(grid.shape[a], grid.spacings[a])
-        Dk, Ak = None, None
-        for b, n_b in enumerate(grid.shape):
-            eye = sparse.identity(n_b, format="csr")
-            db = D1 if b == a else eye
-            ab = Avg1 if b == a else eye
-            Dk = db if Dk is None else sparse.kron(Dk, db, format="csr")
-            Ak = ab if Ak is None else sparse.kron(Ak, ab, format="csr")
-        _, grads = p.gradients(grid.points(face_axis=a))
-        ga = sparse.diags(grads[:, a])
-        blocks.append((h * Dk + ga @ Ak).tocsr())
-    A = sparse.vstack(blocks, format="csr")
-    return DiscreteWitten(grid=grid, h=h, A=A)
+    if pieces is None:
+        pieces = _witten_pieces(p, grid)
+    elif not (pieces.p is p and pieces.grid.shape == grid.shape
+              and np.array_equal(pieces.grid.box, grid.box)):
+        raise ValueError("the Witten pieces were assembled for another "
+                         "potential or grid")
+    D = pieces.D
+    A = sparse.csr_matrix((h * D.data + pieces.ga, D.indices, D.indptr),
+                          shape=D.shape)
+    if not np.all(A.data):
+        # an exact cancellation, which a sparse sum would not store
+        A = A.copy()
+        A.eliminate_zeros()
+    return DiscreteWitten(A=A, pieces=pieces)
 
 
 @dataclass
@@ -133,10 +171,6 @@ class RadialWitten(WittenOperator):
     centrifugal terms, so the smallest eigenvalues live here.
     """
 
-    R: float
-    n: int
-    d: int
-    h: float
     A: sparse.csr_matrix          # symmetrized factor in y = r^{(d-1)/2} u
 
 
@@ -155,7 +189,7 @@ def assemble_radial(p: Potential, d, R, n, h, strict=False) -> RadialWitten:
     w_face = sparse.diags(r_faces ** ((d - 1) / 2.0))
     w_cell_inv = sparse.diags(r_cells ** (-(d - 1) / 2.0))
     A = (w_face @ B @ w_cell_inv).tocsr()
-    return RadialWitten(R=R, n=n, d=d, h=h, A=A)
+    return RadialWitten(A=A)
 
 
 @dataclass
@@ -164,50 +198,83 @@ class EigenResult:
     vectors: np.ndarray           # (n_cells, k)
     floor: float                  # below this, magnitudes are unreliable
     residuals: np.ndarray         # ||G v - lambda v|| per pair, below floor
+    ordering: np.ndarray | None = None   # cells in LU elimination order
 
     def reliable(self):
         return self.values >= self.floor
 
 
-def smallest_eigs(op, k, tol=0.0) -> EigenResult:
+def smallest_eigs(op, k, tol=1e-12, ordering=None) -> EigenResult:
     """k smallest eigenpairs of A^T A via shift-invert at a small negative
     shift; eigenvalues sorted ascending, floor = 100 eps ||A^T A||.
-    ARPACK starts from a fixed vector, so repeated calls on the same
-    operator return the same values and vectors.  Each pair's residual
+
+    The shifted matrix is factored in `ordering`, a permutation of the
+    cells, when one is given (an earlier result's `ordering` on the same
+    grid: the stencil's sparsity does not depend on h), else in SuperLU's
+    minimum-degree order on A + A^T; the order used is returned.  ARPACK
+    runs to relative tolerance `tol` from a fixed start vector, so
+    repeated calls with the same arguments return the same values and
+    vectors.  Each pair's residual
     ||G v - lambda v|| is checked against the floor: a pair above it
     raises RuntimeError rather than being trusted."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k >= op.n_cells:
-        raise ValueError(f"k = {k} must be below the grid size {op.n_cells}")
+    n = op.n_cells
+    if k >= n:
+        raise ValueError(f"k = {k} must be below the grid size {n}")
     G = op.gram()
-    norm = op.norm_bound()
+    # max absolute row sum, a bound on the 2-norm
+    norm = float(np.max(np.abs(G).sum(axis=1)))
     sigma = -1e-8 * max(norm, 1.0)
-    # SuperLU's default COLAMD ordering fills in badly on the symmetric
-    # stencil; the AT_PLUS_A minimum-degree ordering is several times faster.
-    shifted = (G - sigma * sparse.identity(G.shape[0], format="csc")).tocsc()
-    lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
-    op_inv = LinearOperator(G.shape, matvec=lu.solve)
+    shifted = (G - sigma * sparse.identity(n, format="csc")).tocsc()
+    # the factorization's scratch sets the peak memory: hold nothing else
+    # through it, and build G again for the residual check
+    del G
+    if ordering is None:
+        # SuperLU's default COLAMD ordering fills in badly on the symmetric
+        # stencil; the AT_PLUS_A minimum-degree ordering is several times
+        # faster.  Its column permutation maps each cell to its position.
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
+        ordering = np.argsort(lu.perm_c)
+        solve = lu.solve
+    else:
+        if np.shape(ordering) != (n,):
+            raise ValueError(f"the ordering must permute all {n} cells")
+        shifted = shifted[ordering][:, ordering]
+        lu = splu(shifted, permc_spec="NATURAL")
+
+        def solve(b):
+            x = np.empty_like(b)
+            x[ordering] = lu.solve(b[ordering])
+            return x
+    del shifted
+    # with its dtype given, LinearOperator spares a solve on zeros
+    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
     # ARPACK's default start vector is random; a constant one needs more
     # shift-invert solves than this fixed random one
-    v0 = np.random.default_rng(0).standard_normal(G.shape[0])
+    v0 = np.random.default_rng(0).standard_normal(n)
+    # a Lanczos basis smaller than ARPACK's default of 20 vectors restarts
+    # more often but needs fewer shift-invert solves in all
+    ncv = min(max(2 * k + 2, 12), n)
     try:
-        vals, vecs = eigsh(G, k=k, sigma=sigma, which="LM", tol=tol,
-                           OPinv=op_inv, v0=v0)
+        # in shift-invert mode ARPACK only applies OPinv
+        vals, vecs = eigsh(op_inv, k=k, sigma=sigma, which="LM", tol=tol,
+                           OPinv=op_inv, v0=v0, ncv=ncv)
     except ArpackNoConvergence as exc:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    del op_inv, solve, lu         # the factors are done with
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     floor = RELIABLE_FLOOR_FACTOR * np.finfo(float).eps * norm
     if np.any(vals < -1e-14 * norm):
         raise RuntimeError("negative eigenvalue beyond rounding; "
                            "factored operator corrupted")
-    residuals = np.linalg.norm(G @ vecs - vecs * vals, axis=0)
+    residuals = np.linalg.norm(op.gram() @ vecs - vecs * vals, axis=0)
     if np.any(residuals > floor):
         raise RuntimeError(f"eigenpair residual {np.max(residuals):.3g} "
                            f"exceeds the reliability floor {floor:.3g}")
     return EigenResult(values=vals, vectors=vecs, floor=floor,
-                       residuals=residuals)
+                       residuals=residuals, ordering=ordering)
 
 
 def count_small(values, h, eta0=DEFAULT_ETA0):

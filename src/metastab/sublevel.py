@@ -17,7 +17,7 @@ costs about (number of nodes) x (rows per node box) plus one pass over the
 grid, and never forms a full-grid coordinate or distance array; f is then
 evaluated on the tube cells only.
 
-Grid passes that need temporaries (masked sampling, `probe_level`) stream
+Grid passes that need temporaries (sampling, `probe_level`) stream
 over slabs of consecutive axis-0 planes: at most 2**18 cells per slab for
 sampling and 2**20 for `probe_level` (or one plane, if a plane is larger).
 Their scratch memory is therefore bounded by the slab, not the grid, and
@@ -197,9 +197,10 @@ def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
 
     `mask`, a boolean array of shape `shape`, restricts the grid (tube
     grids): f is evaluated only at the cells it marks, masked-out cells hold
-    +inf and never enter any flood fill.  Only the masked cells' coordinates
-    are formed, read from the per-axis cell centers one axis-0 slab at a
-    time.  A non-finite value of f at a sampled cell raises ValueError.
+    +inf and never enter any flood fill.  Coordinates are formed one axis-0
+    slab at a time from the per-axis cell centers, for the masked cells
+    only where there is a mask, so the scratch memory is bounded by the
+    slab.  A non-finite value of f at a sampled cell raises ValueError.
     """
     grid = Grid(box, shape)
     shape = grid.shape
@@ -208,11 +209,19 @@ def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
         if mask.shape != shape:
             raise ValueError(f"mask shape {mask.shape} does not match grid "
                              f"shape {shape}")
-        values = np.full(shape, np.inf)
-        axes = grid.axes
-        for start, stop in _slabs(shape, _SAMPLE_SLAB):
+    values = np.empty(shape) if mask is None else np.full(shape, np.inf)
+    axes = grid.axes
+    for start, stop in _slabs(shape, _SAMPLE_SLAB):
+        centers = np.ix_(axes[0][start:stop], *axes[1:])
+        if mask is None:
+            points = np.empty((stop - start,) + shape[1:] + (grid.dim,))
+            for a in range(grid.dim):
+                points[..., a] = centers[a]
+            slab = p.values(points.reshape(-1, grid.dim))
+            _check_finite(slab)
+            values[start:stop] = slab.reshape(points.shape[:-1])
+        else:
             inside = mask[start:stop]
-            centers = np.ix_(axes[0][start:stop], *axes[1:])
             points = np.empty((np.count_nonzero(inside), grid.dim))
             for a in range(grid.dim):
                 grid_a = np.broadcast_to(centers[a], inside.shape)
@@ -220,9 +229,6 @@ def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
             slab = p.values(points)
             _check_finite(slab)
             values[start:stop][inside] = slab
-    else:
-        values = p.values(grid.points()).reshape(shape)
-        _check_finite(values)
     return GridSampling(grid.box, shape, values, mask)
 
 

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from metastab import spectral
 from metastab.cli import main
 
 SPEC = "specs/tilted_double_well.json"
@@ -160,6 +161,21 @@ def test_solve_is_reproducible(tmp_path, capsys):
                      "--out", str(tmp_path / out)]) == 0
     first = (tmp_path / "a" / "spectrum.csv").read_bytes()
     assert first == (tmp_path / "b" / "spectrum.csv").read_bytes()
+
+
+def test_solve_orders_once_for_every_h(tmp_path, capsys, monkeypatch):
+    # the fill-reducing ordering is found for the first h and reused
+    specs = []
+    real = spectral.splu
+
+    def splu(matrix, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return real(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spectral, "splu", splu)
+    assert main(["solve", "--spec", SPEC, "--h", "0.2,0.15,0.1",
+                 "--out", str(tmp_path)]) == 0
+    assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
 
 
 def test_confinement_gate(tmp_path, capsys):

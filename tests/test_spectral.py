@@ -7,8 +7,11 @@ kernel element in the continuum, so its discrete Rayleigh quotient bounds
 the scheme error directly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from metastab import spectral
@@ -16,6 +19,7 @@ from metastab.potential import parse_potential
 from metastab.spectral import (DEFAULT_ETA0, GridResolutionError,
                                assemble_radial, assemble_witten, count_small,
                                smallest_eigs)
+from metastab.sublevel import Grid
 
 
 def test_harmonic_1d_spectrum():
@@ -167,3 +171,133 @@ def test_residual_check_rejects_perturbed_eigenvector(monkeypatch):
     monkeypatch.setattr(spectral, "eigsh", perturbed)
     with pytest.raises(RuntimeError, match="residual"):
         smallest_eigs(W, 3)
+
+
+def per_h_assembly(p, box, shape, h):
+    """The twisted gradient built from scratch for one h: Kronecker
+    difference and average blocks per axis, grad f at that axis's faces,
+    each block summed as h D + Gamma Avg and the blocks stacked."""
+    grid = Grid(box, shape)
+    blocks = []
+    for a in range(grid.dim):
+        D1, Avg1 = spectral._diff_avg(grid.shape[a], grid.spacings[a])
+        Dk, Ak = None, None
+        for b, n_b in enumerate(grid.shape):
+            eye = sparse.identity(n_b, format="csr")
+            db = D1 if b == a else eye
+            ab = Avg1 if b == a else eye
+            Dk = db if Dk is None else sparse.kron(Dk, db, format="csr")
+            Ak = ab if Ak is None else sparse.kron(Ak, ab, format="csr")
+        _, grads = p.gradients(grid.points(face_axis=a))
+        blocks.append((h * Dk + sparse.diags(grads[:, a]) @ Ak).tocsr())
+    return sparse.vstack(blocks, format="csr")
+
+
+@pytest.mark.parametrize("expression,box,shape", [
+    ("x1^4/4 - x1^2/2 + x1/10", [[-2.4, 2.4]], (4096,)),
+    (TILTED_2D, [[-2.4, 2.4], [-1.5, 2.0]], (96, 61)),
+    ("(x1^2 + x2^2 + x3^2 - 1)^2 + x3/5", [[-2.0, 2.0], [-1.5, 1.5],
+                                          [-1.0, 1.2]], (24, 17, 30)),
+])
+def test_shared_pieces_match_per_h_assembly(expression, box, shape):
+    p = parse_potential(expression, len(box))
+    pieces = None
+    for h in (0.2, 0.15, 0.1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # coarse 3D grid
+            W = assemble_witten(p, box, shape, h, pieces=pieces)
+        want = per_h_assembly(p, box, shape, h)
+        for got_a, want_a in ((W.A.data, want.data),
+                              (W.A.indices, want.indices),
+                              (W.A.indptr, want.indptr)):
+            assert got_a.dtype == want_a.dtype
+            assert np.array_equal(got_a, want_a)
+        assert np.shares_memory(W.A.indices, W.pieces.D.indices)
+        pieces = W.pieces
+
+
+def test_pieces_rejected_for_another_grid_or_potential():
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 128, 0.2)
+    with pytest.raises(ValueError, match="pieces"):
+        assemble_witten(p, [[-2.4, 2.4]] * 2, 129, 0.2, pieces=W.pieces)
+    with pytest.raises(ValueError, match="pieces"):
+        assemble_witten(p, [[-2.4, 2.5]] * 2, 128, 0.2, pieces=W.pieces)
+    other = parse_potential(TILTED_2D, 2)
+    with pytest.raises(ValueError, match="pieces"):
+        assemble_witten(other, [[-2.4, 2.4]] * 2, 128, 0.2, pieces=W.pieces)
+
+
+def test_reused_ordering_matches_fresh_solves():
+    p = parse_potential(TILTED_2D, 2)
+    pieces = ordering = None
+    for h in (0.2, 0.15, 0.1):
+        W = assemble_witten(p, [[-2.4, 2.4]] * 2, 128, h, pieces=pieces)
+        fresh = smallest_eigs(W, 5)
+        reused = smallest_eigs(W, 5, ordering=ordering)
+        if ordering is not None:
+            assert reused.ordering is ordering
+        above = fresh.values > fresh.floor
+        assert np.count_nonzero(above) == 4
+        assert reused.values[above] == pytest.approx(fresh.values[above],
+                                                     rel=1e-12, abs=0.0)
+        assert np.all(np.abs(reused.values[~above]) <= reused.floor)
+        assert np.all(reused.residuals <= reused.floor)
+        assert np.all(fresh.residuals <= fresh.floor)
+        pieces, ordering = W.pieces, fresh.ordering
+
+
+def test_smallest_eigs_with_ordering_is_deterministic():
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 128, 0.15)
+    ordering = smallest_eigs(assemble_witten(p, [[-2.4, 2.4]] * 2, 128, 0.2),
+                             4).ordering
+    first = smallest_eigs(W, 4, ordering=ordering)
+    second = smallest_eigs(W, 4, ordering=ordering)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
+def counting_splu(monkeypatch):
+    """Wrap `spectral.splu`; returns the list of (permc_spec, LU solves)
+    per factorization, filled as the solver runs."""
+    calls = []
+    real = spectral.splu
+
+    class Counted:
+        def __init__(self, lu, record):
+            self.lu, self.record = lu, record
+            self.perm_c = lu.perm_c
+
+        def solve(self, b):
+            self.record[1] += 1
+            return self.lu.solve(b)
+
+    def splu(matrix, permc_spec=None, **kwargs):
+        calls.append([permc_spec, 0])
+        return Counted(real(matrix, permc_spec=permc_spec, **kwargs),
+                       calls[-1])
+
+    monkeypatch.setattr(spectral, "splu", splu)
+    return calls
+
+
+# LU solves for the three h of tilted 2D at 128^2, k = 5, the later two
+# reusing the first h's ordering: measured 92 (28 + 32 + 32) with a
+# Lanczos basis of max(2k + 2, 12) vectors and tol 1e-12.  ARPACK's
+# defaults (ncv = 20, tol = 0) and the one solve on zeros that a
+# LinearOperator without a dtype spends to find it took 105 (35 per h).
+LU_SOLVES_TILTED_2D_128 = 92
+
+
+def test_lu_solve_count_tilted_2d(monkeypatch):
+    calls = counting_splu(monkeypatch)
+    p = parse_potential(TILTED_2D, 2)
+    pieces = ordering = None
+    for h in (0.2, 0.15, 0.1):
+        W = assemble_witten(p, [[-2.4, 2.4]] * 2, 128, h, pieces=pieces)
+        res = smallest_eigs(W, 5, ordering=ordering)
+        pieces, ordering = W.pieces, res.ordering
+    assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A", "NATURAL",
+                                          "NATURAL"]
+    assert sum(n for _, n in calls) <= LU_SOLVES_TILTED_2D_128

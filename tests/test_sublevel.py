@@ -16,7 +16,7 @@ from metastab.manifolds import (manifold_point, manifold_sphere,
                                 negative_direction_field, verify_critical)
 from metastab.potential import parse_potential
 from metastab.spectral import assemble_witten
-from metastab.sublevel import (ComponentMap, GridSampling,
+from metastab.sublevel import (ComponentMap, Grid, GridSampling,
                                classify_separating, components,
                                local_structure, probe_level, sample_grid)
 
@@ -364,6 +364,34 @@ def test_oversized_grid_rejected_before_allocation(call):
     assert "(100000, 100000, 100000)" in message
     assert "1.3e+16 bytes" in message
     assert "`resolution`" in message and "`--grid`" in message
+
+
+@pytest.mark.parametrize("expression,box,shape", [
+    ("x1^2 + x2^2/2 + x3^4 - x1*x3", [[-1.0, 1.0], [-0.5, 2.0], [-1.0, 1.0]],
+     (96, 96, 96)),
+    (LSNS_EXPR, [[-1.8, 1.8], [-1.7, 1.9]], (1000, 333)),
+])
+def test_sample_grid_slabs_match_whole_grid(expression, box, shape):
+    # several axis-0 slabs, the last one short
+    p = parse_potential(expression, len(box))
+    g = sample_grid(p, box, shape)
+    want = p.values(Grid(box, shape).points()).reshape(shape)
+    assert np.array_equal(g.values, want)
+
+
+@pytest.mark.parametrize("n", [96, 160])
+def test_sample_grid_scratch_bounded_by_slab(n):
+    # the grid keeps its 8-byte values; the scratch on top (one slab's
+    # points and values and the evaluator's block temporaries, about 55
+    # bytes per slab cell in 3D) does not grow with the grid
+    p = parse_potential("x1^2 + x2^2/2 + x3^4 - x1*x3", 3)
+    tracemalloc.start()
+    try:
+        g = sample_grid(p, [[-1.0, 1.0]] * 3, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * g.values.size <= 64 * sublevel._SAMPLE_SLAB
 
 
 def test_sample_grid_mask_shape_checked():
