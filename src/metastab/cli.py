@@ -217,9 +217,9 @@ class Pipeline:
             IM = quasimodes.interaction_matrix(
                 W, psis, _truncate(self.eigs[h], len(psis)), self.labeling)
             mh = np.sort(IM.eigenvalues())
+            by_name = {q.minimum: q for q in psis}
             for j, name in enumerate(IM.names):
-                mu = quasimodes.rayleigh(W, psis[
-                    [q.minimum for q in psis].index(name)])
+                mu = quasimodes.rayleigh(W, by_name[name])
                 rows.append([h, name, f"{mu:.12g}",
                              ";".join(f"{v:.12g}" for v in mh),
                              f"{np.max(np.abs(IM.gram - np.eye(len(psis)))):.3g}",
@@ -240,13 +240,12 @@ class Pipeline:
         tol = self.spec.get("validate_tolerance")
         violated = False
         rows = []
-        ordered = [pr for pr in self.predictions]
         for h in self.h_list:
             vals = self.eigs[h].values
             floor = self.eigs[h].floor
-            # eigenvalue 0 belongs to the global minimum; predictions are
-            # ordered by decreasing depth, so line them up with vals[1:]
-            for j, pr in enumerate(sorted(ordered, key=lambda q: -q.barrier)):
+            # eigenvalue 0 belongs to the global minimum; predict_all gives
+            # the predictions deepest first, so they line up with vals[1:]
+            for j, pr in enumerate(self.predictions):
                 lam_num = vals[1 + j]
                 lam_pred = pr.evaluate(h)
                 ratio = lam_num / lam_pred if lam_pred > 0 else np.inf
@@ -278,11 +277,11 @@ class Pipeline:
             if FICTIVE_SADDLE in lab.saddles:
                 continue
             samples[M.name] = []
+            pr = kramers.prefactor(self.p, M, self.labeling,
+                                   self.saddle_manifolds)
             for h in self.h_list:
                 dt = sde.stability_dt(self.p, M.nodes, h)
-                lam = kramers.prefactor(
-                    self.p, M, self.labeling, self.saddle_manifolds
-                ).evaluate(h)
+                lam = pr.evaluate(h)
                 horizon = 50.0 * h / max(lam, 1e-300)
                 cfg = sde.LangevinConfig(
                     h=h, dt=dt, horizon=min(horizon, 1e7), n_paths=2000,

@@ -161,8 +161,6 @@ class SaddleGluing:
     """Profile data of one saddle crossing, oriented toward a minimum."""
 
     saddle: str
-    minimum: str
-    mode: str                 # "quadratic" | "agmon"
     tau: float
     h: float
     ell0: np.ndarray          # signed transversal coordinate on the grid
@@ -236,7 +234,7 @@ def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
     integrand = zeta(s_grid / tau) * np.exp(-s_grid**2 / (2.0 * h))
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * np.diff(s_grid))])
-    return SaddleGluing(saddle=rec.name, minimum="", mode=mode, tau=tau, h=h,
+    return SaddleGluing(saddle=rec.name, tau=tau, h=h,
                         ell0=ell0.reshape(g.shape), C=float(cum[-1]),
                         _s_grid=s_grid, _cum=cum)
 
@@ -249,7 +247,6 @@ def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
 class QuasimodeField:
     minimum: str
     values: np.ndarray        # grid-shaped, >= 0
-    f_min: float
     h: float
     cell_volume: float
     delta: float | None = None
@@ -277,8 +274,8 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
     cell_volume = float(np.prod(g.spacings))
     gibbs = np.exp(-np.minimum((vals - lab.value) / h, 700.0))
     if FICTIVE_SADDLE in lab.saddles:
-        return QuasimodeField(minimum=m.name, values=gibbs, f_min=lab.value,
-                              h=h, cell_volume=cell_volume)
+        return QuasimodeField(minimum=m.name, values=gibbs, h=h,
+                              cell_volume=cell_volume)
     missing = [s for s in lab.saddles if s not in gluings]
     if missing:
         raise ValueError(f"no gluing built for saddles {missing}")
@@ -301,8 +298,8 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
     psi = 2.0 * theta * gibbs
     for s in lab.saddles:
         psi *= 0.5 * (gluings[s].v() + 1.0)
-    field_ = QuasimodeField(minimum=m.name, values=psi, f_min=lab.value,
-                            h=h, cell_volume=cell_volume, delta=delta)
+    field_ = QuasimodeField(minimum=m.name, values=psi, h=h,
+                            cell_volume=cell_volume, delta=delta)
     for other in other_minima:
         if other.name == m.name:
             continue
@@ -329,7 +326,6 @@ def rayleigh(op: WittenOperator, psi: QuasimodeField):
 class InteractionMatrix:
     names: list               # basis order, decreasing S
     gram: np.ndarray          # <phi_j, phi_k>
-    quad: np.ndarray          # <A phi_j, A phi_k>
     projected: np.ndarray     # M_h in the orthonormalized projected basis
     norm_loss: np.ndarray     # 1 - ||Pi_h phi_j||^2 per quasimode
 
@@ -339,7 +335,7 @@ class InteractionMatrix:
 
 def interaction_matrix(op, psis, eig, L: LabelingResult,
                        max_loss=0.01) -> InteractionMatrix:
-    """Gram/quadratic-form matrices and the projected small-space matrix.
+    """Gram matrix of the quasimodes and the projected small-space matrix.
 
     `eig` holds the discrete small eigenvectors; each normalized quasimode
     phi_j is projected onto their span (loss above `max_loss` rejected),
@@ -351,8 +347,6 @@ def interaction_matrix(op, psis, eig, L: LabelingResult,
     Phi = np.stack([q.flat() / np.linalg.norm(q.flat()) for q in order],
                    axis=1)
     G = Phi.T @ Phi
-    AP = op.A @ Phi
-    Q = AP.T @ AP
     V = eig.vectors
     proj = V @ (V.T @ Phi)
     loss = 1.0 - np.sum(proj**2, axis=0)
@@ -369,5 +363,5 @@ def interaction_matrix(op, psis, eig, L: LabelingResult,
         E[:, j] = v / np.linalg.norm(v)
     AE = op.A @ E
     M = AE.T @ AE
-    return InteractionMatrix(names=names, gram=G, quad=Q, projected=M,
+    return InteractionMatrix(names=names, gram=G, projected=M,
                              norm_loss=loss)

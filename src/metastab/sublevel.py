@@ -26,6 +26,8 @@ slab size.  Beyond the slabs, a tube grid holds its float64 values and
 boolean mask, and `components` adds one int32 label grid: about 13 bytes
 per cell.  A grid shape whose cells would need more than the machine's
 physical memory at that rate is refused before anything is allocated.
+A tube grid lives only while `local_structure` runs: its result keeps the
+component count and the side labels, not the grid or its labels.
 """
 
 from __future__ import annotations
@@ -244,7 +246,6 @@ class ComponentMap:
     sigma: float
     labels: np.ndarray         # int32, -1 excluded, 0..count-1 otherwise
     count: int
-    representatives: list      # one cell multi-index per component
 
     def label_at(self, grid: GridSampling, points):
         """Component label at given points; -1 if excluded or out of box."""
@@ -266,18 +267,8 @@ def components(g: GridSampling, sigma) -> ComponentMap:
     structure = ndimage.generate_binary_structure(g.dim, 1)
     labels, count = ndimage.label(inside, structure=structure)
     del inside
-    boxes = ndimage.find_objects(labels)
     labels -= 1
-    reps = []
-    for c, box in enumerate(boxes):
-        # deterministic representative: the label's first cell in scan
-        # order, which lies in the first axis-0 plane of its bounding box
-        plane = (slice(box[0].start, box[0].start + 1),) + box[1:]
-        hit = labels[plane] == c
-        offset = np.unravel_index(np.argmax(hit), hit.shape)
-        reps.append(tuple(s.start + i for s, i in zip(plane, offset)))
-    return ComponentMap(sigma=float(sigma), labels=labels, count=count,
-                        representatives=reps)
+    return ComponentMap(sigma=float(sigma), labels=labels, count=count)
 
 
 def probe_level(g: GridSampling, sigma):
@@ -333,8 +324,6 @@ def probe_level(g: GridSampling, sigma):
 @dataclass
 class LocalStructure:
     n_components: int
-    grid: GridSampling
-    cmap: ComponentMap
     plus_label: int | None = None   # side hit by x + (r/2) nu(x)
     minus_label: int | None = None
 
@@ -497,24 +486,23 @@ def local_structure(p: Potential, M: CriticalManifold,
     """Components of X_{f(M)} restricted to the tube M + B(0, radius).
 
     With a direction frame, the two components (if any) are matched to the
-    sides +/- via the offset points x +/- (radius/2) nu(x).
+    sides +/- via the offset points x +/- (radius/2) nu(x).  The tube grid
+    and its labels are freed on return.
     """
     if M.value is None:
         raise ValueError("manifold value unknown; run verify_critical first")
     grid = _tube_grid(p, M, radius, resolution)
     cmap = components(grid, probe_level(grid, M.value))
-    result = LocalStructure(n_components=cmap.count, grid=grid, cmap=cmap)
     if cmap.count != 2 or frame is None:
-        return result
+        return LocalStructure(n_components=cmap.count)
     plus, minus = cmap.side_labels(grid, M.nodes, 0.5 * radius * frame.nu)
     if plus.size == 0 or minus.size == 0:
         raise ValueError("offset points fall outside the sublevel tube; "
                          "adjust the tube radius")
     if plus.size != 1 or minus.size != 1 or plus[0] == minus[0]:
         raise ValueError("inconsistent side assignment from offset points")
-    result.plus_label = int(plus[0])
-    result.minus_label = int(minus[0])
-    return result
+    return LocalStructure(n_components=2, plus_label=int(plus[0]),
+                          minus_label=int(minus[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +515,6 @@ class SeparatingClassification:
                               # "locally_separating_not_separating" |
                               # "separating"
     sigma: float
-    local: LocalStructure
     b_plus: int | None = None   # global component ids in X_sigma
     b_minus: int | None = None
 
@@ -544,11 +531,12 @@ def classify_separating(p: Potential, M: CriticalManifold,
     Locally separating iff the tube splits in two; separating iff the two
     local sides extend to distinct global components of {f < f(M)}.
     """
-    local = local_structure(p, M, frame, radius, resolution=resolution)
+    n_local = local_structure(p, M, frame, radius,
+                              resolution=resolution).n_components
     sigma = M.value
-    if local.n_components < 2:
-        return SeparatingClassification(
-            status="not_locally_separating", sigma=sigma, local=local)
+    if n_local < 2:
+        return SeparatingClassification(status="not_locally_separating",
+                                        sigma=sigma)
     if frame is None:
         raise ValueError("two local components but no direction frame; "
                          "cannot match sides to global components")
@@ -560,7 +548,7 @@ def classify_separating(p: Potential, M: CriticalManifold,
     if bp == bm:
         return SeparatingClassification(
             status="locally_separating_not_separating", sigma=sigma,
-            local=local, b_plus=bp, b_minus=bm)
+            b_plus=bp, b_minus=bm)
     return SeparatingClassification(
-        status="separating", sigma=sigma, local=local, b_plus=bp, b_minus=bm)
+        status="separating", sigma=sigma, b_plus=bp, b_minus=bm)
 

@@ -235,8 +235,9 @@ def reference_tube_mask(nodes, axes, radius):
 
 
 def assert_tube_grid_exact(p, M, radius, resolution=None):
-    local = local_structure(p, M, None, radius=radius, resolution=resolution)
-    g = local.grid
+    """Check the tube grid against the references; returns the grid and
+    local_structure's component count on it."""
+    g = sublevel._tube_grid(p, M, radius, resolution)
     expected = kdtree_tube_mask(g, M.nodes, radius)
     assert np.array_equal(g.mask, expected)
     axes = [g.centers(a) for a in range(g.dim)]
@@ -246,7 +247,8 @@ def assert_tube_grid_exact(p, M, radius, resolution=None):
     full = sample_grid(p, g.box, g.shape)
     assert np.array_equal(g.values[g.mask], full.values[g.mask])
     assert np.all(np.isinf(g.values[~g.mask]))
-    return local
+    local = local_structure(p, M, None, radius=radius, resolution=resolution)
+    return g, local.n_components
 
 
 def test_tube_mask_exact_tilted_2d_point_saddle():
@@ -254,23 +256,24 @@ def test_tube_mask_exact_tilted_2d_point_saddle():
     xs = np.sort(np.roots([1.0, 0.0, -1.0, 0.1]).real)[1]
     M = manifold_point([xs, 0.0], name="saddle")
     assert verify_critical(p, M).ok
-    local = assert_tube_grid_exact(p, M, radius=0.7)
-    assert local.grid.shape == (1024, 1024)
-    assert local.n_components == 2
+    g, n_components = assert_tube_grid_exact(p, M, radius=0.7)
+    assert g.shape == (1024, 1024)
+    assert n_components == 2
 
 
 def test_tube_mask_exact_mexican_saddle_ring(mexican):
     assert mexican.saddle.n_nodes == 256
-    local = assert_tube_grid_exact(mexican.p, mexican.saddle, radius=0.45)
-    assert local.n_components == 2
+    _, n_components = assert_tube_grid_exact(mexican.p, mexican.saddle,
+                                             radius=0.45)
+    assert n_components == 2
 
 
 def test_tube_mask_exact_3d_circle():
     p = parse_potential(UNTWISTED, 3)
     M = unit_circle(128)
     verify_critical(p, M)
-    local = assert_tube_grid_exact(p, M, radius=0.3, resolution=96)
-    assert local.grid.shape == (96, 96, 96)
+    g, _ = assert_tube_grid_exact(p, M, radius=0.3, resolution=96)
+    assert g.shape == (96, 96, 96)
 
 
 @pytest.mark.parametrize("batch", [1, 3000])
@@ -336,8 +339,8 @@ def test_masked_sampling_rejects_non_finite_values():
     p = parse_potential("x1^2 - x2^2 + exp(10*x2^4)", 2)
     M = manifold_point([0.0, 0.0], name="saddle")
     assert verify_critical(p, M).ok
-    local = local_structure(p, M, None, radius=0.5, resolution=64)
-    assert np.all(np.isfinite(local.grid.values[local.grid.mask]))
+    g = sublevel._tube_grid(p, M, 0.5, 64)
+    assert np.all(np.isfinite(g.values[g.mask]))
     with pytest.raises(ValueError, match="non-finite potential values"):
         local_structure(p, M, None, radius=3.5, resolution=64)
 
@@ -364,6 +367,27 @@ def test_oversized_grid_rejected_before_allocation(call):
     assert "(100000, 100000, 100000)" in message
     assert "1.3e+16 bytes" in message
     assert "`resolution`" in message and "`--grid`" in message
+
+
+def test_results_do_not_keep_tube_grid():
+    # the 96^3 tube grid with its labels is about 11.5 MB; none of it may
+    # outlive the calls that build it
+    p = parse_potential(UNTWISTED, 3)
+    M = unit_circle(128)
+    verify_critical(p, M)
+    frame = negative_direction_field(p, M)
+    g = sample_grid(p, [[-1.6, 1.6], [-1.6, 1.6], [-1.0, 1.0]],
+                    shape=(96, 96, 64))
+    tracemalloc.start()
+    try:
+        local = local_structure(p, M, frame, radius=0.3, resolution=96)
+        cls = classify_separating(p, M, frame, g, radius=0.3, resolution=96)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert local.n_components == 2
+    assert cls.status == "separating"
+    assert current < 1 << 20
 
 
 @pytest.mark.parametrize("expression,box,shape", [
@@ -426,8 +450,8 @@ def test_tube_mask_boundary_cells(radius):
 
 
 # ---------------------------------------------------------------------------
-# Slab-wise probe_level and bounding-box representatives against the
-# whole-grid reference implementations
+# Slab-wise probe_level and components against the whole-grid reference
+# implementations
 
 
 def reference_probe_level(g, sigma):
@@ -449,22 +473,14 @@ def reference_probe_level(g, sigma):
 
 
 def reference_components(g, sigma):
-    """components with representatives from a full-grid argsort."""
+    """components from whole-grid temporaries."""
     inside = g.values < sigma
     if g.mask is not None:
         inside &= g.mask
     structure = ndimage.generate_binary_structure(g.dim, 1)
     raw, count = ndimage.label(inside, structure=structure)
     labels = raw.astype(np.int64) - 1
-    reps = []
-    if count:
-        flat = labels.ravel()
-        order = np.argsort(flat, kind="stable")
-        first = np.searchsorted(flat[order], np.arange(count))
-        for c in range(count):
-            reps.append(np.unravel_index(order[first[c]], g.shape))
-    return ComponentMap(sigma=float(sigma), labels=labels, count=count,
-                        representatives=reps)
+    return ComponentMap(sigma=float(sigma), labels=labels, count=count)
 
 
 @pytest.fixture(params=[None, 1, 2900, 30000],
@@ -491,8 +507,6 @@ def assert_matches_reference(g, sigma, level=None):
     assert cmap.labels.dtype == np.int32
     assert np.array_equal(cmap.labels, ref.labels)
     assert cmap.count == ref.count
-    assert ([tuple(map(int, r)) for r in cmap.representatives]
-            == [tuple(map(int, r)) for r in ref.representatives])
     return cmap
 
 
@@ -512,7 +526,7 @@ def test_reference_equivalence_3d_tube(slab_cells):
     p = parse_potential(UNTWISTED, 3)
     M = unit_circle(128)
     verify_critical(p, M)
-    g = local_structure(p, M, None, radius=0.3, resolution=96).grid
+    g = sublevel._tube_grid(p, M, 0.3, 96)
     assert g.shape == (96, 96, 96)
     assert assert_matches_reference(g, M.value).count == 2
 
@@ -526,9 +540,9 @@ def test_reference_equivalence_slab_remainder():
     shape = (37, 128, 256)
     assert sublevel._SAMPLE_SLAB // (128 * 256) == 8
     assert sublevel._PROBE_SLAB // (128 * 256) == 32
-    local = assert_tube_grid_exact(p, M, radius=0.3, resolution=shape)
-    assert local.grid.shape == shape
-    assert assert_matches_reference(local.grid, M.value).count == 2
+    g, _ = assert_tube_grid_exact(p, M, radius=0.3, resolution=shape)
+    assert g.shape == shape
+    assert assert_matches_reference(g, M.value).count == 2
 
 
 @pytest.mark.parametrize("kink", [31, 32])
@@ -571,5 +585,4 @@ def test_reference_equivalence_empty_sublevel(tilted, slab_cells):
     sigma = float(np.min(g.values)) - 1.0
     cmap = assert_matches_reference(g, sigma)
     assert cmap.count == 0
-    assert cmap.representatives == []
     assert np.all(cmap.labels == -1)
