@@ -339,12 +339,9 @@ def main(argv=None):
         pipeline.run(args.command)
     except SystemExit:
         raise
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
-        # an expression evaluated outside its domain (DomainError) or a
-        # floating-point trap, in the stage that was running
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        # bad input, a failed numerical check, or an expression evaluated
+        # outside its domain (DomainError), in the stage that was running
         stage = getattr(pipeline, "stage", "setup")
         print(f"error: {stage}: {exc}", file=sys.stderr)
         return 1

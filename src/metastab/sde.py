@@ -4,8 +4,12 @@ exit-time statistics for Arrhenius-slope validation.
 Exit from a well is defined through the labeled component geometry: a path
 leaves once it enters a grid cell outside E(m)'s component, ignoring the
 thin shell within `margin` of the separating level so rim grazing does not
-count.  Only the exponential slope of the mean exit time in 1/h is
-asserted downstream; prefactors are out of reach at desk-scale statistics.
+count.  That measures the time to leave E(m)'s component, outside the
+margin shell, not the transition time: on the shipped 1D spec it is a
+steady 0.116-0.121 of the mean hitting time of the destination minimum,
+so only the exponential slope of the mean exit time in 1/h is compared
+downstream.  The Eyring-Kramers prefactor concerns that hitting time,
+E tau ~ h / lambda_2, with -L = Delta_f / h.
 """
 
 from __future__ import annotations

@@ -65,9 +65,6 @@ class WittenOperator:
         """A^T A in CSC form, built afresh on each call."""
         return (self.A.T @ self.A).tocsc()
 
-    def apply(self, u):
-        return self.A.T @ (self.A @ u)
-
     def quadratic_form(self, u):
         """||A u||^2 = <u, A^T A u> without forming A^T A."""
         w = self.A @ u

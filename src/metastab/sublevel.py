@@ -19,10 +19,13 @@ evaluated on the tube cells only.
 
 Grid passes that need temporaries (sampling, `probe_level`) stream
 over slabs of consecutive axis-0 planes: at most 2**18 cells per slab for
-sampling and 2**20 for `probe_level` (or one plane, if a plane is larger).
+sampling and 2**15 for `probe_level` (or one plane, if a plane is larger).
 Their scratch memory is therefore bounded by the slab, not the grid, and
 the arithmetic is the same cell for cell, so results do not depend on the
-slab size.  Beyond the slabs, a tube grid holds its float64 values and
+slab size.  `probe_level`'s slab is small enough that its few temporaries
+stay in a core's cache; it converts each plane once, and reduces its band
+of level-crossing cells axis by axis, without a per-cell maximum over the
+axes.  Beyond the slabs, a tube grid holds its float64 values and
 boolean mask, and `components` adds one int32 label grid: about 13 bytes
 per cell.  A grid shape whose cells would need more than the machine's
 physical memory at that rate is refused before anything is allocated.
@@ -62,9 +65,10 @@ LEVEL_EPS_REL = 1e-6
 
 DEFAULT_RESOLUTION = {1: 4096, 2: 1024, 3: 160}
 
-# cells per axis-0 slab of the streamed grid passes
+# cells per axis-0 slab of the streamed grid passes; a `probe_level` slab
+# of float64 is 256 KiB, so its temporaries fit in cache
 _SAMPLE_SLAB = 1 << 18
-_PROBE_SLAB = 1 << 20
+_PROBE_SLAB = 1 << 15
 # padded window rows per batch of nodes in the tube-mask run search
 _RUN_BATCH = 1 << 18
 # bytes per cell of a dense tube grid: float64 values, bool mask and the
@@ -279,42 +283,64 @@ def probe_level(g: GridSampling, sigma):
     the set itself, and cells whose centers straddle it can spuriously
     connect them unless levels within one quadratic cell variation of sigma
     are excluded.  The bound uses second differences of the sampled values,
-    restricted to cells the sigma level surface actually crosses.
+    restricted to cells the sigma level surface actually crosses: the band
+    of cells with |v - sigma| <= max_a |d2_a|, a cell's largest second
+    difference over the axes a where it has one (0 where it has none).
 
-    Runs slab by slab along axis 0, each slab read with a one-plane halo so
-    its axis-0 second differences are those of the whole grid.
+    The band's largest bound is reduced axis by axis: it is the largest
+    |d2_a| over the cells with |v - sigma| <= |d2_a|, since a cell's
+    largest difference passes its own test.  A band cell with no second
+    difference contributes 0, which the relative floor already exceeds.
+    Non-finite values become NaN, so every difference that touches one is
+    NaN and fails the test, as does the cell itself.
+
+    Streams over slabs of at most `_PROBE_SLAB` = 2**15 cells along axis 0
+    (or one plane), each plane converted once.  The axis-0 differences across a slab boundary
+    use the previous slab's last plane, its first difference and its
+    |v - sigma|, and are computed as (v[c+1] - v[c]) - (v[c] - v[c-1]),
+    exactly as along the other axes, so the level does not depend on the
+    slab size.
     """
-    n0 = g.shape[0]
     scale = 1.0
-    band_max = -np.inf
+    band_max = 0.0
+    carry = None    # last plane of the previous slab: v, |v - sigma|, dv
     for start, stop in _slabs(g.shape, _PROBE_SLAB):
-        lo, hi = max(start - 1, 0), min(stop + 1, n0)
-        v = g.values[lo:hi]
-        v = np.where(np.isfinite(v), v, np.nan)
-        d2max = np.zeros((stop - start,) + g.shape[1:])
-        # axis-0 second differences, centred on planes first .. last - 1
-        # (the grid's first and last planes have none)
-        first, last = max(start, 1), min(stop, n0 - 1)
-        if first < last:
-            d2 = np.abs(np.diff(v[first - 1 - lo:last + 1 - lo], 2, axis=0))
-            own = d2max[first - start:last - start]
-            np.fmax(own, d2, out=own)
-        v = v[start - lo:stop - lo]
+        raw = g.values[start:stop]
+        with np.errstate(invalid="ignore"):
+            v = raw * 0.0           # 0 where finite, NaN elsewhere
+        v += raw
+        scale = max(scale, float(np.fmax.reduce(v, axis=None, initial=0.0)),
+                    -float(np.fmin.reduce(v, axis=None, initial=0.0)))
+        w = v - sigma
+        np.abs(w, out=w)
         for a in range(1, g.dim):
-            d2 = np.abs(np.diff(v, 2, axis=a))
-            interior = [slice(None)] * g.dim
-            interior[a] = slice(1, -1)
-            np.fmax(d2max[tuple(interior)], d2, out=d2max[tuple(interior)])
-        # non-finite cells are NaN here and fall out of the max and the band
-        scale = max(scale, float(np.fmax.reduce(np.abs(v), axis=None,
-                                                initial=0.0)))
-        band = np.abs(v - sigma) <= d2max
-        band_max = max(band_max, float(np.max(d2max, where=band,
-                                              initial=-np.inf)))
-    eps = LEVEL_EPS_REL * scale
-    if band_max >= 0.0:
-        eps = max(eps, band_max / 4.0)
-    return sigma - eps
+            interior = (slice(None),) * a + (slice(1, -1),)
+            band_max = max(band_max, _band_max(w[interior],
+                                               np.diff(v, 2, axis=a)))
+        # first differences dv[j] = v[c + 1] - v[c] along axis 0, from
+        # c = start - 1 on where a previous slab supplies v[start - 1]
+        if carry is None:
+            dv, first = np.diff(v, axis=0), start
+        else:
+            last_v, last_w, last_dv = carry
+            dv, first = np.empty_like(v), start - 1
+            np.subtract(v[:1], last_v, out=dv[:1])
+            np.subtract(v[1:], v[:-1], out=dv[1:])
+            if last_dv is not None:       # centred on plane start - 1
+                band_max = max(band_max, _band_max(last_w, dv[:1] - last_dv))
+        # centred on planes first + 1 .. stop - 2
+        band_max = max(band_max, _band_max(w[first + 1 - start:-1],
+                                           dv[1:] - dv[:-1]))
+        carry = v[-1:], w[-1:], (dv[-1:] if len(dv) else None)
+    return sigma - max(LEVEL_EPS_REL * scale, band_max / 4.0)
+
+
+def _band_max(w, d2):
+    """The largest |d2| over the cells where w <= |d2|, or 0 if none;
+    `d2` is overwritten with |d2|."""
+    np.abs(d2, out=d2)
+    band = d2[w <= d2]
+    return float(band.max()) if band.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,27 @@ def test_domain_error_reported(tmp_path, capsys, expression, message):
     assert capsys.readouterr().err == f"error: check: {message}\n"
 
 
+def test_runtime_error_reported_with_stage(tmp_path, capsys, monkeypatch):
+    message = "eigenpair residual 9.32e-11 exceeds the reliability floor"
+
+    def fail(*args, **kwargs):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(spectral, "smallest_eigs", fail)
+    code = main(["solve", "--spec", SPEC, "--h", "0.2",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: solve: {message}\n"
+
+
+def test_setup_error_reported_with_stage(tmp_path, capsys):
+    # the grid is built before any stage runs
+    code = main(["check", "--spec", SPEC, "--grid", "512,512",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: setup: grid shape")
+
+
 def test_grid_entries_must_match_dimension(tmp_path, capsys):
     code = main(["label", "--spec", SPEC, "--grid", "512,512",
                  "--out", str(tmp_path)])

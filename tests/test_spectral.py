@@ -85,7 +85,7 @@ def test_gram_symmetric_nonnegative(tilted):
         u = rng.standard_normal(W.n_cells)
         q = W.quadratic_form(u)
         assert q >= 0.0
-        assert q == pytest.approx(float(u @ W.apply(u)), rel=1e-12)
+        assert q == pytest.approx(float(u @ (G @ u)), rel=1e-12)
 
 
 def test_count_small_threshold():

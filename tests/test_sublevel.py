@@ -531,28 +531,42 @@ def test_reference_equivalence_3d_tube(slab_cells):
     assert assert_matches_reference(g, M.value).count == 2
 
 
+# planes of 64 x 128 cells: several to a probe_level slab, several probe
+# slabs to a sampling slab
+SLAB_PLANE = (64, 128)
+
+
+def probe_slab_planes():
+    planes = sublevel._PROBE_SLAB // math.prod(SLAB_PLANE)
+    assert planes >= 2
+    return planes
+
+
 def test_reference_equivalence_slab_remainder():
-    # 37 planes of 128 x 256 cells: sampling slabs of 8 planes and
-    # probe_level slabs of 32 both leave a remainder of 5
+    # one sampling slab, one probe_level slab and a plane: both slab
+    # sizes leave a remainder
     p = parse_potential(UNTWISTED, 3)
     M = unit_circle(128)
     verify_critical(p, M)
-    shape = (37, 128, 256)
-    assert sublevel._SAMPLE_SLAB // (128 * 256) == 8
-    assert sublevel._PROBE_SLAB // (128 * 256) == 32
+    sample_planes = sublevel._SAMPLE_SLAB // math.prod(SLAB_PLANE)
+    probe_planes = probe_slab_planes()
+    shape = (sample_planes + probe_planes + 1,) + SLAB_PLANE
+    assert shape[0] % sample_planes > 0 and shape[0] % probe_planes > 0
     g, _ = assert_tube_grid_exact(p, M, radius=0.3, resolution=shape)
     assert g.shape == shape
     assert assert_matches_reference(g, M.value).count == 2
 
 
-@pytest.mark.parametrize("kink", [31, 32])
-def test_reference_equivalence_kink_at_slab_boundary(kink):
-    # f = |i - kink| along axis 0: the curvature bound is the second
-    # difference on the plane either side of the first slab boundary
-    shape = (40, 128, 256)
-    assert sublevel._PROBE_SLAB // (128 * 256) == 32
+@pytest.mark.parametrize("side", [0, 1], ids=["slab-end", "slab-start"])
+def test_reference_equivalence_kink_at_slab_boundary(side):
+    # f = |i - kink| along axis 0, the kink on the last plane of the first
+    # probe_level slab or the first plane of the second: the curvature
+    # bound is the second difference there
+    planes = probe_slab_planes()
+    kink = planes - 1 + side
+    shape = (2 * planes + 1,) + SLAB_PLANE
     values = (np.abs(np.arange(shape[0]) - kink)[:, None, None]
-              + 1e-3 * np.linspace(0.0, 1.0, 128)[:, None]
+              + 1e-3 * np.linspace(0.0, 1.0, shape[1])[:, None]
               + np.zeros(shape))
     g = GridSampling(box=np.array([[0.0, 1.0]] * 3), shape=shape,
                      values=values)
@@ -586,3 +600,106 @@ def test_reference_equivalence_empty_sublevel(tilted, slab_cells):
     cmap = assert_matches_reference(g, sigma)
     assert cmap.count == 0
     assert np.all(cmap.labels == -1)
+
+
+def unit_box_grid(values):
+    values = np.asarray(values, dtype=float)
+    return GridSampling(box=np.array([[0.0, 1.0]] * values.ndim),
+                        shape=values.shape, values=values)
+
+
+@pytest.mark.parametrize("fill", [np.inf, -np.inf, np.nan])
+def test_probe_level_non_finite_slab_between_finite(fill, monkeypatch):
+    # slabs of two planes; the third slab holds no finite value
+    values = np.random.default_rng(3).standard_normal((10, 6, 7))
+    values[4:6] = fill
+    monkeypatch.setattr(sublevel, "_PROBE_SLAB", 2 * 6 * 7)
+    for sigma in (0.0, 0.5, -1.0):
+        assert_matches_reference(unit_box_grid(values), sigma)
+
+
+def test_probe_level_cells_at_sigma(slab_cells):
+    # i + j is exact and linear: every second difference is 0, so the band
+    # is the cells at sigma, some of them corners with no second difference
+    i, j = np.meshgrid(np.arange(9.0), np.arange(7.0), indexing="ij")
+    g = unit_box_grid(i + j)
+    for sigma in (0.0, 5.0, 14.0):
+        assert np.any(g.values == sigma)
+        assert_matches_reference(g, sigma)
+        assert probe_level(g, sigma) == sigma - sublevel.LEVEL_EPS_REL * 14.0
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 9), (9, 2), (2, 2, 7),
+                                   (6, 2, 5), (5, 6, 2)])
+def test_probe_level_axis_of_two_cells(shape, slab_cells):
+    values = np.random.default_rng(9).standard_normal(shape)
+    for sigma in (0.0, float(np.median(values))):
+        assert_matches_reference(unit_box_grid(values), sigma)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("axis", [0, 1])
+def test_probe_level_second_difference_overflows(axis, slab_cells):
+    # finite values 1.7e308 apart: some second differences overflow to
+    # +-inf, and the band bound is inf
+    column = np.array([0.0, 1.7e308, -1.7e308, 0.0, 1.0, 2.0, 1e308])
+    values = np.broadcast_to(column[:, None] if axis == 0 else column,
+                             (7, 7)).copy()
+    values[3, 3] = np.inf
+    g = unit_box_grid(values)
+    assert np.all(np.isfinite(np.delete(values.ravel(), 3 * 7 + 3)))
+    for sigma in (0.0, 1.0):
+        assert probe_level(g, sigma) == reference_probe_level(g, sigma)
+    assert probe_level(g, 0.0) == -np.inf
+
+
+@st.composite
+def probe_cases(draw):
+    """Grids of 1 to 3 axes of 2 to 7 cells: small integers (exact ties with
+    sigma and zero second differences) or wide floats, some cells
+    non-finite; sigma from the grid or anywhere; any slab size."""
+    shape = tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=3)))
+    size = math.prod(shape)
+    finite = draw(st.sampled_from([st.integers(-3, 3).map(float),
+                                   st.floats(-1e6, 1e6)]))
+    cell = st.one_of(finite, st.sampled_from([np.inf, -np.inf, np.nan]))
+    element = draw(st.sampled_from([finite, cell]))
+    values = np.array(draw(st.lists(element, min_size=size,
+                                    max_size=size))).reshape(shape)
+    sigma = draw(st.one_of(st.sampled_from(values.ravel().tolist()),
+                           st.floats(-1e6, 1e6)))
+    if not math.isfinite(sigma):
+        sigma = 0.0
+    slab = draw(st.integers(1, size + 1))
+    return values, sigma, slab
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=probe_cases())
+def test_probe_level_matches_reference_random_grids(case):
+    values, sigma, slab = case
+    g = unit_box_grid(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sublevel, "_PROBE_SLAB", slab)
+        assert probe_level(g, sigma) == reference_probe_level(g, sigma)
+
+
+def test_probe_level_scratch_bounded_by_slab():
+    # the same peak scratch for 16 and for 128 planes of 128 x 128 cells:
+    # it is bounded by the slab, not the grid
+    peaks = []
+    for planes in (16, 128):
+        x, y, z = np.ix_(np.linspace(-1.0, 1.0, planes),
+                         np.linspace(-1.0, 1.0, 128),
+                         np.linspace(-1.0, 1.0, 128))
+        values = x * x + y * y - z * z + np.zeros((planes, 128, 128))
+        values[values > 1.0] = np.inf
+        g = unit_box_grid(values)
+        tracemalloc.start()
+        try:
+            probe_level(g, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert abs(peaks[0] - peaks[1]) <= 0.1 * max(peaks)
