@@ -73,8 +73,9 @@ class Pipeline:
             else:
                 self.saddle_manifolds[M.name] = M
         self.labeling = None
-        self.eigs = {}          # h -> EigenResult
-        self.witten = {}        # h -> DiscreteWitten
+        # h -> EigenResult with the first len(minima) eigenvectors only
+        self.eigs = {}
+        self.pieces = None      # WittenPieces of self.grid, once solved
         self.predictions = None
 
     # -- helpers ------------------------------------------------------------
@@ -161,25 +162,32 @@ class Pipeline:
     def solve(self):
         if self.labeling is None:
             self.label()
-        k = len(self.minima) + 3
+        m = len(self.minima)
+        k = m + 3
         rows = []
         # the operator pieces and the LU ordering do not depend on h: the
         # first h builds them, the others reuse them
-        pieces = ordering = None
+        ordering = None
         for h in self.h_list:
             W = spectral.assemble_witten(self.p, self.grid.box,
                                          self.grid.shape, h,
                                          strict=self.args.strict,
-                                         pieces=pieces)
+                                         pieces=self.pieces)
             res = spectral.smallest_eigs(W, k, ordering=ordering)
-            pieces, ordering = W.pieces, res.ordering
-            self.witten[h] = W
-            self.eigs[h] = res
+            self.pieces, ordering = W.pieces, res.ordering
+            # quasimode reads the first m eigenvectors (`_truncate`); the
+            # copy lets the other columns go
+            self.eigs[h] = EigenResult(
+                values=res.values, vectors=res.vectors[:, :m].copy(),
+                floor=res.floor, residuals=res.residuals)
             n, ratio = spectral.count_small(res.values, h)
             rows.append([h, "x".join(str(s) for s in W.grid.shape), k,
                          ";".join(f"{v:.12g}" for v in res.values),
                          f"{res.floor:.3g}", n, f"{ratio:.4g}",
                          f"{np.max(res.residuals):.3g}"])
+            # the next h's factorization sets the peak: hold none of this
+            # h's other eigenvectors through it
+            del res
         with open(self._out("spectrum.csv"), "w", newline="") as fh:
             fh.write(f"# manifest {self.hash}\n")
             w = csv.writer(fh)
@@ -213,7 +221,7 @@ class Pipeline:
         rows = []
         for h in self.h_list:
             psis = self._quasimode_bundle(h)
-            W = self.witten[h]
+            W = self.pieces.operator(h)
             IM = quasimodes.interaction_matrix(
                 W, psis, _truncate(self.eigs[h], len(psis)), self.labeling)
             mh = np.sort(IM.eigenvalues())
@@ -339,9 +347,10 @@ def main(argv=None):
         pipeline.run(args.command)
     except SystemExit:
         raise
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        # bad input, a failed numerical check, or an expression evaluated
-        # outside its domain (DomainError), in the stage that was running
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
+        # bad input, a failed numerical check, an expression evaluated
+        # outside its domain (DomainError), or a file that cannot be read
+        # or written, in the stage that was running
         stage = getattr(pipeline, "stage", "setup")
         print(f"error: {stage}: {exc}", file=sys.stderr)
         return 1

@@ -85,6 +85,18 @@ class WittenPieces:
     D: sparse.csr_matrix          # faces x cells
     ga: np.ndarray                # Gamma Avg on D's pattern, like D.data
 
+    def operator(self, h) -> DiscreteWitten:
+        """The factored operator with A(h) = h D + Gamma Avg; the same, bit
+        for bit, on every call with the same h."""
+        D = self.D
+        A = sparse.csr_matrix((h * D.data + self.ga, D.indices, D.indptr),
+                              shape=D.shape)
+        if not np.all(A.data):
+            # an exact cancellation, which a sparse sum would not store
+            A = A.copy()
+            A.eliminate_zeros()
+        return DiscreteWitten(A=A, pieces=self)
+
 
 @dataclass
 class DiscreteWitten(WittenOperator):
@@ -149,14 +161,7 @@ def assemble_witten(p: Potential, box, shape, h, strict=False,
               and np.array_equal(pieces.grid.box, grid.box)):
         raise ValueError("the Witten pieces were assembled for another "
                          "potential or grid")
-    D = pieces.D
-    A = sparse.csr_matrix((h * D.data + pieces.ga, D.indices, D.indptr),
-                          shape=D.shape)
-    if not np.all(A.data):
-        # an exact cancellation, which a sparse sum would not store
-        A = A.copy()
-        A.eliminate_zeros()
-    return DiscreteWitten(A=A, pieces=pieces)
+    return pieces.operator(h)
 
 
 @dataclass

@@ -25,12 +25,16 @@ the arithmetic is the same cell for cell, so results do not depend on the
 slab size.  `probe_level`'s slab is small enough that its few temporaries
 stay in a core's cache; it converts each plane once, and reduces its band
 of level-crossing cells axis by axis, without a per-cell maximum over the
-axes.  Beyond the slabs, a tube grid holds its float64 values and
-boolean mask, and `components` adds one int32 label grid: about 13 bytes
+axes.  Beyond the slabs, `components` on a full grid holds the float64
+values, the boolean sublevel set and one int32 label grid: about 13 bytes
 per cell.  A grid shape whose cells would need more than the machine's
 physical memory at that rate is refused before anything is allocated.
-A tube grid lives only while `local_structure` runs: its result keeps the
-component count and the side labels, not the grid or its labels.
+A tube grid peaks lower, at its values plus one byte per cell: its mask
+while it is sampled and probed, then its sublevel set, after which
+`local_structure` drops the values before labelling (1 + 4 bytes per
+cell).  A tube grid lives only while `local_structure` runs: its result
+keeps the component count and the side labels, not the grid or its
+labels.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ _SAMPLE_SLAB = 1 << 18
 _PROBE_SLAB = 1 << 15
 # padded window rows per batch of nodes in the tube-mask run search
 _RUN_BATCH = 1 << 18
-# bytes per cell of a dense tube grid: float64 values, bool mask and the
-# int32 labels of `components`
+# bytes per cell of `components` on a full grid: float64 values, the bool
+# sublevel set and its int32 labels (a tube grid peaks at 8 + 1)
 _CELL_BYTES = 8 + 1 + 4
 
 
@@ -251,11 +255,11 @@ class ComponentMap:
     labels: np.ndarray         # int32, -1 excluded, 0..count-1 otherwise
     count: int
 
-    def label_at(self, grid: GridSampling, points):
+    def label_at(self, grid: Grid, points):
         """Component label at given points; -1 if excluded or out of box."""
         return grid.lookup(self.labels, points, -1)
 
-    def side_labels(self, grid: GridSampling, nodes, offset):
+    def side_labels(self, grid: Grid, nodes, offset):
         """The distinct labels, ascending, at nodes + offset and at
         nodes - offset; excluded and out-of-box points are dropped."""
         return tuple(np.unique(lab[lab >= 0]) for lab in
@@ -268,9 +272,13 @@ def components(g: GridSampling, sigma) -> ComponentMap:
     inside = g.values < sigma
     if g.mask is not None:
         inside &= g.mask
-    structure = ndimage.generate_binary_structure(g.dim, 1)
+    return _label(inside, sigma)
+
+
+def _label(inside, sigma) -> ComponentMap:
+    """The face-adjacent components of `inside`, the cells below sigma."""
+    structure = ndimage.generate_binary_structure(inside.ndim, 1)
     labels, count = ndimage.label(inside, structure=structure)
-    del inside
     labels -= 1
     return ComponentMap(sigma=float(sigma), labels=labels, count=count)
 
@@ -513,12 +521,20 @@ def local_structure(p: Potential, M: CriticalManifold,
 
     With a direction frame, the two components (if any) are matched to the
     sides +/- via the offset points x +/- (radius/2) nu(x).  The tube grid
-    and its labels are freed on return.
+    and its labels are freed on return; the values and mask are freed
+    before the labels are allocated.
     """
     if M.value is None:
         raise ValueError("manifold value unknown; run verify_critical first")
     grid = _tube_grid(p, M, radius, resolution)
-    cmap = components(grid, probe_level(grid, M.value))
+    level = probe_level(grid, M.value)
+    # the labels and side labels need only the sublevel set and the
+    # geometry: the mask goes before the set is formed (masked-out cells
+    # hold +inf, so `values < level` leaves them out), the values after
+    values, grid = grid.values, Grid(grid.box, grid.shape)
+    inside = values < level
+    del values
+    cmap = _label(inside, level)
     if cmap.count != 2 or frame is None:
         return LocalStructure(n_components=cmap.count)
     plus, minus = cmap.side_labels(grid, M.nodes, 0.5 * radius * frame.nu)

@@ -167,6 +167,15 @@ def test_setup_error_reported_with_stage(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: setup: grid shape")
 
 
+def test_missing_spec_file_reported(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code = main(["check", "--spec", missing, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: setup: ")
+    assert missing in err
+
+
 def test_grid_entries_must_match_dimension(tmp_path, capsys):
     code = main(["label", "--spec", SPEC, "--grid", "512,512",
                  "--out", str(tmp_path)])

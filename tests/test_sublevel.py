@@ -1,8 +1,10 @@
 """Sublevel-set topology: flood fill components, probe levels, local tube
 structure and the separating / locally-separating / non-separating verdicts."""
 
+import contextlib
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -26,6 +28,20 @@ from conftest import TWISTED, UNTWISTED, unit_circle
 # higher than the left one, so at the right saddle's level the two wells are
 # already joined around the other side of the ring.
 LSNS_EXPR = "(x1^2 + x2^2 - 1)^2 + 0.2*(x1^2 - x2^2) + x1/10"
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """Trace allocations through the block; on exit, also by an exception,
+    the yielded namespace holds the bytes still traced (`current`) and the
+    peak (`peak`)."""
+    mem = types.SimpleNamespace()
+    tracemalloc.start()
+    try:
+        yield mem
+    finally:
+        mem.current, mem.peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
 
 
 def lsns_fixture():
@@ -352,17 +368,12 @@ def test_oversized_grid_rejected_before_allocation(call):
     p = parse_potential(UNTWISTED, 3)
     M = unit_circle(16)
     verify_critical(p, M)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError) as err:
-            if call == "sample_grid":
-                sample_grid(p, [[-1.0, 1.0]] * 3, shape=10**5)
-            else:
-                local_structure(p, M, None, radius=0.3, resolution=10**5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    with traced_memory() as mem, pytest.raises(ValueError) as err:
+        if call == "sample_grid":
+            sample_grid(p, [[-1.0, 1.0]] * 3, shape=10**5)
+        else:
+            local_structure(p, M, None, radius=0.3, resolution=10**5)
+    assert mem.peak < 1 << 20
     message = str(err.value)
     assert "(100000, 100000, 100000)" in message
     assert "1.3e+16 bytes" in message
@@ -378,16 +389,47 @@ def test_results_do_not_keep_tube_grid():
     frame = negative_direction_field(p, M)
     g = sample_grid(p, [[-1.6, 1.6], [-1.6, 1.6], [-1.0, 1.0]],
                     shape=(96, 96, 64))
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         local = local_structure(p, M, frame, radius=0.3, resolution=96)
         cls = classify_separating(p, M, frame, g, radius=0.3, resolution=96)
-        current, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert local.n_components == 2
     assert cls.status == "separating"
-    assert current < 1 << 20
+    assert mem.current < 1 << 20
+
+
+@pytest.mark.parametrize("expression", [TWISTED, UNTWISTED],
+                         ids=["twisted", "untwisted"])
+def test_tube_grid_peak_memory(expression):
+    # a tube grid peaks at its values plus one byte per cell (its mask, then
+    # its sublevel set); the labels come after the values are freed.
+    # Values, mask, sublevel set and labels at once would be 14 B/cell.
+    p = parse_potential(expression, 3)
+    M = unit_circle(256)
+    verify_critical(p, M)
+    with traced_memory() as mem:
+        local_structure(p, M, None, radius=0.3, resolution=160)
+    assert mem.peak <= 12 * 160**3
+
+
+@pytest.mark.parametrize("expression,count", [(TWISTED, 1), (UNTWISTED, 2)],
+                         ids=["twisted", "untwisted"])
+def test_local_structure_matches_components_on_tube_grid(expression, count):
+    p = parse_potential(expression, 3)
+    M = unit_circle(128)
+    verify_critical(p, M)
+    frame = negative_direction_field(p, M)
+    frame = frame if hasattr(frame, "nu") else None
+    radius, resolution = 0.3, 96
+    g = sublevel._tube_grid(p, M, radius, resolution)
+    cmap = components(g, probe_level(g, M.value))
+    local = local_structure(p, M, frame, radius=radius, resolution=resolution)
+    assert local.n_components == cmap.count == count
+    if frame is None:
+        assert local.plus_label is None and local.minus_label is None
+    else:
+        plus, minus = cmap.side_labels(g, M.nodes, 0.5 * radius * frame.nu)
+        assert (plus.tolist(), minus.tolist()) == (
+            [local.plus_label], [local.minus_label])
 
 
 @pytest.mark.parametrize("expression,box,shape", [
@@ -409,13 +451,9 @@ def test_sample_grid_scratch_bounded_by_slab(n):
     # points and values and the evaluator's block temporaries, about 55
     # bytes per slab cell in 3D) does not grow with the grid
     p = parse_potential("x1^2 + x2^2/2 + x3^4 - x1*x3", 3)
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         g = sample_grid(p, [[-1.0, 1.0]] * 3, n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - 8 * g.values.size <= 64 * sublevel._SAMPLE_SLAB
+    assert mem.peak - 8 * g.values.size <= 64 * sublevel._SAMPLE_SLAB
 
 
 def test_sample_grid_mask_shape_checked():
@@ -695,11 +733,7 @@ def test_probe_level_scratch_bounded_by_slab():
         values = x * x + y * y - z * z + np.zeros((planes, 128, 128))
         values[values > 1.0] = np.inf
         g = unit_box_grid(values)
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             probe_level(g, 0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak)
+        peaks.append(mem.peak)
     assert abs(peaks[0] - peaks[1]) <= 0.1 * max(peaks)
