@@ -10,6 +10,9 @@ handles rotation-invariant potentials in any dimension.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -206,6 +209,75 @@ class EigenResult:
         return self.values >= self.floor
 
 
+def _is_permutation(ordering, n):
+    """Whether `ordering` holds each of the integers 0..n-1 once."""
+    ordering = np.asarray(ordering)
+    return (ordering.shape == (n,)
+            and np.issubdtype(ordering.dtype, np.integer)
+            and np.array_equal(np.sort(ordering), np.arange(n)))
+
+
+def _openblas_thread_controls():
+    """The (get, set) thread-count functions of each OpenBLAS loaded in
+    this process, found by its path in /proc/self/maps; none where there
+    is no /proc or no OpenBLAS (another BLAS is left as it is)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                    put = getattr(lib, f"{prefix}set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+    return controls
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Holds every loaded OpenBLAS at one thread while entered and gives
+    each its caller's count back on the way out, on an exception too.
+    Entries that overlap, from other threads, share one hold: the counts
+    are saved by the first and restored by the last to leave.  The
+    libraries are looked up on first entry, not at import."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._controls = None
+        self._saved = []
+        self._depth = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self._controls is None:
+                self._controls = _openblas_thread_controls()
+            if self._depth == 0:
+                self._saved = [get() for get, _ in self._controls]
+                for _, put in self._controls:
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, put), n in zip(self._controls, self._saved):
+                    put(n)
+
+
+@_OneBlasThread()
 def smallest_eigs(op, k, tol=1e-12, ordering=None) -> EigenResult:
     """k smallest eigenpairs of A^T A via shift-invert at a small negative
     shift; eigenvalues sorted ascending, floor = 100 eps ||A^T A||.
@@ -218,12 +290,21 @@ def smallest_eigs(op, k, tol=1e-12, ordering=None) -> EigenResult:
     repeated calls with the same arguments return the same values and
     vectors.  Each pair's residual
     ||G v - lambda v|| is checked against the floor: a pair above it
-    raises RuntimeError rather than being trusted."""
+    raises RuntimeError rather than being trusted.
+
+    The whole solve runs with every loaded OpenBLAS held at one thread,
+    and the caller's thread counts are restored on return.  Its time goes
+    into serial sparse triangular solves between short BLAS calls; a
+    second BLAS thread would speed up only those calls and spin through
+    the solves between them.  One thread also makes the values and
+    vectors the same, bit for bit, whatever the process's thread count."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = op.n_cells
     if k >= n:
         raise ValueError(f"k = {k} must be below the grid size {n}")
+    if ordering is not None and not _is_permutation(ordering, n):
+        raise ValueError(f"the ordering must permute all {n} cells")
     G = op.gram()
     # max absolute row sum, a bound on the 2-norm
     norm = float(np.max(np.abs(G).sum(axis=1)))
@@ -240,8 +321,6 @@ def smallest_eigs(op, k, tol=1e-12, ordering=None) -> EigenResult:
         ordering = np.argsort(lu.perm_c)
         solve = lu.solve
     else:
-        if np.shape(ordering) != (n,):
-            raise ValueError(f"the ordering must permute all {n} cells")
         shifted = shifted[ordering][:, ordering]
         lu = splu(shifted, permc_spec="NATURAL")
 

@@ -7,6 +7,8 @@ kernel element in the continuum, so its discrete Rayleigh quotient bounds
 the scheme error directly.
 """
 
+import ctypes
+import threading
 import warnings
 
 import numpy as np
@@ -157,18 +159,19 @@ def test_residuals_below_floor_tilted_2d():
     assert np.all(res.residuals <= res.floor)
 
 
+def perturbed_eigsh(*args, **kwargs):
+    """`eigsh` with its second eigenvector perturbed by 1e-6."""
+    vals, vecs = eigsh(*args, **kwargs)
+    vecs[:, 1] += 1e-6 * np.random.default_rng(3).standard_normal(
+        vecs.shape[0])
+    vecs[:, 1] /= np.linalg.norm(vecs[:, 1])
+    return vals, vecs
+
+
 def test_residual_check_rejects_perturbed_eigenvector(monkeypatch):
     p = parse_potential(TILTED_2D, 2)
     W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
-
-    def perturbed(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
-        vecs[:, 1] += 1e-6 * np.random.default_rng(3).standard_normal(
-            vecs.shape[0])
-        vecs[:, 1] /= np.linalg.norm(vecs[:, 1])
-        return vals, vecs
-
-    monkeypatch.setattr(spectral, "eigsh", perturbed)
+    monkeypatch.setattr(spectral, "eigsh", perturbed_eigsh)
     with pytest.raises(RuntimeError, match="residual"):
         smallest_eigs(W, 3)
 
@@ -301,3 +304,146 @@ def test_lu_solve_count_tilted_2d(monkeypatch):
     assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A", "NATURAL",
                                           "NATURAL"]
     assert sum(n for _, n in calls) <= LU_SOLVES_TILTED_2D_128
+
+
+def test_ordering_must_permute_the_cells():
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
+    n = W.n_cells
+    good = smallest_eigs(W, 3).ordering
+    repeated = good.copy()
+    repeated[1] = repeated[0]     # SuperLU finds this factor singular
+    for bad in (repeated, good[:-1], good + 1, good - n - 1,
+                good.astype(float), np.zeros(n, dtype=bool)):
+        with pytest.raises(ValueError, match="must permute all"):
+            smallest_eigs(W, 3, ordering=bad)
+
+
+def openblas_threads():
+    """(get, set) thread-count functions of each OpenBLAS this process has
+    loaded, looked up independently of `spectral`."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                        if "openblas" in line.lower() and ".so" in line})
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        names = [f"{prefix}{{}}_num_threads{suffix}"
+                 for prefix in ("scipy_openblas_", "openblas_")
+                 for suffix in ("64_", "")]
+        name = next(n for n in names if hasattr(lib, n.format("get")))
+        get, put = (getattr(lib, name.format(verb)) for verb in ("get", "set"))
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        found.append((get, put))
+    return found
+
+
+@pytest.fixture
+def blas_threads():
+    """Each loaded OpenBLAS's (get, set), every count set to 2 where
+    OpenBLAS allows it and the process's counts put back after the test;
+    skips where no OpenBLAS is loaded."""
+    try:
+        found = openblas_threads()
+    except OSError:
+        found = []
+    if not found:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in found]
+    for _, put in found:
+        put(2)
+    yield found
+    for (_, put), n in zip(found, before):
+        put(n)
+
+
+def thread_counts(blas):
+    return [get() for get, _ in blas]
+
+
+def recording(function, seen, blas):
+    def wrapper(*args, **kwargs):
+        seen.append(thread_counts(blas))
+        return function(*args, **kwargs)
+    return wrapper
+
+
+def test_solve_holds_blas_at_one_thread(monkeypatch, blas_threads):
+    caller = thread_counts(blas_threads)
+    ones = [1] * len(blas_threads)
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
+    seen = []
+    monkeypatch.setattr(spectral, "splu",
+                        recording(spectral.splu, seen, blas_threads))
+    monkeypatch.setattr(spectral, "eigsh",
+                        recording(eigsh, seen, blas_threads))
+    res = smallest_eigs(W, 3)
+    assert seen == [ones, ones]
+    assert thread_counts(blas_threads) == caller
+    smallest_eigs(W, 3, ordering=res.ordering)
+    assert seen == [ones] * 4
+    assert thread_counts(blas_threads) == caller
+    monkeypatch.setattr(spectral, "eigsh",
+                        recording(perturbed_eigsh, seen, blas_threads))
+    with pytest.raises(RuntimeError, match="residual"):
+        smallest_eigs(W, 3)
+    assert seen == [ones] * 6
+    assert thread_counts(blas_threads) == caller
+
+
+def test_overlapping_solves_restore_counts_once(monkeypatch, blas_threads):
+    """Two threads inside the solve at once: the one that leaves first does
+    not hand the other its caller's counts, and the one that leaves last
+    restores the counts from before either entered."""
+    caller = thread_counts(blas_threads)
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
+    both_inside = threading.Barrier(2, timeout=60)
+    first_done = threading.Event()
+    seen, errors = {}, []
+    real = spectral.splu
+
+    def splu(*args, **kwargs):
+        both_inside.wait()
+        if threading.current_thread().name == "second":
+            assert first_done.wait(timeout=60)
+            seen["second"] = thread_counts(blas_threads)
+        return real(*args, **kwargs)
+
+    def solve():
+        try:
+            smallest_eigs(W, 3)
+        except Exception as exc:       # reported by the main thread
+            errors.append(exc)
+
+    monkeypatch.setattr(spectral, "splu", splu)
+    first = threading.Thread(target=solve, name="first")
+    second = threading.Thread(target=solve, name="second")
+    first.start()
+    second.start()
+    first.join(timeout=60)
+    assert not first.is_alive()
+    first_done.set()
+    second.join(timeout=60)
+    assert not second.is_alive()
+    assert errors == []
+    assert seen["second"] == [1] * len(blas_threads)
+    assert thread_counts(blas_threads) == caller
+
+
+def test_solve_does_not_depend_on_blas_threads(blas_threads):
+    """Solved on the process's thread count, the values at 256^2 were
+    8.3e-16 apart (relative) with two OpenBLAS threads and with one; at
+    128^2 they agreed, so a smaller grid would not show the difference."""
+    if thread_counts(blas_threads) != [2] * len(blas_threads):
+        pytest.skip("OpenBLAS cannot run two threads here")
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 256, 0.1)
+    two = smallest_eigs(W, 5)
+    for _, put in blas_threads:
+        put(1)
+    one = smallest_eigs(W, 5)
+    assert np.array_equal(two.values, one.values)
+    assert np.array_equal(two.vectors, one.vectors)
