@@ -175,8 +175,8 @@ class Pipeline:
                                          pieces=self.pieces)
             res = spectral.smallest_eigs(W, k, ordering=ordering)
             self.pieces, ordering = W.pieces, res.ordering
-            # quasimode reads the first m eigenvectors (`_truncate`); the
-            # copy lets the other columns go
+            # quasimode reads only the first m eigenvectors; the copy lets
+            # the other columns go
             self.eigs[h] = EigenResult(
                 values=res.values, vectors=res.vectors[:, :m].copy(),
                 floor=res.floor, residuals=res.residuals)
@@ -222,8 +222,8 @@ class Pipeline:
         for h in self.h_list:
             psis = self._quasimode_bundle(h)
             W = self.pieces.operator(h)
-            IM = quasimodes.interaction_matrix(
-                W, psis, _truncate(self.eigs[h], len(psis)), self.labeling)
+            IM = quasimodes.interaction_matrix(W, psis, self.eigs[h],
+                                               self.labeling)
             mh = np.sort(IM.eigenvalues())
             by_name = {q.minimum: q for q in psis}
             for j, name in enumerate(IM.names):
@@ -318,11 +318,6 @@ class Pipeline:
         for stage in STAGES if command == "all" else (command,):
             self.stage = stage
             getattr(self, stage)()
-
-
-def _truncate(eig, k):
-    return EigenResult(values=eig.values[:k], vectors=eig.vectors[:, :k],
-                       floor=eig.floor, residuals=eig.residuals[:k])
 
 
 def main(argv=None):

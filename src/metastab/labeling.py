@@ -241,10 +241,11 @@ class GenericityReport:
         return "\n".join([status] + [f"  - {m}" for m in self.messages])
 
 
-def check_generic(g: GridSampling, result: LabelingResult, minima,
-                  margin_rtol=1e-9) -> GenericityReport:
+def check_generic(g: GridSampling, result: LabelingResult,
+                  minima) -> GenericityReport:
     """Uniqueness of the deepest minimum per component and disjointness of
-    the saddle sets j(m)."""
+    the saddle sets j(m).  Values equal up to SIGMA_CLUSTER_RTOL count as
+    the same."""
     messages = []
     reps = np.array([m.nodes[0] for m in minima])
     names = [m.name for m in minima]
@@ -259,7 +260,8 @@ def check_generic(g: GridSampling, result: LabelingResult, minima,
             others = [k for k in range(len(minima))
                       if names[k] != L.name and int(lab[k]) == L.component]
         offenders = [names[k] for k in others
-                     if fvals[k] - L.value <= margin_rtol * max(1.0, abs(L.value))]
+                     if fvals[k] - L.value
+                     <= SIGMA_CLUSTER_RTOL * max(1.0, abs(L.value))]
         if offenders:
             messages.append(
                 f"component E({L.name}) contains minima at the same value: "

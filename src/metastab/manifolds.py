@@ -21,7 +21,6 @@ __all__ = [
     "VerificationResult",
     "SaddleFrame",
     "NonOrientableNormalLine",
-    "Tolerances",
     "manifold_point",
     "manifold_sphere",
     "manifold_parametrized",
@@ -30,14 +29,18 @@ __all__ = [
     "transversal_hessian",
     "classify_index",
     "negative_direction_field",
+    "GRAD_TOL",
+    "VALUE_TOL",
+    "EIG_REL_TOL",
+    "SEPARATION_TOL",
 ]
 
 
-@dataclass
-class Tolerances:
-    grad: float = 1e-8
-    value: float = 1e-8
-    eig_rel: float = 1e-6  # times the spectral radius of Hess f at the node
+# the fixed tolerances of verify_critical and negative_direction_field
+GRAD_TOL = 1e-8
+VALUE_TOL = 1e-8
+EIG_REL_TOL = 1e-6
+SEPARATION_TOL = 0.1
 
 
 class DegenerateParametrizationError(ValueError):
@@ -200,7 +203,7 @@ def manifold_from_decl(decl, ambient_dim) -> CriticalManifold:
     """Build a manifold from a spec-file declaration dict."""
     kind = decl.get("kind")
     name = decl.get("name", kind)
-    if kind not in _REQUIRED_FIELDS:
+    if not isinstance(kind, str) or kind not in _REQUIRED_FIELDS:
         raise ValueError(f"manifold {name!r}: unknown kind {kind!r}")
     for key in _REQUIRED_FIELDS[kind]:
         if key not in decl:
@@ -235,17 +238,19 @@ class VerificationResult:
     messages: list
 
 
-def verify_critical(p: Potential, M: CriticalManifold,
-                    tols: Tolerances | None = None) -> VerificationResult:
-    """Check criticality, value constancy and Morse-Bott nondegeneracy."""
-    tols = tols or Tolerances()
+def verify_critical(p: Potential, M: CriticalManifold) -> VerificationResult:
+    """Check criticality, value constancy and Morse-Bott nondegeneracy.
+
+    The gradient must stay below GRAD_TOL and the spread of f over the
+    nodes below VALUE_TOL; at each node exactly M.dim Hessian eigenvalues
+    may lie within EIG_REL_TOL times its spectral radius of zero."""
     messages = []
     values, grads, hess = p.hessians(M.nodes)
     max_grad = float(np.max(np.linalg.norm(grads, axis=1)))
     # eigen-split of Hess f at each node into near-zero and transversal parts
     eigvals = np.linalg.eigvalsh(hess)
     radius = np.maximum(np.max(np.abs(eigvals), axis=1), 1e-300)
-    tol = tols.eig_rel * radius
+    tol = EIG_REL_TOL * radius
     small = np.abs(eigvals) < tol[:, None]
     n_small = np.sum(small, axis=1)
     for i in np.flatnonzero(n_small != M.dim):
@@ -258,11 +263,11 @@ def verify_critical(p: Potential, M: CriticalManifold,
     index_constant = len(indices) == 1
     if not index_constant:
         messages.append(f"index varies across nodes: {sorted(indices)}")
-    if max_grad >= tols.grad:
-        messages.append(f"max gradient residual {max_grad:.3g} >= {tols.grad:g}")
-    if spread >= tols.value:
-        messages.append(f"critical value spread {spread:.3g} >= {tols.value:g}")
-    ok = (max_grad < tols.grad and spread < tols.value and nondeg
+    if max_grad >= GRAD_TOL:
+        messages.append(f"max gradient residual {max_grad:.3g} >= {GRAD_TOL:g}")
+    if spread >= VALUE_TOL:
+        messages.append(f"critical value spread {spread:.3g} >= {VALUE_TOL:g}")
+    ok = (max_grad < GRAD_TOL and spread < VALUE_TOL and nondeg
           and index_constant)
     value = float(np.mean(values))
     result = VerificationResult(
@@ -338,10 +343,10 @@ class NonOrientableNormalLine:
     holonomy_overlap: float   # inner product after loop closure, < 0
 
 
-def negative_direction_field(p: Potential, M: CriticalManifold,
-                             separation_tol=0.1):
+def negative_direction_field(p: Potential, M: CriticalManifold):
     """SaddleFrame for an index-1 manifold, or NonOrientableNormalLine if the
-    sign cannot be propagated around a closed chain."""
+    sign cannot be propagated around a closed chain.  A node whose negative
+    eigenvalue mu lies within SEPARATION_TOL |mu| of the next is refused."""
     if M.index is None:
         classify_index(p, M)
     if M.index != 1:
@@ -358,7 +363,7 @@ def negative_direction_field(p: Potential, M: CriticalManifold,
         raise ValueError("no negative Hessian eigenvalue at node "
                          f"{np.argmax(mu >= 0)}")
     gap = eigvals[:, 1] - mu if d > 1 else np.full(k, np.inf)
-    close = gap < separation_tol * np.abs(mu)
+    close = gap < SEPARATION_TOL * np.abs(mu)
     if np.any(close):
         i = np.argmax(close)
         raise ValueError(

@@ -28,7 +28,10 @@ __all__ = [
     "load_spec_file",
     "save_spec_file",
     "DomainError",
+    "CONFINEMENT_SAMPLES",
 ]
+
+CONFINEMENT_SAMPLES = 4096
 
 # points per block in `_evaluate`: the expression tree's
 # temporaries stay cache-sized; every operation is elementwise, so the
@@ -172,7 +175,6 @@ class ConfinementReport:
     box: np.ndarray
     shell_fraction: float
     C: float
-    n_samples: int
     min_f: float
     min_grad_norm: float
     max_hess_ratio: float
@@ -261,15 +263,16 @@ def _shell_samples(box, shell_fraction, n_samples, seed=0):
     return np.concatenate(points)[:n_samples]
 
 
-def check_confinement(p: Potential, box, shell_fraction=0.1, C=10.0,
-                      n_samples=4096, seed=0) -> ConfinementReport:
-    """Sample the outer shell of `box` and test the three confinement clauses:
+def check_confinement(p: Potential, box, shell_fraction=0.1,
+                      C=10.0) -> ConfinementReport:
+    """Sample CONFINEMENT_SAMPLES points of the outer shell of `box`, the
+    same points on every call, and test the three confinement clauses:
     f >= -C, |grad f| >= 1/C and |Hess f| <= C |grad f|^2.
     """
     box = np.asarray(box, dtype=float)
     if box.shape != (p.dim, 2):
         raise ValueError(f"expected box of shape ({p.dim}, 2)")
-    samples = _shell_samples(box, shell_fraction, n_samples, seed=seed)
+    samples = _shell_samples(box, shell_fraction, CONFINEMENT_SAMPLES)
     v, g, h = p.hessians(samples)
     gn = np.linalg.norm(g, axis=1)
     ratio = np.full(gn.shape, np.inf)
@@ -282,7 +285,6 @@ def check_confinement(p: Potential, box, shell_fraction=0.1, C=10.0,
         box=box,
         shell_fraction=shell_fraction,
         C=C,
-        n_samples=n_samples,
         min_f=min_f,
         min_grad_norm=min_grad,
         max_hess_ratio=max_ratio,
@@ -296,11 +298,19 @@ def check_confinement(p: Potential, box, shell_fraction=0.1, C=10.0,
 # Potential spec files (JSON): expression, dim, box, manifold declarations.
 
 
+def _positive_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 def load_spec_file(path):
     """Load a potential spec file and check its fields.
 
     Schema (`box` holds `dim` finite [lo, hi] pairs with lo < hi; every
-    manifold also has "role": "minimum" or "saddle")::
+    manifold also has "role": "minimum" or "saddle", a name of its own
+    (the kind when omitted) and may give positive numbers "radius" and
+    "tau" for its gluing tube; an optional positive "validate_tolerance"
+    bounds |ratio - 1| in the validate stage)::
 
         {
           "expression": "...",
@@ -318,9 +328,14 @@ def load_spec_file(path):
     """
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"spec file must hold a JSON object, got {data!r}")
     for key in ("expression", "dim", "box"):
         if key not in data:
             raise ValueError(f"spec file missing field {key!r}")
+    if not isinstance(data["expression"], str):
+        raise ValueError("spec field 'expression' must be a string, "
+                         f"got {data['expression']!r}")
     dim = data["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("spec field 'dim' must be a positive integer, "
@@ -335,12 +350,36 @@ def load_spec_file(path):
     if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
         raise ValueError("spec field 'box' needs finite bounds with "
                          f"lo < hi on every axis, got {data['box']!r}")
-    data.setdefault("manifolds", [])
-    for decl in data["manifolds"]:
+    tolerance = data.get("validate_tolerance")
+    if tolerance is not None and not _positive_number(tolerance):
+        raise ValueError("spec field 'validate_tolerance' must be a positive "
+                         f"number, got {tolerance!r}")
+    manifolds = data.setdefault("manifolds", [])
+    if not isinstance(manifolds, list):
+        raise ValueError("spec field 'manifolds' must be a list of "
+                         f"declarations, got {manifolds!r}")
+    names = set()
+    for decl in manifolds:
+        if not isinstance(decl, dict):
+            raise ValueError("spec field 'manifolds' must hold declaration "
+                             f"objects, got {decl!r}")
+        name = decl.get("name", decl.get("kind"))
+        if "name" in decl and not isinstance(name, str):
+            raise ValueError(f"manifold field 'name' must be a string, "
+                             f"got {name!r}")
         role = decl.get("role")
         if role not in ("minimum", "saddle"):
             raise ValueError(f"manifold {decl.get('name')!r}: field 'role' "
                              f"must be 'minimum' or 'saddle', got {role!r}")
+        for key in ("radius", "tau"):
+            if key in decl and not _positive_number(decl[key]):
+                raise ValueError(f"manifold {name!r}: field {key!r} must be "
+                                 f"a positive number, got {decl[key]!r}")
+        # results are keyed by name: a repeated one would merge two manifolds
+        if isinstance(name, str):
+            if name in names:
+                raise ValueError(f"manifold name {name!r} declared twice")
+            names.add(name)
     return data
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from .kramers import EXP_CLAMP
 from .labeling import FICTIVE_SADDLE, LabelingResult, SaddleRecord
 from .manifolds import CriticalManifold
 from .potential import Potential
@@ -37,7 +38,10 @@ __all__ = [
     "rayleigh",
     "InteractionMatrix",
     "interaction_matrix",
+    "MAX_PROJECTION_LOSS",
 ]
+
+MAX_PROJECTION_LOSS = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +73,13 @@ def zeta(t):
 # Agmon distance by first-order fast marching
 
 
-def agmon_distance(p: Potential, target: CriticalManifold, g: GridSampling,
-                   seed_radius=None):
+def agmon_distance(p: Potential, target: CriticalManifold, g: GridSampling):
     """Viscosity solution of |grad phi| = |grad f|, phi = 0 on the target.
 
-    First-order fast marching on cell centers; returns an array shaped like
-    the grid with inf on cells the front never reached.
+    First-order fast marching on cell centers, seeded with phi = 0 on the
+    cells within 1.01 times the largest spacing of a target node; returns
+    an array shaped like the grid with inf on cells the front never
+    reached.
     """
     shape = g.shape
     d = g.dim
@@ -83,8 +88,7 @@ def agmon_distance(p: Potential, target: CriticalManifold, g: GridSampling,
     _, grads = p.gradients(pts)
     speed = np.sqrt(np.sum(grads**2, axis=1)).reshape(shape)
 
-    if seed_radius is None:
-        seed_radius = 1.01 * float(np.max(spac))
+    seed_radius = 1.01 * float(np.max(spac))
     tree = cKDTree(target.nodes)
     dist, _ = tree.query(pts, workers=-1)
     seeds = (dist <= seed_radius).reshape(shape)
@@ -260,19 +264,19 @@ class QuasimodeField:
 
 
 def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
-              gluings, g: GridSampling, h, delta=None,
-              other_minima=()) -> QuasimodeField:
+              gluings, g: GridSampling, h, other_minima=()) -> QuasimodeField:
     """Quasimode on the grid; pure Gibbs vector for the global minimum.
 
     The cutoff theta is 1 on E(m) and on every gluing tube (so it never
     varies where the crossing profile does) and decays by smoothstep over
-    [delta, 2 delta] of distance from that core.  Default delta is a
-    quarter of the separation from the nearest other declared minimum.
+    [delta, 2 delta] of distance from that core.  delta is a quarter of
+    the separation from the nearest other declared minimum, or four times
+    the largest spacing when none is given.
     """
     lab = L.minima[m.name]
     vals = g.values
     cell_volume = float(np.prod(g.spacings))
-    gibbs = np.exp(-np.minimum((vals - lab.value) / h, 700.0))
+    gibbs = np.exp(-np.minimum((vals - lab.value) / h, EXP_CLAMP))
     if FICTIVE_SADDLE in lab.saddles:
         return QuasimodeField(minimum=m.name, values=gibbs, h=h,
                               cell_volume=cell_volume)
@@ -285,15 +289,14 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
         glu = gluings[s]
         core |= np.abs(glu.ell0) <= 2.02 * glu.tau
     dist = ndimage.distance_transform_edt(~core, sampling=g.spacings)
-    if delta is None:
-        if other_minima:
-            sep = min(
-                float(np.min(np.linalg.norm(
-                    m.nodes[:, None, :] - o.nodes[None, :, :], axis=-1)))
-                for o in other_minima if o.name != m.name)
-            delta = sep / 4.0
-        else:
-            delta = 4.0 * float(np.max(g.spacings))
+    if other_minima:
+        sep = min(
+            float(np.min(np.linalg.norm(
+                m.nodes[:, None, :] - o.nodes[None, :, :], axis=-1)))
+            for o in other_minima if o.name != m.name)
+        delta = sep / 4.0
+    else:
+        delta = 4.0 * float(np.max(g.spacings))
     theta = smoothstep((2.0 * delta - dist) / delta)
     psi = 2.0 * theta * gibbs
     for s in lab.saddles:
@@ -333,14 +336,14 @@ class InteractionMatrix:
         return np.linalg.eigvalsh(self.projected)
 
 
-def interaction_matrix(op, psis, eig, L: LabelingResult,
-                       max_loss=0.01) -> InteractionMatrix:
+def interaction_matrix(op, psis, eig, L: LabelingResult) -> InteractionMatrix:
     """Gram matrix of the quasimodes and the projected small-space matrix.
 
     `eig` holds the discrete small eigenvectors; each normalized quasimode
-    phi_j is projected onto their span (loss above `max_loss` rejected),
-    the projections are Gram-Schmidt orthonormalized in order of
-    decreasing barrier S, and M_h is the quadratic form in that basis.
+    phi_j is projected onto their span (a loss of norm above
+    MAX_PROJECTION_LOSS rejected), the projections are Gram-Schmidt
+    orthonormalized in order of decreasing barrier S, and M_h is the
+    quadratic form in that basis.
     """
     order = sorted(psis, key=lambda q: -L.minima[q.minimum].depth)
     names = [q.minimum for q in order]
@@ -350,10 +353,11 @@ def interaction_matrix(op, psis, eig, L: LabelingResult,
     V = eig.vectors
     proj = V @ (V.T @ Phi)
     loss = 1.0 - np.sum(proj**2, axis=0)
-    if np.any(loss > max_loss):
-        bad = [names[j] for j in np.nonzero(loss > max_loss)[0]]
-        raise ValueError(f"projection loses more than {max_loss:.0%} of the "
-                         f"norm for {bad}; quasimodes and solver disagree")
+    if np.any(loss > MAX_PROJECTION_LOSS):
+        bad = [names[j] for j in np.nonzero(loss > MAX_PROJECTION_LOSS)[0]]
+        raise ValueError(f"projection loses more than "
+                         f"{MAX_PROJECTION_LOSS:.0%} of the norm for {bad}; "
+                         "quasimodes and solver disagree")
     # Gram-Schmidt in the S-ordering
     E = np.empty_like(proj)
     for j in range(proj.shape[1]):

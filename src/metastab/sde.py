@@ -30,16 +30,22 @@ __all__ = [
     "simulate_exit",
     "ArrheniusFit",
     "arrhenius_fit",
+    "STABILITY_FACTOR",
+    "BOOTSTRAP_RESAMPLES",
 ]
 
+STABILITY_FACTOR = 10.0
+BOOTSTRAP_RESAMPLES = 200
 
-def stability_dt(p: Potential, points, h, factor=10.0):
-    """Largest stable step h / (factor * max |Hess f|) over sample points."""
+
+def stability_dt(p: Potential, points, h):
+    """Largest stable step h / (STABILITY_FACTOR * max |Hess f|) over sample
+    points."""
     _, _, H = p.hessians(np.atleast_2d(np.asarray(points, dtype=float)))
     worst = float(np.max(np.abs(np.linalg.eigvalsh(H)), initial=0.0))
     if worst == 0.0:
         raise ValueError("vanishing Hessian sample; cannot bound the step")
-    return h / (factor * worst)
+    return h / (STABILITY_FACTOR * worst)
 
 
 @dataclass
@@ -94,7 +100,8 @@ def simulate_exit(p: Potential, m: CriticalManifold, L: LabelingResult,
     cap = stability_dt(p, m.nodes, cfg.h)
     if cfg.dt > cap:
         raise ValueError(f"dt = {cfg.dt:.3g} violates the stability bound "
-                         f"{cap:.3g} = h / (10 max |Hess f|)")
+                         f"{cap:.3g} = h / ({STABILITY_FACTOR:g} "
+                         "max |Hess f|)")
     exit_mask = _exit_mask(g, L, lab, cfg.margin)
     rng = cfg.rng()
     n = cfg.n_paths
@@ -127,8 +134,10 @@ class ArrheniusFit:
     h_values: np.ndarray
 
 
-def arrhenius_fit(samples, n_boot=200, seed=0) -> ArrheniusFit:
-    """Least-squares slope of ln(mean exit time) against 1/h."""
+def arrhenius_fit(samples) -> ArrheniusFit:
+    """Least-squares slope of ln(mean exit time) against 1/h, with a 95%
+    confidence half-width from BOOTSTRAP_RESAMPLES bootstrap resamples of
+    the exit times, drawn the same on every call."""
     hs = np.array([s.h for s in samples])
     if hs.size < 3:
         raise ValueError("need at least 3 values of h")
@@ -138,9 +147,9 @@ def arrhenius_fit(samples, n_boot=200, seed=0) -> ArrheniusFit:
     x = 1.0 / hs
     y = np.log(means)
     slope, intercept = np.polyfit(x, y, 1)
-    rng = np.random.default_rng(seed)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    rng = np.random.default_rng(0)
+    boots = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         yb = np.empty_like(y)
         for i, s in enumerate(samples):
             pick = rng.integers(0, s.times.size, s.times.size)

@@ -35,10 +35,14 @@ __all__ = [
     "smallest_eigs",
     "count_small",
     "GridResolutionError",
+    "ARPACK_TOL",
 ]
 
 RELIABLE_FLOOR_FACTOR = 1e2
 DEFAULT_ETA0 = 0.1
+# relative tolerance of the Lanczos iteration in smallest_eigs; at 1e-9 a
+# residual of the 512x512 tilted double well already exceeds the floor
+ARPACK_TOL = 1e-12
 
 
 class GridResolutionError(ValueError):
@@ -179,14 +183,16 @@ class RadialWitten(WittenOperator):
     A: sparse.csr_matrix          # symmetrized factor in y = r^{(d-1)/2} u
 
 
-def assemble_radial(p: Potential, d, R, n, h, strict=False) -> RadialWitten:
+def assemble_radial(p: Potential, d, R, n, h) -> RadialWitten:
+    """Radial operator on n cells of (0, R]; warns when the cells are too
+    coarse for h."""
     if d < 2:
         raise ValueError("the radial reduction needs ambient dimension >= 2")
     profile = p.profile() if p.radial else p
     if profile.dim != 1:
         raise ValueError("need a 1D profile or a radial potential")
     grid = Grid([[0.0, R]], n)
-    _check_resolution(grid.spacings, h, strict)
+    _check_resolution(grid.spacings, h, strict=False)
     r_cells, r_faces = grid.centers(0), grid.edges(0)
     D1, Avg1 = _diff_avg(n, grid.spacings[0])
     _, grads = profile.gradients(grid.points(face_axis=0))
@@ -278,7 +284,7 @@ class _OneBlasThread(contextlib.ContextDecorator):
 
 
 @_OneBlasThread()
-def smallest_eigs(op, k, tol=1e-12, ordering=None) -> EigenResult:
+def smallest_eigs(op, k, ordering=None) -> EigenResult:
     """k smallest eigenpairs of A^T A via shift-invert at a small negative
     shift; eigenvalues sorted ascending, floor = 100 eps ||A^T A||.
 
@@ -286,7 +292,7 @@ def smallest_eigs(op, k, tol=1e-12, ordering=None) -> EigenResult:
     cells, when one is given (an earlier result's `ordering` on the same
     grid: the stencil's sparsity does not depend on h), else in SuperLU's
     minimum-degree order on A + A^T; the order used is returned.  ARPACK
-    runs to relative tolerance `tol` from a fixed start vector, so
+    runs to relative tolerance ARPACK_TOL from a fixed start vector, so
     repeated calls with the same arguments return the same values and
     vectors.  Each pair's residual
     ||G v - lambda v|| is checked against the floor: a pair above it
@@ -339,8 +345,8 @@ def smallest_eigs(op, k, tol=1e-12, ordering=None) -> EigenResult:
     ncv = min(max(2 * k + 2, 12), n)
     try:
         # in shift-invert mode ARPACK only applies OPinv
-        vals, vecs = eigsh(op_inv, k=k, sigma=sigma, which="LM", tol=tol,
-                           OPinv=op_inv, v0=v0, ncv=ncv)
+        vals, vecs = eigsh(op_inv, k=k, sigma=sigma, which="LM",
+                           tol=ARPACK_TOL, OPinv=op_inv, v0=v0, ncv=ncv)
     except ArpackNoConvergence as exc:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     del op_inv, solve, lu         # the factors are done with

@@ -133,6 +133,41 @@ def test_malformed_spec_field_reported(tmp_path, capsys, field, value):
     assert repr(field) in err
 
 
+def _set_manifold(index, field, value):
+    def edit(data):
+        data["manifolds"][index][field] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda data: 3, "JSON object"),
+    (lambda data: dict(data, manifolds=[5] + data["manifolds"][1:]),
+     "'manifolds'"),
+    (lambda data: dict(data, manifolds="left"), "'manifolds'"),
+    (lambda data: dict(data, expression=5), "'expression'"),
+    (_set_manifold(2, "radius", "big"), "'radius'"),
+    (_set_manifold(2, "tau", "x"), "'tau'"),
+    (lambda data: dict(data, validate_tolerance="x"), "'validate_tolerance'"),
+    (_set_manifold(0, "name", None), "'name'"),
+    (_set_manifold(1, "name", "left"), "'left' declared twice"),
+], ids=["top-level-number", "manifold-number", "manifolds-string",
+        "expression-number", "radius-text", "tau-text", "tolerance-text",
+        "name-null", "name-repeated"])
+def test_malformed_spec_fails_in_setup(tmp_path, capsys, edit, fragment):
+    # each is refused before any stage runs, without a traceback
+    with open(SPEC) as fh:
+        data = edit(json.load(fh))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code = main(["all", "--spec", str(path), "--grid", "1024", "--h", "0.2",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: setup: ")
+    assert fragment in err
+
+
 @pytest.mark.parametrize("expression,message", [
     ("log(x1) + x1^2", "log of non-positive value"),
     ("sqrt(x1) + x1^2", "sqrt of negative value"),
