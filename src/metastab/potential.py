@@ -303,6 +303,13 @@ def _positive_number(value):
             and math.isfinite(value) and value > 0)
 
 
+def _is_point(value, dim):
+    try:
+        return np.asarray(value, dtype=float).shape == (dim,)
+    except (TypeError, ValueError):
+        return False
+
+
 def load_spec_file(path):
     """Load a potential spec file and check its fields.
 
@@ -310,7 +317,8 @@ def load_spec_file(path):
     manifold also has "role": "minimum" or "saddle", a name of its own
     (the kind when omitted) and may give positive numbers "radius" and
     "tau" for its gluing tube; an optional positive "validate_tolerance"
-    bounds |ratio - 1| in the validate stage)::
+    bounds |ratio - 1| in the validate stage; a point's "coords" and a
+    sphere's "center" hold `dim` numbers)::
 
         {
           "expression": "...",
@@ -375,6 +383,11 @@ def load_spec_file(path):
             if key in decl and not _positive_number(decl[key]):
                 raise ValueError(f"manifold {name!r}: field {key!r} must be "
                                  f"a positive number, got {decl[key]!r}")
+        key = {"point": "coords", "sphere": "center"}.get(decl.get("kind"))
+        if key in decl and not _is_point(decl[key], dim):
+            raise ValueError(f"manifold {name!r}: field {key!r} must give "
+                             f"one number per axis ({dim}), "
+                             f"got {decl[key]!r}")
         # results are keyed by name: a repeated one would merge two manifolds
         if isinstance(name, str):
             if name in names:

@@ -95,11 +95,10 @@ def agmon_distance(p: Potential, target: CriticalManifold, g: GridSampling):
     if not np.any(seeds):
         raise ValueError("target does not intersect the grid")
 
-    valid = g.mask if g.mask is not None else np.ones(shape, dtype=bool)
     phi = np.full(shape, np.inf)
-    phi[seeds & valid] = 0.0
+    phi[seeds] = 0.0
     accepted = np.zeros(shape, dtype=bool)
-    heap = [(0.0, idx) for idx in zip(*np.nonzero(seeds & valid))]
+    heap = [(0.0, idx) for idx in zip(*np.nonzero(seeds))]
     heapq.heapify(heap)
 
     def solve(idx):
@@ -147,7 +146,7 @@ def agmon_distance(p: Potential, target: CriticalManifold, g: GridSampling):
                 if not (0 <= j[a] < shape[a]):
                     continue
                 j = tuple(j)
-                if accepted[j] or not valid[j]:
+                if accepted[j]:
                     continue
                 trial = solve(j)
                 if trial < phi[j]:

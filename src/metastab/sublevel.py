@@ -29,12 +29,15 @@ axes.  Beyond the slabs, `components` on a full grid holds the float64
 values, the boolean sublevel set and one int32 label grid: about 13 bytes
 per cell.  A grid shape whose cells would need more than the machine's
 physical memory at that rate is refused before anything is allocated.
-A tube grid peaks lower, at its values plus one byte per cell: its mask
-while it is sampled and probed, then its sublevel set, after which
-`local_structure` drops the values before labelling (1 + 4 bytes per
-cell).  A tube grid lives only while `local_structure` runs: its result
-keeps the component count and the side labels, not the grid or its
-labels.
+A tube grid (`TubeSampling`) keeps f on the tube cells only: its boolean
+mask and the float64 values of the cells it marks.  It peaks at 1 byte
+per cell plus 8 bytes per tube cell while it is sampled and probed
+(`probe_level` reads it slab by slab, the cells off the tube as +inf),
+and at 5 bytes per cell while it is labelled: `local_structure` turns the
+mask into the sublevel set in place and drops the values before the int32
+labels are allocated.  A tube grid lives only while `local_structure`
+runs: its result keeps the component count and the side labels, not the
+grid or its labels.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ _PROBE_SLAB = 1 << 15
 # padded window rows per batch of nodes in the tube-mask run search
 _RUN_BATCH = 1 << 18
 # bytes per cell of `components` on a full grid: float64 values, the bool
-# sublevel set and its int32 labels (a tube grid peaks at 8 + 1)
+# sublevel set and its int32 labels (a tube grid peaks at 1 + 4, plus 8
+# per tube cell while it is sampled)
 _CELL_BYTES = 8 + 1 + 4
 
 
@@ -183,7 +187,34 @@ class GridSampling(Grid):
     """Samples of f at the cell centres of a grid; immutable after fill."""
 
     values: np.ndarray         # f at cell centers, shape `shape`
-    mask: np.ndarray | None = None   # optional validity mask (tube grids)
+    # always None: a tube grid is a `TubeSampling`; kept readable because
+    # the benchmark tracer reads it from `sample_grid`'s results
+    mask = None
+
+    def slab(self, start, stop):
+        """f on the axis-0 planes start..stop-1: a view of the values."""
+        return self.values[start:stop]
+
+
+@dataclass(eq=False)
+class TubeSampling(Grid):
+    """Samples of f on the tube cells of a grid only.
+
+    `values` holds f at the cells `mask` marks, in C order, and the cells
+    of axis-0 plane i are values[offsets[i]:offsets[i + 1]].
+    `local_structure` turns the mask into its sublevel set in place.
+    """
+
+    mask: np.ndarray           # bool, shape `shape`: the tube cells
+    values: np.ndarray         # f on the tube cells, 1-D
+    offsets: np.ndarray        # int64, shape[0] + 1 plane offsets
+
+    def slab(self, start, stop):
+        """f on the axis-0 planes start..stop-1, +inf off the tube."""
+        out = np.full((stop - start,) + self.shape[1:], np.inf)
+        out[self.mask[start:stop]] = \
+            self.values[self.offsets[start]:self.offsets[stop]]
+        return out
 
 
 def _slabs(shape, max_cells):
@@ -202,44 +233,51 @@ def _physical_memory():
         return None
 
 
-def sample_grid(p: Potential, box, shape=None, mask=None) -> GridSampling:
+def sample_grid(p: Potential, box, shape=None) -> GridSampling:
     """Evaluate f at cell centers of an axis-aligned grid.
 
-    `mask`, a boolean array of shape `shape`, restricts the grid (tube
-    grids): f is evaluated only at the cells it marks, masked-out cells hold
-    +inf and never enter any flood fill.  Coordinates are formed one axis-0
-    slab at a time from the per-axis cell centers, for the masked cells
-    only where there is a mask, so the scratch memory is bounded by the
-    slab.  A non-finite value of f at a sampled cell raises ValueError.
+    Coordinates are formed one axis-0 slab at a time from the per-axis
+    cell centers, so the scratch memory is bounded by the slab.  A
+    non-finite value of f raises ValueError.
     """
     grid = Grid(box, shape)
-    shape = grid.shape
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != shape:
-            raise ValueError(f"mask shape {mask.shape} does not match grid "
-                             f"shape {shape}")
-    values = np.empty(shape) if mask is None else np.full(shape, np.inf)
+    values = np.empty(grid.shape)
+    for start, stop, slab in _sample_slabs(p, grid):
+        values[start:stop] = slab.reshape((stop - start,) + grid.shape[1:])
+    return GridSampling(grid.box, grid.shape, values)
+
+
+def _sample_tube(p: Potential, grid: Grid, mask) -> TubeSampling:
+    """f at the cells of `grid` that `mask` marks, and only there."""
+    offsets = np.zeros(grid.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(mask.reshape(grid.shape[0], -1), axis=1),
+              out=offsets[1:])
+    values = np.empty(offsets[-1])
+    for start, stop, slab in _sample_slabs(p, grid, mask):
+        values[offsets[start]:offsets[stop]] = slab
+    return TubeSampling(grid.box, grid.shape, mask, values, offsets)
+
+
+def _sample_slabs(p: Potential, grid: Grid, mask=None):
+    """(start, stop, f) per axis-0 slab: f at the slab's cells in C order,
+    or at its `mask` cells only where there is a mask."""
     axes = grid.axes
-    for start, stop in _slabs(shape, _SAMPLE_SLAB):
+    for start, stop in _slabs(grid.shape, _SAMPLE_SLAB):
         centers = np.ix_(axes[0][start:stop], *axes[1:])
         if mask is None:
-            points = np.empty((stop - start,) + shape[1:] + (grid.dim,))
+            points = np.empty((stop - start,) + grid.shape[1:] + (grid.dim,))
             for a in range(grid.dim):
                 points[..., a] = centers[a]
-            slab = p.values(points.reshape(-1, grid.dim))
-            _check_finite(slab)
-            values[start:stop] = slab.reshape(points.shape[:-1])
+            points = points.reshape(-1, grid.dim)
         else:
             inside = mask[start:stop]
             points = np.empty((np.count_nonzero(inside), grid.dim))
             for a in range(grid.dim):
                 grid_a = np.broadcast_to(centers[a], inside.shape)
                 points[:, a] = grid_a[inside]
-            slab = p.values(points)
-            _check_finite(slab)
-            values[start:stop][inside] = slab
-    return GridSampling(grid.box, shape, values, mask)
+        slab = p.values(points)
+        _check_finite(slab)
+        yield start, stop, slab
 
 
 def _check_finite(values):
@@ -269,10 +307,7 @@ class ComponentMap:
 
 def components(g: GridSampling, sigma) -> ComponentMap:
     """Connected components of {cells: f < sigma} under face adjacency."""
-    inside = g.values < sigma
-    if g.mask is not None:
-        inside &= g.mask
-    return _label(inside, sigma)
+    return _label(g.values < sigma, sigma)
 
 
 def _label(inside, sigma) -> ComponentMap:
@@ -283,7 +318,7 @@ def _label(inside, sigma) -> ComponentMap:
     return ComponentMap(sigma=float(sigma), labels=labels, count=count)
 
 
-def probe_level(g: GridSampling, sigma):
+def probe_level(g: GridSampling | TubeSampling, sigma):
     """Level just below sigma at which strict components are grid-resolvable.
 
     The margin combines a relative floor with a curvature bound: near an
@@ -303,17 +338,17 @@ def probe_level(g: GridSampling, sigma):
     NaN and fails the test, as does the cell itself.
 
     Streams over slabs of at most `_PROBE_SLAB` = 2**15 cells along axis 0
-    (or one plane), each plane converted once.  The axis-0 differences across a slab boundary
-    use the previous slab's last plane, its first difference and its
-    |v - sigma|, and are computed as (v[c+1] - v[c]) - (v[c] - v[c-1]),
-    exactly as along the other axes, so the level does not depend on the
-    slab size.
+    (or one plane), read through `g.slab`, each plane converted once.  The
+    axis-0 differences across a slab boundary use the previous slab's last
+    plane, its first difference and its |v - sigma|, and are computed as
+    (v[c+1] - v[c]) - (v[c] - v[c-1]), exactly as along the other axes, so
+    the level does not depend on the slab size.
     """
     scale = 1.0
     band_max = 0.0
     carry = None    # last plane of the previous slab: v, |v - sigma|, dv
     for start, stop in _slabs(g.shape, _PROBE_SLAB):
-        raw = g.values[start:stop]
+        raw = g.slab(start, stop)
         with np.errstate(invalid="ignore"):
             v = raw * 0.0           # 0 where finite, NaN elsewhere
         v += raw
@@ -510,8 +545,7 @@ def _tube_grid(p: Potential, M: CriticalManifold, radius, resolution):
     lo = np.min(M.nodes, axis=0) - 1.2 * radius
     hi = np.max(M.nodes, axis=0) + 1.2 * radius
     grid = Grid(np.stack([lo, hi], axis=1), resolution)
-    return sample_grid(p, grid.box, grid.shape,
-                       mask=_tube_mask(M.nodes, grid.axes, radius))
+    return _sample_tube(p, grid, _tube_mask(M.nodes, grid.axes, radius))
 
 
 def local_structure(p: Potential, M: CriticalManifold,
@@ -521,18 +555,20 @@ def local_structure(p: Potential, M: CriticalManifold,
 
     With a direction frame, the two components (if any) are matched to the
     sides +/- via the offset points x +/- (radius/2) nu(x).  The tube grid
-    and its labels are freed on return; the values and mask are freed
-    before the labels are allocated.
+    peaks at 1 byte per cell plus 8 per tube cell while it is sampled and
+    probed, and at 5 bytes per cell while it is labelled: the mask becomes
+    the sublevel set in place and the values are freed before the labels
+    are allocated.  The tube grid and its labels are freed on return.
     """
     if M.value is None:
         raise ValueError("manifold value unknown; run verify_critical first")
     grid = _tube_grid(p, M, radius, resolution)
     level = probe_level(grid, M.value)
     # the labels and side labels need only the sublevel set and the
-    # geometry: the mask goes before the set is formed (masked-out cells
-    # hold +inf, so `values < level` leaves them out), the values after
-    values, grid = grid.values, Grid(grid.box, grid.shape)
-    inside = values < level
+    # geometry: the set is formed in place on the mask, then the values go
+    inside, values = grid.mask, grid.values
+    grid = Grid(grid.box, grid.shape)
+    inside[inside] = values < level
     del values
     cmap = _label(inside, level)
     if cmap.count != 2 or frame is None:

@@ -151,9 +151,13 @@ def _set_manifold(index, field, value):
     (lambda data: dict(data, validate_tolerance="x"), "'validate_tolerance'"),
     (_set_manifold(0, "name", None), "'name'"),
     (_set_manifold(1, "name", "left"), "'left' declared twice"),
+    (_set_manifold(0, "coords", [0.0, 1.0]), "'coords' must give one number per axis (1)"),
+    (lambda data: dict(data, manifolds=data["manifolds"] + [
+        {"name": "ring", "kind": "sphere", "center": [0.0, 0.0],
+         "radius": 1.0, "role": "saddle"}]), "'center' must give one number per axis (1)"),
 ], ids=["top-level-number", "manifold-number", "manifolds-string",
         "expression-number", "radius-text", "tau-text", "tolerance-text",
-        "name-null", "name-repeated"])
+        "name-null", "name-repeated", "coords-length", "center-length"])
 def test_malformed_spec_fails_in_setup(tmp_path, capsys, edit, fragment):
     # each is refused before any stage runs, without a traceback
     with open(SPEC) as fh:

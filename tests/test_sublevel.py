@@ -250,6 +250,14 @@ def reference_tube_mask(nodes, axes, radius):
     return mask
 
 
+def densify(tube):
+    """The tube grid as a full grid: its values on the tube cells, +inf on
+    the others."""
+    values = np.full(tube.shape, np.inf)
+    values[tube.mask] = tube.values
+    return GridSampling(tube.box, tube.shape, values)
+
+
 def assert_tube_grid_exact(p, M, radius, resolution=None):
     """Check the tube grid against the references; returns the grid and
     local_structure's component count on it."""
@@ -259,10 +267,18 @@ def assert_tube_grid_exact(p, M, radius, resolution=None):
     axes = [g.centers(a) for a in range(g.dim)]
     assert np.array_equal(g.mask, reference_tube_mask(M.nodes, axes, radius))
     assert np.count_nonzero(g.mask) > 0
-    # masked sampling: full-grid values on the tube, +inf elsewhere
+    # tube sampling: the full grid's values on the tube cells in C order,
+    # plane i's at offsets[i]:offsets[i + 1]; slabs read +inf off the tube
     full = sample_grid(p, g.box, g.shape)
-    assert np.array_equal(g.values[g.mask], full.values[g.mask])
-    assert np.all(np.isinf(g.values[~g.mask]))
+    assert g.values.shape == (np.count_nonzero(g.mask),)
+    assert np.array_equal(g.values, full.values[g.mask])
+    per_plane = np.count_nonzero(g.mask.reshape(g.shape[0], -1), axis=1)
+    assert np.array_equal(g.offsets, np.concatenate([[0],
+                                                     np.cumsum(per_plane)]))
+    dense = densify(g)
+    for start, stop in [(0, g.shape[0]), (0, 1), (1, g.shape[0] // 2 + 1),
+                        (g.shape[0] - 1, g.shape[0])]:
+        assert np.array_equal(g.slab(start, stop), dense.values[start:stop])
     local = local_structure(p, M, None, radius=radius, resolution=resolution)
     return g, local.n_components
 
@@ -356,7 +372,8 @@ def test_masked_sampling_rejects_non_finite_values():
     M = manifold_point([0.0, 0.0], name="saddle")
     assert verify_critical(p, M).ok
     g = sublevel._tube_grid(p, M, 0.5, 64)
-    assert np.all(np.isfinite(g.values[g.mask]))
+    assert g.values.size == np.count_nonzero(g.mask) > 0
+    assert np.all(np.isfinite(g.values))
     with pytest.raises(ValueError, match="non-finite potential values"):
         local_structure(p, M, None, radius=3.5, resolution=64)
 
@@ -400,15 +417,28 @@ def test_results_do_not_keep_tube_grid():
 @pytest.mark.parametrize("expression", [TWISTED, UNTWISTED],
                          ids=["twisted", "untwisted"])
 def test_tube_grid_peak_memory(expression):
-    # a tube grid peaks at its values plus one byte per cell (its mask, then
-    # its sublevel set); the labels come after the values are freed.
-    # Values, mask, sublevel set and labels at once would be 14 B/cell.
+    # a full grid of values with its mask, sublevel set and labels would be
+    # 14 B/cell; see test_tube_grid_labelling_peak_memory for the tube form
     p = parse_potential(expression, 3)
     M = unit_circle(256)
     verify_critical(p, M)
     with traced_memory() as mem:
         local_structure(p, M, None, radius=0.3, resolution=160)
     assert mem.peak <= 12 * 160**3
+
+
+@pytest.mark.parametrize("expression", [TWISTED, UNTWISTED],
+                         ids=["twisted", "untwisted"])
+def test_tube_grid_labelling_peak_memory(expression):
+    # 1 B/cell of mask plus 8 B per tube cell (about a third of the cells)
+    # while sampled; then the sublevel set, formed in place on the mask,
+    # and its int32 labels: 5 B/cell
+    p = parse_potential(expression, 3)
+    M = unit_circle(256)
+    verify_critical(p, M)
+    with traced_memory() as mem:
+        local_structure(p, M, None, radius=0.3, resolution=160)
+    assert mem.peak <= 7 * 160**3
 
 
 @pytest.mark.parametrize("expression,count", [(TWISTED, 1), (UNTWISTED, 2)],
@@ -420,8 +450,13 @@ def test_local_structure_matches_components_on_tube_grid(expression, count):
     frame = negative_direction_field(p, M)
     frame = frame if hasattr(frame, "nu") else None
     radius, resolution = 0.3, 96
-    g = sublevel._tube_grid(p, M, radius, resolution)
-    cmap = components(g, probe_level(g, M.value))
+    tube = sublevel._tube_grid(p, M, radius, resolution)
+    g = densify(tube)
+    assert np.array_equal(tube.values, sample_grid(p, g.box,
+                                                   g.shape).values[tube.mask])
+    level = probe_level(tube, M.value)
+    assert level == reference_probe_level(g, M.value)
+    cmap = components(g, level)
     local = local_structure(p, M, frame, radius=radius, resolution=resolution)
     assert local.n_components == cmap.count == count
     if frame is None:
@@ -454,13 +489,6 @@ def test_sample_grid_scratch_bounded_by_slab(n):
     with traced_memory() as mem:
         g = sample_grid(p, [[-1.0, 1.0]] * 3, n)
     assert mem.peak - 8 * g.values.size <= 64 * sublevel._SAMPLE_SLAB
-
-
-def test_sample_grid_mask_shape_checked():
-    p = parse_potential("x1^2 + x2^2", 2)
-    with pytest.raises(ValueError, match="mask shape"):
-        sample_grid(p, [[-1.0, 1.0], [-1.0, 1.0]], shape=(8, 8),
-                    mask=np.ones((8, 9), dtype=bool))
 
 
 def test_squared_radius_bound_is_tight():
@@ -513,8 +541,6 @@ def reference_probe_level(g, sigma):
 def reference_components(g, sigma):
     """components from whole-grid temporaries."""
     inside = g.values < sigma
-    if g.mask is not None:
-        inside &= g.mask
     structure = ndimage.generate_binary_structure(g.dim, 1)
     raw, count = ndimage.label(inside, structure=structure)
     labels = raw.astype(np.int64) - 1
@@ -564,8 +590,12 @@ def test_reference_equivalence_3d_tube(slab_cells):
     p = parse_potential(UNTWISTED, 3)
     M = unit_circle(128)
     verify_critical(p, M)
-    g = sublevel._tube_grid(p, M, 0.3, 96)
-    assert g.shape == (96, 96, 96)
+    tube = sublevel._tube_grid(p, M, 0.3, 96)
+    assert tube.shape == (96, 96, 96)
+    g = densify(tube)
+    assert np.array_equal(tube.values, sample_grid(p, g.box,
+                                                   g.shape).values[tube.mask])
+    assert probe_level(tube, M.value) == reference_probe_level(g, M.value)
     assert assert_matches_reference(g, M.value).count == 2
 
 
@@ -590,8 +620,10 @@ def test_reference_equivalence_slab_remainder():
     probe_planes = probe_slab_planes()
     shape = (sample_planes + probe_planes + 1,) + SLAB_PLANE
     assert shape[0] % sample_planes > 0 and shape[0] % probe_planes > 0
-    g, _ = assert_tube_grid_exact(p, M, radius=0.3, resolution=shape)
-    assert g.shape == shape
+    tube, _ = assert_tube_grid_exact(p, M, radius=0.3, resolution=shape)
+    assert tube.shape == shape
+    g = densify(tube)
+    assert probe_level(tube, M.value) == reference_probe_level(g, M.value)
     assert assert_matches_reference(g, M.value).count == 2
 
 
@@ -627,7 +659,7 @@ def test_reference_equivalence_many_components(slab_cells):
     mask = rng.random(shape) < 0.9
     values[~mask] = np.inf
     g = GridSampling(box=np.array([[-1.0, 1.0]] * 3), shape=shape,
-                     values=values, mask=mask)
+                     values=values)
     cmap = assert_matches_reference(g, 0.2, level=0.2)
     assert cmap.count > 500
 
