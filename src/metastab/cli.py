@@ -314,10 +314,14 @@ class Pipeline:
 
     def run(self, command):
         """Run one stage, or every stage for `all`; `self.stage` names the
-        stage running."""
-        for stage in STAGES if command == "all" else (command,):
-            self.stage = stage
-            getattr(self, stage)()
+        stage running.  The stages run with every loaded OpenBLAS held at
+        one thread, so their artifacts are the same bit for bit at any
+        thread count: numpy's BLAS products in `quasimode` and `simulate`
+        otherwise sum in an order that depends on it."""
+        with spectral.ONE_BLAS_THREAD:
+            for stage in STAGES if command == "all" else (command,):
+                self.stage = stage
+                getattr(self, stage)()
 
 
 def main(argv=None):

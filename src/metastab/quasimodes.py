@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .kramers import EXP_CLAMP
 from .labeling import FICTIVE_SADDLE, LabelingResult, SaddleRecord
@@ -81,6 +80,10 @@ def agmon_distance(p: Potential, target: CriticalManifold, g: GridSampling):
     an array shaped like the grid with inf on cells the front never
     reached.
     """
+    # imported here: scipy.spatial takes about 0.1 s to load, and no stage
+    # of the command-line pipeline calls this function
+    from scipy.spatial import cKDTree
+
     shape = g.shape
     d = g.dim
     spac = g.spacings
@@ -179,10 +182,18 @@ class SaddleGluing:
 
 
 def _signed_quadratic_ell0(rec: SaddleRecord, pts):
-    """sqrt(-2 mu(p)) <x - p, nu(p)> with p the closest saddle node."""
+    """sqrt(-2 mu(p)) <x - p, nu(p)> with p the closest saddle node.
+
+    A one-node manifold (every point saddle) needs no nearest-node search;
+    scipy.spatial, which takes about 0.1 s to import, is loaded only for
+    manifolds with more nodes."""
     M, fr = rec.manifold, rec.frame
-    tree = cKDTree(M.nodes)
-    _, near = tree.query(pts, workers=-1)
+    if len(M.nodes) == 1:
+        near = 0
+    else:
+        from scipy.spatial import cKDTree
+
+        _, near = cKDTree(M.nodes).query(pts, workers=-1)
     diff = pts - M.nodes[near]
     return np.sqrt(2.0 * np.abs(fr.mu[near])) * np.sum(diff * fr.nu[near],
                                                        axis=1)

@@ -283,7 +283,13 @@ class _OneBlasThread(contextlib.ContextDecorator):
                     put(n)
 
 
-@_OneBlasThread()
+# The thread counts are per process, so there is one hold for the process:
+# `smallest_eigs` enters it, and so does `cli.Pipeline.run` around every
+# stage; the inner entry nests in the outer one.
+ONE_BLAS_THREAD = _OneBlasThread()
+
+
+@ONE_BLAS_THREAD
 def smallest_eigs(op, k, ordering=None) -> EigenResult:
     """k smallest eigenpairs of A^T A via shift-invert at a small negative
     shift; eigenvalues sorted ascending, floor = 100 eps ||A^T A||.

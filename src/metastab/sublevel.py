@@ -49,11 +49,23 @@ from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
-# unused here; kept bound because the benchmark tracer wraps sublevel.cKDTree
-from scipy.spatial import cKDTree  # noqa: F401
 
 from .manifolds import CriticalManifold, SaddleFrame
 from .potential import Potential
+
+
+def __getattr__(name):
+    # No code here uses cKDTree.  `perfbench/tracing.py` still reads and
+    # wraps `sublevel.cKDTree` to time a tube-mask query that no longer
+    # runs, so the name is kept for it until the tracer reads spans that
+    # the program records (ROADMAP, "Instrument inside the program").  It
+    # is imported only when read: scipy.spatial costs about 0.1 s at
+    # start-up.
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Grid",

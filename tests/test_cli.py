@@ -293,19 +293,57 @@ def assert_field_matches(got, want, floor):
             assert g_num == pytest.approx(w_num, rel=1e-8, abs=0.0), (g, w)
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def source_env(**overrides):
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
+def modules_after(statement, prefix):
+    """Names in sys.modules that start with `prefix` (a string or a tuple
+    of them) after `statement` runs in a fresh interpreter."""
+    code = (f"import sys; {statement}; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
+    result = subprocess.run([sys.executable, "-c", code], env=source_env(),
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip()
+
+
 def test_cli_import_skips_scipy_stats():
     # scipy.stats takes about a second to import; nothing in the package
     # may pull it in, or every command pays that at start-up
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src),
-                                         os.environ.get("PYTHONPATH")]))
-    code = ("import sys; import metastab.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['scipy', 'stats']))")
-    result = subprocess.run([sys.executable, "-c", code],
-                            env={**os.environ, "PYTHONPATH": path},
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert modules_after("import metastab.cli", "scipy.stats") == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    # the package's exports are resolved on first use, so importing it
+    # costs neither scipy nor any of its own modules
+    assert modules_after("import metastab", ("scipy", "metastab.")) == "[]"
+
+
+def test_cli_import_skips_scipy_spatial():
+    # about 0.1 s at start-up; only a saddle with more than one node, or
+    # the Agmon distance, needs it
+    assert modules_after("import metastab.cli", "scipy.spatial") == "[]"
+
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    # every stage runs on one BLAS thread, so a 2D run writes the same
+    # bytes at any OpenBLAS thread count
+    argv = ["all", "--spec", "perfbench/specs/tilted_2d.json",
+            "--grid", "128,128", "--h", "0.2,0.15,0.1", "--seed", "3"]
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "metastab.cli", *argv,
+                        "--out", str(tmp_path / threads)],
+                       cwd=ROOT, env=source_env(OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True)
+    for name in ARTIFACTS:
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_golden_artifacts_reproduced(tmp_path, capsys):

@@ -1,8 +1,6 @@
 """The package's export lists name only what exists."""
 
-import ast
 import importlib
-import inspect
 import pkgutil
 
 import pytest
@@ -21,11 +19,14 @@ def test_module_all_resolves(name):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(inspect.getsource(metastab))
-    imports = [(node.module, alias.name) for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom)
-               for alias in node.names]
-    assert imports
-    for module_name, name in imports:
+    # the package resolves its exports lazily from one table
+    table = metastab._EXPORTS
+    assert table
+    names = [name for names in table.values() for name in names]
+    assert metastab.__all__ == names
+    for module_name, module_names in table.items():
         module = importlib.import_module(f"metastab.{module_name}")
-        assert getattr(metastab, name) is getattr(module, name)
+        for name in module_names:
+            assert getattr(metastab, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        metastab.no_such_name

@@ -11,10 +11,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.spatial import cKDTree
 
-from metastab.quasimodes import (agmon_distance, build_gluing, build_psi,
-                                 interaction_matrix, plateau_feasible_tau,
-                                 rayleigh, smoothstep, zeta)
+from metastab.quasimodes import (_signed_quadratic_ell0, agmon_distance,
+                                 build_gluing, build_psi, interaction_matrix,
+                                 plateau_feasible_tau, rayleigh, smoothstep,
+                                 zeta)
 from metastab.spectral import assemble_witten, smallest_eigs
 from metastab.sublevel import sample_grid
 
@@ -75,6 +77,31 @@ def test_gluing_validation(tilted):
     with pytest.raises(ValueError, match="mode"):
         build_gluing(tilted.p, tilted.record, lab.component, tilted.g, 0.1,
                      mode="cubic")
+
+
+def nearest_node_ell0(rec, pts):
+    """ell0 with every cell's nearest saddle node found by a k-d tree."""
+    M, fr = rec.manifold, rec.frame
+    _, near = cKDTree(M.nodes).query(pts)
+    diff = pts - M.nodes[near]
+    return np.sqrt(2.0 * np.abs(fr.mu[near])) * np.sum(diff * fr.nu[near],
+                                                       axis=1)
+
+
+def test_ell0_one_node_saddle_skips_tree(tilted):
+    # a point saddle takes node 0 for every cell, with no tree search
+    assert len(tilted.record.manifold.nodes) == 1
+    pts = tilted.g.points()
+    assert np.array_equal(_signed_quadratic_ell0(tilted.record, pts),
+                          nearest_node_ell0(tilted.record, pts))
+
+
+def test_ell0_ring_saddle_uses_nearest_node(mexican_labeled):
+    rec = mexican_labeled.record
+    assert len(rec.manifold.nodes) > 1
+    pts = mexican_labeled.g.points()
+    assert np.array_equal(_signed_quadratic_ell0(rec, pts),
+                          nearest_node_ell0(rec, pts))
 
 
 def test_agmon_distance_1d_oracle(tilted):
