@@ -21,7 +21,7 @@ _EXPORTS = {
     "spectral": ("assemble_witten", "assemble_radial", "smallest_eigs",
                  "count_small"),
     "quasimodes": ("agmon_distance", "build_gluing", "build_psi",
-                   "rayleigh"),
+                   "quasimode_bundle", "rayleigh"),
     "sde": ("LangevinConfig", "simulate_exit", "arrhenius_fit"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

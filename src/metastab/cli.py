@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,8 @@ from . import kramers, quasimodes, sde, spectral
 from .labeling import (FICTIVE_SADDLE, SaddleRecord, check_generic,
                        run_labeling)
 from .manifolds import (classify_index, manifold_from_decl,
-                        negative_direction_field, verify_critical)
+                        negative_direction_field, node_distance,
+                        verify_critical)
 from .potential import check_confinement, load_spec_file, parse_potential
 from .spectral import EigenResult
 from .sublevel import Grid, classify_separating, sample_grid
@@ -41,16 +43,6 @@ def _manifest_hash(spec_data, args):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _min_separation(manifolds):
-    best = np.inf
-    for i, a in enumerate(manifolds):
-        for b in manifolds[i + 1:]:
-            d = np.min(np.linalg.norm(
-                a.nodes[:, None, :] - b.nodes[None, :, :], axis=-1))
-            best = min(best, float(d))
-    return best
-
-
 class Pipeline:
     """Holds shared state across stages for one manifest."""
 
@@ -65,13 +57,14 @@ class Pipeline:
         self.minima = []
         self.saddle_records = []
         self.saddle_manifolds = {}
+        self.saddle_decls = {}      # name -> its spec declaration
         for decl in self.spec["manifolds"]:
             M = manifold_from_decl(decl, self.p.dim)
-            M.meta["decl"] = decl
             if decl["role"] == "minimum":
                 self.minima.append(M)
             else:
                 self.saddle_manifolds[M.name] = M
+                self.saddle_decls[M.name] = decl
         self.labeling = None
         # h -> EigenResult with the first len(minima) eigenvectors only
         self.eigs = {}
@@ -88,11 +81,14 @@ class Pipeline:
         """f sampled on `self.grid`, once a stage needs it."""
         return sample_grid(self.p, self.grid.box, self.grid.shape)
 
-    def default_radius(self, M):
-        others = [m for m in self.minima if m.name != M.name]
-        others += [s for s in self.saddle_manifolds.values()
-                   if s.name != M.name]
-        return _min_separation([M] + others) / 4.0 if others else 0.25
+    def default_radius(self):
+        """A quarter of the smallest node distance between two declared
+        manifolds; 0.25 for a lone one."""
+        manifolds = self.minima + list(self.saddle_manifolds.values())
+        if len(manifolds) < 2:
+            return 0.25
+        return min(node_distance(a, b)
+                   for a, b in itertools.combinations(manifolds, 2)) / 4.0
 
     # -- stages -------------------------------------------------------------
 
@@ -119,8 +115,8 @@ class Pipeline:
             res = verify_critical(self.p, M)
             if not res.ok:
                 raise SystemExit(f"{M.name}: {'; '.join(res.messages)}")
-            decl = M.meta["decl"]
-            radius = decl.get("radius", self.default_radius(M))
+            decl = self.saddle_decls[M.name]
+            radius = decl.get("radius", self.default_radius())
             frame = negative_direction_field(self.p, M)
             if not hasattr(frame, "nu"):
                 lines.append(f"{M.name}: NonOrientableNormalLine -> "
@@ -129,8 +125,8 @@ class Pipeline:
             cls = classify_separating(self.p, M, frame, g, radius)
             lines.append(f"{M.name}: index 1, sigma = {M.value:.9g}, "
                          f"{cls.status}")
-            self.saddle_records.append(
-                SaddleRecord(M, frame, radius, cls))
+            self.saddle_records.append(SaddleRecord(
+                M, frame, radius, tau=decl.get("tau"), classification=cls))
         print("\n".join(lines))
 
     def label(self):
@@ -196,31 +192,14 @@ class Pipeline:
             w.writerows(rows)
         print(f"wrote {self._out('spectrum.csv')}")
 
-    def _quasimode_bundle(self, h):
-        g = self.sampling
-        L = self.labeling
-        psis = []
-        for M in self.minima:
-            lab = L.minima[M.name]
-            gluings = {}
-            for s in lab.saddles:
-                if s == FICTIVE_SADDLE:
-                    continue
-                rec = next(r for r in self.saddle_records if r.name == s)
-                decl = rec.manifold.meta["decl"]
-                gluings[s] = quasimodes.build_gluing(
-                    self.p, rec, lab.component, g, h,
-                    tau=decl.get("tau"))
-            psis.append(quasimodes.build_psi(
-                self.p, M, L, gluings, g, h, other_minima=self.minima))
-        return psis
-
     def quasimode(self):
         if not self.eigs:
             self.solve()
         rows = []
         for h in self.h_list:
-            psis = self._quasimode_bundle(h)
+            psis = quasimodes.quasimode_bundle(
+                self.p, self.minima, self.labeling, self.saddle_records,
+                self.sampling, h)
             W = self.pieces.operator(h)
             IM = quasimodes.interaction_matrix(W, psis, self.eigs[h],
                                                self.labeling)

@@ -45,7 +45,8 @@ class SaddleRecord:
 
     manifold: CriticalManifold
     frame: SaddleFrame
-    radius: float
+    radius: float                 # classification tube
+    tau: float | None = None      # gluing width; None: build_gluing's default
     classification: SeparatingClassification | None = None
 
     @property

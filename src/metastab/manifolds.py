@@ -9,7 +9,7 @@ with sign propagated by continuity along the node chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -25,6 +25,7 @@ __all__ = [
     "manifold_sphere",
     "manifold_parametrized",
     "manifold_from_decl",
+    "node_distance",
     "verify_critical",
     "transversal_hessian",
     "classify_index",
@@ -65,7 +66,6 @@ class CriticalManifold:
     closed_chain: bool = False     # nodes ordered along a periodic loop
     value: float | None = None
     index: int | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
@@ -108,7 +108,6 @@ def manifold_sphere(center, radius, n_nodes=256, name="sphere") -> CriticalManif
         return CriticalManifold(
             name=name, kind="sphere", dim=1, ambient_dim=2,
             nodes=nodes, weights=weights, tangents=tangents, closed_chain=True,
-            meta={"center": center, "radius": radius},
         )
     if d == 3:
         n_t = n_nodes
@@ -133,7 +132,6 @@ def manifold_sphere(center, radius, n_nodes=256, name="sphere") -> CriticalManif
         return CriticalManifold(
             name=name, kind="sphere", dim=2, ambient_dim=3,
             nodes=nodes, weights=w.ravel(), tangents=tangents,
-            meta={"center": center, "radius": radius},
         )
     raise ValueError("spheres are supported in ambient dimension 2 or 3 "
                      "(use the radial profile route in higher dimension)")
@@ -187,8 +185,6 @@ def manifold_parametrized(maps, param_box, periodic, n_nodes, ambient_dim,
     return CriticalManifold(
         name=name, kind="parametrized", dim=k, ambient_dim=ambient_dim,
         nodes=nodes, weights=weights, tangents=tangents, closed_chain=closed,
-        meta={"maps": list(maps), "param_box": param_box,
-              "periodic": list(periodic)},
     )
 
 
@@ -220,6 +216,12 @@ def manifold_from_decl(decl, ambient_dim) -> CriticalManifold:
             decl["maps"], decl["param_box"],
             decl.get("periodic", [False] * k),
             decl.get("nodes", 256), ambient_dim, name=name)
+
+
+def node_distance(a: CriticalManifold, b: CriticalManifold) -> float:
+    """Smallest distance between a node of `a` and a node of `b`."""
+    return float(np.min(np.linalg.norm(
+        a.nodes[:, None, :] - b.nodes[None, :, :], axis=-1)))
 
 
 # ---------------------------------------------------------------------------

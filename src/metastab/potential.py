@@ -4,21 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (
-    Call,
-    BinOp,
-    Const,
-    DomainError,
-    Neg,
-    Node,
-    PowInt,
-    Var,
-    parse_expression,
-)
+from .expr import DomainError, parse_expression
 
 __all__ = [
     "Potential",
@@ -29,29 +19,21 @@ __all__ = [
     "save_spec_file",
     "DomainError",
     "CONFINEMENT_SAMPLES",
+    "CONFINEMENT_SHELL_FRACTION",
+    "CONFINEMENT_C",
 ]
 
+# check_confinement samples this many points of the outer shell, a band of
+# this fraction of the box width along each axis, and tests its clauses
+# with this constant C
 CONFINEMENT_SAMPLES = 4096
+CONFINEMENT_SHELL_FRACTION = 0.1
+CONFINEMENT_C = 10.0
 
 # points per block in `_evaluate`: the expression tree's
 # temporaries stay cache-sized; every operation is elementwise, so the
 # result does not depend on the block size
 _BLOCK = 1 << 16
-
-
-def _substitute_r(node: Node) -> Node:
-    """Rewrite the radial symbol as the single coordinate of a 1D profile."""
-    if isinstance(node, Var):
-        return Var(0) if node.index == -1 else node
-    if isinstance(node, Neg):
-        return Neg(_substitute_r(node.arg))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _substitute_r(node.lhs), _substitute_r(node.rhs))
-    if isinstance(node, PowInt):
-        return PowInt(_substitute_r(node.base), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.name, _substitute_r(node.arg))
-    return node
 
 
 class Potential:
@@ -66,10 +48,6 @@ class Potential:
         self.dim = int(dim)
         self._root = root
         self.radial = bool(radial)
-        if radial:
-            self._profile_root = _substitute_r(root)
-        else:
-            self._profile_root = None
 
     def __repr__(self):
         return f"Potential({self.text!r}, d={self.dim}, radial={self.radial})"
@@ -80,7 +58,9 @@ class Potential:
         """The 1D radial profile F with F(r) = f(x), |x| = r."""
         if not self.radial:
             raise ValueError("potential is not radial")
-        return Potential(self.text, 1, self._profile_root, radial=False)
+        # r parses as Var(-1), the last column: on the one column [r] the
+        # same tree is the profile
+        return Potential(self.text, 1, self._root, radial=False)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -140,7 +120,7 @@ class Potential:
             # radial chain rule: grad f = F'(r) x / r and
             # Hess f = F''(r) u u^T + F'(r)/r (I - u u^T) with u = x / r
             r = np.sqrt(np.sum(x**2, axis=1))
-            v[rows], gr, hr = self._profile_root.evaluate([r], order)
+            v[rows], gr, hr = self._root.evaluate([r], order)
             if order >= 1:
                 pos = r > 0.0
                 safe = np.where(pos, r, 1.0)
@@ -173,8 +153,6 @@ def parse_potential(text, d) -> Potential:
 @dataclass
 class ConfinementReport:
     box: np.ndarray
-    shell_fraction: float
-    C: float
     min_f: float
     min_grad_norm: float
     max_hess_ratio: float
@@ -191,7 +169,8 @@ class ConfinementReport:
         return (
             f"confinement {status}: min f = {self.min_f:.6g}, "
             f"min |grad f| = {self.min_grad_norm:.6g}, "
-            f"max |Hess|/|grad|^2 = {self.max_hess_ratio:.6g} (C = {self.C:g})"
+            f"max |Hess|/|grad|^2 = {self.max_hess_ratio:.6g} "
+            f"(C = {CONFINEMENT_C:g})"
         )
 
 
@@ -263,16 +242,17 @@ def _shell_samples(box, shell_fraction, n_samples, seed=0):
     return np.concatenate(points)[:n_samples]
 
 
-def check_confinement(p: Potential, box, shell_fraction=0.1,
-                      C=10.0) -> ConfinementReport:
+def check_confinement(p: Potential, box) -> ConfinementReport:
     """Sample CONFINEMENT_SAMPLES points of the outer shell of `box`, the
-    same points on every call, and test the three confinement clauses:
-    f >= -C, |grad f| >= 1/C and |Hess f| <= C |grad f|^2.
+    same points on every call, and test the three confinement clauses
+    with C = CONFINEMENT_C: f >= -C, |grad f| >= 1/C and
+    |Hess f| <= C |grad f|^2.
     """
     box = np.asarray(box, dtype=float)
     if box.shape != (p.dim, 2):
         raise ValueError(f"expected box of shape ({p.dim}, 2)")
-    samples = _shell_samples(box, shell_fraction, CONFINEMENT_SAMPLES)
+    samples = _shell_samples(box, CONFINEMENT_SHELL_FRACTION,
+                             CONFINEMENT_SAMPLES)
     v, g, h = p.hessians(samples)
     gn = np.linalg.norm(g, axis=1)
     ratio = np.full(gn.shape, np.inf)
@@ -281,10 +261,9 @@ def check_confinement(p: Potential, box, shell_fraction=0.1,
     min_f = float(np.min(v, initial=np.inf))
     min_grad = float(np.min(gn, initial=np.inf))
     max_ratio = float(np.max(ratio, initial=0.0))
+    C = CONFINEMENT_C
     return ConfinementReport(
         box=box,
-        shell_fraction=shell_fraction,
-        C=C,
         min_f=min_f,
         min_grad_norm=min_grad,
         max_hess_ratio=max_ratio,

@@ -21,7 +21,7 @@ from scipy import ndimage
 
 from .kramers import EXP_CLAMP
 from .labeling import FICTIVE_SADDLE, LabelingResult, SaddleRecord
-from .manifolds import CriticalManifold
+from .manifolds import CriticalManifold, node_distance
 from .potential import Potential
 from .spectral import WittenOperator
 from .sublevel import GridSampling
@@ -34,6 +34,7 @@ __all__ = [
     "build_gluing",
     "QuasimodeField",
     "build_psi",
+    "quasimode_bundle",
     "rayleigh",
     "InteractionMatrix",
     "interaction_matrix",
@@ -206,14 +207,13 @@ def plateau_feasible_tau(rec: SaddleRecord):
 
 
 def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
-                 g: GridSampling, h, tau=None, mode="quadratic",
-                 plus_is_minimum=None) -> SaddleGluing:
+                 g: GridSampling, h, tau=None,
+                 mode="quadratic") -> SaddleGluing:
     """Oriented gluing profile for one (saddle, minimum) pair.
 
     `minimum_component` is the global component id of E(m) at the saddle's
     level; the classification's side labels fix the sign of ell0 so that it
-    is positive toward the minimum.  `plus_is_minimum` overrides that
-    lookup when the caller already knows the orientation.
+    is positive toward the minimum.
     """
     tau_max = plateau_feasible_tau(rec)
     if tau is None:
@@ -221,18 +221,13 @@ def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
     if tau > tau_max:
         raise ValueError(f"tau = {tau:.4g} exceeds the plateau-feasible "
                          f"maximum {tau_max:.4g} for saddle {rec.name}")
-    if plus_is_minimum is None:
-        cls = rec.classification
-        if cls is None or cls.b_plus is None:
-            raise ValueError(f"saddle {rec.name} lacks side classification")
-        if minimum_component == cls.b_plus:
-            plus_is_minimum = True
-        elif minimum_component == cls.b_minus:
-            plus_is_minimum = False
-        else:
-            raise ValueError(
-                f"saddle {rec.name} does not border component "
-                f"{minimum_component}")
+    cls = rec.classification
+    if cls is None or cls.b_plus is None:
+        raise ValueError(f"saddle {rec.name} lacks side classification")
+    if minimum_component not in (cls.b_plus, cls.b_minus):
+        raise ValueError(
+            f"saddle {rec.name} does not border component "
+            f"{minimum_component}")
     pts = g.points()
     ell0 = _signed_quadratic_ell0(rec, pts)
     if mode == "agmon":
@@ -242,7 +237,7 @@ def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
         ell0 = np.sign(ell0) * np.sqrt(2.0 * gap)
     elif mode != "quadratic":
         raise ValueError(f"unknown ell0 mode {mode!r}")
-    if not plus_is_minimum:
+    if minimum_component != cls.b_plus:
         ell0 = -ell0
     s_grid = np.linspace(0.0, 2.0 * tau, 4097)
     integrand = zeta(s_grid / tau) * np.exp(-s_grid**2 / (2.0 * h))
@@ -274,14 +269,13 @@ class QuasimodeField:
 
 
 def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
-              gluings, g: GridSampling, h, other_minima=()) -> QuasimodeField:
+              gluings, g: GridSampling, h, other_minima) -> QuasimodeField:
     """Quasimode on the grid; pure Gibbs vector for the global minimum.
 
     The cutoff theta is 1 on E(m) and on every gluing tube (so it never
     varies where the crossing profile does) and decays by smoothstep over
     [delta, 2 delta] of distance from that core.  delta is a quarter of
-    the separation from the nearest other declared minimum, or four times
-    the largest spacing when none is given.
+    the separation from the nearest of `other_minima` (which may hold m).
     """
     lab = L.minima[m.name]
     vals = g.values
@@ -299,14 +293,8 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
         glu = gluings[s]
         core |= np.abs(glu.ell0) <= 2.02 * glu.tau
     dist = ndimage.distance_transform_edt(~core, sampling=g.spacings)
-    if other_minima:
-        sep = min(
-            float(np.min(np.linalg.norm(
-                m.nodes[:, None, :] - o.nodes[None, :, :], axis=-1)))
-            for o in other_minima if o.name != m.name)
-        delta = sep / 4.0
-    else:
-        delta = 4.0 * float(np.max(g.spacings))
+    delta = min(node_distance(m, o) for o in other_minima
+                if o.name != m.name) / 4.0
     theta = smoothstep((2.0 * delta - dist) / delta)
     psi = 2.0 * theta * gibbs
     for s in lab.saddles:
@@ -321,6 +309,25 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
                 f"support of psi_{m.name} leaks into the well of "
                 f"{other.name}; decrease delta")
     return field_
+
+
+def quasimode_bundle(p: Potential, minima, L: LabelingResult, records,
+                     g: GridSampling, h):
+    """The quasimodes of all `minima`, in their order.
+
+    Each saddle of j(m) but the fictive one gets its gluing toward E(m),
+    with the tau of its `SaddleRecord`; the other minima set the cutoff
+    width of `build_psi`.
+    """
+    by_name = {rec.name: rec for rec in records}
+    psis = []
+    for m in minima:
+        lab = L.minima[m.name]
+        gluings = {s: build_gluing(p, by_name[s], lab.component, g, h,
+                                   tau=by_name[s].tau)
+                   for s in lab.saddles if s != FICTIVE_SADDLE}
+        psis.append(build_psi(p, m, L, gluings, g, h, minima))
+    return psis
 
 
 def rayleigh(op: WittenOperator, psi: QuasimodeField):

@@ -370,10 +370,11 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
                        residuals=residuals, ordering=ordering)
 
 
-def count_small(values, h, eta0=DEFAULT_ETA0):
-    """Number of eigenvalues <= eta0 h^2 and the gap ratio of the next one."""
+def count_small(values, h):
+    """Number of eigenvalues <= DEFAULT_ETA0 h^2 and the gap ratio of the
+    next one."""
     values = np.asarray(values)
-    cut = eta0 * h * h
+    cut = DEFAULT_ETA0 * h * h
     n = int(np.sum(values <= cut))
     ratio = float(values[n] / cut) if n < values.size else np.inf
     return n, ratio

@@ -17,11 +17,11 @@ from metastab.potential import parse_potential
 from metastab.sublevel import classify_separating, sample_grid
 
 
-def make_record(p, M, radius, g):
+def make_record(p, M, radius, g, tau=None):
     """SaddleRecord with classification and direction field filled in."""
     frame = negative_direction_field(p, M)
     cls = classify_separating(p, M, frame, g, radius)
-    return SaddleRecord(manifold=M, frame=frame, radius=radius,
+    return SaddleRecord(manifold=M, frame=frame, radius=radius, tau=tau,
                         classification=cls)
 
 
@@ -47,10 +47,13 @@ class TiltedWell:
             res = verify_critical(self.p, M)
             assert res.ok, res
         self.g = sample_grid(self.p, self.box)
-        self.record = make_record(self.p, self.saddle, radius=0.7, g=self.g)
+        # radius and tau as in the shipped spec
+        self.record = make_record(self.p, self.saddle, radius=0.7, g=self.g,
+                                  tau=0.45)
+        self.records = [self.record]
         self.minima = [self.m_left, self.m_right]
         self.labeling = run_labeling(self.p, self.g, self.minima,
-                                     [self.record])
+                                     self.records)
         self.S_right = self.saddle.value - self.m_right.value
         f2 = lambda x: 3.0 * x * x - 1.0
         self.D_right = math.sqrt(f2(xr) * abs(f2(xs))) / math.pi
@@ -85,7 +88,8 @@ class ThreeMinima:
             res = verify_critical(self.p, M)
             assert res.ok, res
         self.g = sample_grid(self.p, self.box)
-        self.records = [make_record(self.p, M, radius=0.45, g=self.g)
+        self.records = [make_record(self.p, M, radius=0.45, g=self.g,
+                                    tau=0.45)
                         for M in (self.s_left, self.s_right)]
         self.labeling = run_labeling(self.p, self.g, self.minima,
                                      self.records)

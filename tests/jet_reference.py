@@ -137,8 +137,8 @@ def reference_eval2(p, x):
         r2 = seeds[0] * seeds[0]
         for s in seeds[1:]:
             r2 = r2 + s * s
-        jet = jet_eval(p._profile_root, [_call("sqrt", r2)])
+        jet = jet_eval(p._root, [_call("sqrt", r2)])
     else:
-        prof = jet_at(p._profile_root, [0.0])
+        prof = jet_at(p._root, [0.0])
         return prof.v, np.zeros(d), prof.h[0, 0] * np.eye(d)
     return jet.v, jet.g, 0.5 * (jet.h + jet.h.T)

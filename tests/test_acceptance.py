@@ -20,8 +20,8 @@ from metastab.labeling import run_labeling
 from metastab.manifolds import (NonOrientableNormalLine, manifold_point,
                                 negative_direction_field, verify_critical)
 from metastab.potential import parse_potential
-from metastab.quasimodes import (agmon_distance, build_gluing, build_psi,
-                                 interaction_matrix)
+from metastab.quasimodes import (agmon_distance, interaction_matrix,
+                                 quasimode_bundle)
 from metastab.sde import LangevinConfig, arrhenius_fit, simulate_exit
 from metastab.spectral import (assemble_radial, assemble_witten, count_small,
                                smallest_eigs)
@@ -140,23 +140,6 @@ def test_criterion_04_eigenvalue_count(tilted, three_minima, mexican):
     check(4, clauses)
 
 
-def _quasimode_bundle(fx, h, tau=0.45):
-    records = getattr(fx, "records", None) or [fx.record]
-    psis = []
-    for m in fx.minima:
-        lab = fx.labeling.minima[m.name]
-        gluings = {}
-        for s in lab.saddles:
-            if s == "__top__":
-                continue
-            rec = next(r for r in records if r.name == s)
-            gluings[s] = build_gluing(fx.p, rec, lab.component, fx.g, h,
-                                      tau=tau)
-        psis.append(build_psi(fx.p, m, fx.labeling, gluings, fx.g, h,
-                              other_minima=fx.minima))
-    return psis
-
-
 def test_criterion_05_quasimode_route(tilted, three_minima):
     clauses = []
     h = 0.1
@@ -164,8 +147,9 @@ def test_criterion_05_quasimode_route(tilted, three_minima):
         k = len(fx.minima)
         W = assemble_witten(fx.p, fx.box, fx.g.shape, h)
         eig = smallest_eigs(W, k)
-        im = interaction_matrix(W, _quasimode_bundle(fx, h), eig,
-                                fx.labeling)
+        psis = quasimode_bundle(fx.p, fx.minima, fx.labeling, fx.records,
+                                fx.g, h)
+        im = interaction_matrix(W, psis, eig, fx.labeling)
         got = np.sort(im.eigenvalues())
         rel = max(abs(a - b) / b
                   for a, b in zip(got[1:], eig.values[1:]))
@@ -178,8 +162,9 @@ def test_criterion_05_quasimode_route(tilted, three_minima):
     for h in (0.2, 0.1, 0.05):
         W = assemble_witten(tilted.p, tilted.box, tilted.g.shape, h)
         eig = smallest_eigs(W, 2)
-        im = interaction_matrix(W, _quasimode_bundle(tilted, h), eig,
-                                tilted.labeling)
+        psis = quasimode_bundle(tilted.p, tilted.minima, tilted.labeling,
+                                tilted.records, tilted.g, h)
+        im = interaction_matrix(W, psis, eig, tilted.labeling)
         losses.append(float(np.max(im.norm_loss)))
     drops = [a / b for a, b in zip(losses, losses[1:])]
     clauses.append((all(d >= 4.0 for d in drops),
@@ -191,7 +176,8 @@ def test_criterion_05_quasimode_route(tilted, three_minima):
 def test_criterion_06_quasimode_norm(tilted, mexican_labeled):
     clauses = []
     h = 0.05
-    psi1 = _quasimode_bundle(tilted, h)[
+    psi1 = quasimode_bundle(tilted.p, tilted.minima, tilted.labeling,
+                            tilted.records, tilted.g, h)[
         [m.name for m in tilted.minima].index("right")]
     f2 = 3.0 * tilted.x_right**2 - 1.0
     target1 = 4.0 * math.sqrt(math.pi * h) / math.sqrt(f2)
@@ -199,10 +185,8 @@ def test_criterion_06_quasimode_norm(tilted, mexican_labeled):
     clauses.append((abs(r1 - 1.0) <= 0.10,
                     f"1D norm ratio {r1:.3f} within 10%"))
     mx = mexican_labeled
-    lab = mx.labeling.minima["center"]
-    glu = build_gluing(mx.p, mx.record, lab.component, mx.g, h)
-    psi2 = build_psi(mx.p, mx.m_center, mx.labeling, {"saddle_ring": glu},
-                     mx.g, h, other_minima=mx.minima)
+    psi2 = quasimode_bundle(mx.p, mx.minima, mx.labeling, [mx.record],
+                            mx.g, h)[mx.minima.index(mx.m_center)]
     target2 = 4.0 * math.pi * h / mx.profile_dd(0.0)
     r2 = psi2.norm_sq() / target2
     clauses.append((abs(r2 - 1.0) <= 0.10,

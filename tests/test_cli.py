@@ -264,10 +264,16 @@ def test_validate_tolerance_gate(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 # `out/` holds the reference artifacts of this command, run from the
 # repository root; rerunning it must reproduce them.
 GOLDEN_ARGV = ["all", "--spec", SPEC, "--h", "0.2,0.15,0.1", "--seed", "0"]
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "out"
+GOLDEN_DIR = ROOT / "out"
+# `out_2d/` holds those of GOLDEN_2D_ARGV
+GOLDEN_2D_ARGV = ["all", "--spec", "perfbench/specs/tilted_2d.json",
+                  "--grid", "128,128", "--h", "0.2,0.15,0.1", "--seed", "3"]
+GOLDEN_2D_DIR = ROOT / "out_2d"
 
 
 def read_table(path):
@@ -293,7 +299,25 @@ def assert_field_matches(got, want, floor):
             assert g_num == pytest.approx(w_num, rel=1e-8, abs=0.0), (g, w)
 
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+def assert_artifacts_match(got_dir, golden_dir):
+    """The labeling and the predictions byte for byte; every other
+    artifact field by `assert_field_matches`, below the reliability floor
+    of its h in the golden spectrum.csv."""
+    for name in ("labeling.txt", "predictions.csv"):
+        assert (got_dir / name).read_bytes() == \
+            (golden_dir / name).read_bytes(), name
+    _, spectrum = read_table(golden_dir / "spectrum.csv")
+    floors = {row["h"]: float(row["floor"]) for row in spectrum}
+    for name in ("spectrum.csv", "interaction.csv", "validate.csv",
+                 "exit_times.csv"):
+        got_head, got_rows = read_table(got_dir / name)
+        want_head, want_rows = read_table(golden_dir / name)
+        assert got_head == want_head, name
+        assert len(got_rows) == len(want_rows), name
+        for got, want in zip(got_rows, want_rows):
+            floor = floors[want["h"]]
+            for key in want:
+                assert_field_matches(got[key], want[key], floor)
 
 
 def source_env(**overrides):
@@ -333,34 +357,19 @@ def test_cli_import_skips_scipy_spatial():
 
 def test_artifacts_independent_of_blas_threads(tmp_path):
     # every stage runs on one BLAS thread, so a 2D run writes the same
-    # bytes at any OpenBLAS thread count
-    argv = ["all", "--spec", "perfbench/specs/tilted_2d.json",
-            "--grid", "128,128", "--h", "0.2,0.15,0.1", "--seed", "3"]
+    # bytes at any OpenBLAS thread count; the one-thread run also
+    # reproduces the 2D golden
     for threads in ("1", "2"):
-        subprocess.run([sys.executable, "-m", "metastab.cli", *argv,
-                        "--out", str(tmp_path / threads)],
+        subprocess.run([sys.executable, "-m", "metastab.cli",
+                        *GOLDEN_2D_ARGV, "--out", str(tmp_path / threads)],
                        cwd=ROOT, env=source_env(OPENBLAS_NUM_THREADS=threads),
                        capture_output=True, check=True)
     for name in ARTIFACTS:
         assert (tmp_path / "1" / name).read_bytes() == \
             (tmp_path / "2" / name).read_bytes(), name
+    assert_artifacts_match(tmp_path / "1", GOLDEN_2D_DIR)
 
 
 def test_golden_artifacts_reproduced(tmp_path, capsys):
     assert main(GOLDEN_ARGV + ["--out", str(tmp_path)]) == 0
-    for name in ("labeling.txt", "predictions.csv"):
-        assert (tmp_path / name).read_bytes() == \
-            (GOLDEN_DIR / name).read_bytes(), name
-    # the reliability floor of each h bounds the values it cannot resolve
-    _, spectrum = read_table(GOLDEN_DIR / "spectrum.csv")
-    floors = {row["h"]: float(row["floor"]) for row in spectrum}
-    for name in ("spectrum.csv", "interaction.csv", "validate.csv",
-                 "exit_times.csv"):
-        got_head, got_rows = read_table(tmp_path / name)
-        want_head, want_rows = read_table(GOLDEN_DIR / name)
-        assert got_head == want_head, name
-        assert len(got_rows) == len(want_rows), name
-        for got, want in zip(got_rows, want_rows):
-            floor = floors[want["h"]]
-            for key in want:
-                assert_field_matches(got[key], want[key], floor)
+    assert_artifacts_match(tmp_path, GOLDEN_DIR)

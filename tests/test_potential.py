@@ -46,8 +46,8 @@ def test_blocked_evaluation_matches_one_shot(text, d):
     pts = rng.uniform(-1.5, 1.5, size=((1 << 16) + 3, d))
     if p.radial:
         r = np.sqrt(np.sum(pts**2, axis=1))
-        v_ref = p._profile_root.evaluate([r])[0]
-        w_ref, (dr,), _ = p._profile_root.evaluate([r], 1)
+        v_ref = p._root.evaluate([r])[0]
+        w_ref, (dr,), _ = p._root.evaluate([r], 1)
         g_ref = (dr / r)[:, None] * pts
     else:
         v_ref = p._root.evaluate(pts.T)[0]
@@ -157,14 +157,14 @@ def test_confinement_passes_on_growing_quartic():
 def test_confinement_fails_on_oscillatory_potential():
     # sin has critical points in every shell; the gradient clause must trip
     p = parse_potential("sin(x1)", 1)
-    rep = check_confinement(p, [[-20.0, 20.0]], shell_fraction=0.2)
+    rep = check_confinement(p, [[-20.0, 20.0]])
     assert not rep.passed
     assert not rep.gradient_ok
 
 
 def test_confinement_fails_on_unbounded_below():
     p = parse_potential("-x1^2", 1)
-    rep = check_confinement(p, [[-100.0, 100.0]], C=10.0)
+    rep = check_confinement(p, [[-100.0, 100.0]])
     assert not rep.lower_bound_ok
 
 

@@ -6,6 +6,7 @@ Laplace integral 4 sqrt(pi h / f''(m)), and the Rayleigh quotient must
 track the Eyring-Kramers value within its O(sqrt h) corrections.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -130,7 +131,8 @@ def test_agmon_equals_f_near_minimum(tilted):
 
 def test_global_minimum_is_pure_gibbs(tilted):
     h = 0.1
-    psi = build_psi(tilted.p, tilted.m_left, tilted.labeling, {}, tilted.g, h)
+    psi = build_psi(tilted.p, tilted.m_left, tilted.labeling, {}, tilted.g, h,
+                    tilted.minima)
     f = tilted.g.values
     expect = np.exp(-(f - tilted.m_left.value) / h)
     assert np.allclose(psi.values, expect, rtol=1e-14)
@@ -140,7 +142,8 @@ def test_global_minimum_is_pure_gibbs(tilted):
 def test_misoriented_gluing_leaks(tilted):
     lab = tilted.labeling.minima["right"]
     glu = build_gluing(tilted.p, tilted.record, lab.component, tilted.g, 0.1,
-                       tau=0.45, plus_is_minimum=False)
+                       tau=0.45)
+    glu = dataclasses.replace(glu, ell0=-glu.ell0)
     with pytest.raises(ValueError, match="leak"):
         build_psi(tilted.p, tilted.m_right, tilted.labeling,
                   {"saddle": glu}, tilted.g, 0.1, other_minima=tilted.minima)
@@ -149,7 +152,7 @@ def test_misoriented_gluing_leaks(tilted):
 def test_missing_gluing_rejected(tilted):
     with pytest.raises(ValueError, match="saddle"):
         build_psi(tilted.p, tilted.m_right, tilted.labeling, {}, tilted.g,
-                  0.1)
+                  0.1, tilted.minima)
 
 
 def quasimode(t, h, mode="quadratic"):

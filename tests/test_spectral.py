@@ -99,8 +99,6 @@ def test_count_small_threshold():
     assert ratio == pytest.approx(100.0)
     n_all, ratio_all = count_small(values[:2], h)
     assert n_all == 2 and ratio_all == np.inf
-    n_alt, _ = count_small(values, h, eta0=1e-7)
-    assert n_alt == 1
 
 
 def test_eig_count_validation(tilted):
