@@ -81,9 +81,11 @@ class Pipeline:
         """f sampled on `self.grid`, once a stage needs it."""
         return sample_grid(self.p, self.grid.box, self.grid.shape)
 
+    @cached_property
     def default_radius(self):
         """A quarter of the smallest node distance between two declared
-        manifolds; 0.25 for a lone one."""
+        manifolds; 0.25 for a lone one.  Computed once, and only for a
+        saddle whose declaration has no radius."""
         manifolds = self.minima + list(self.saddle_manifolds.values())
         if len(manifolds) < 2:
             return 0.25
@@ -116,7 +118,8 @@ class Pipeline:
             if not res.ok:
                 raise SystemExit(f"{M.name}: {'; '.join(res.messages)}")
             decl = self.saddle_decls[M.name]
-            radius = decl.get("radius", self.default_radius())
+            radius = decl["radius"] if "radius" in decl else \
+                self.default_radius
             frame = negative_direction_field(self.p, M)
             if not hasattr(frame, "nu"):
                 lines.append(f"{M.name}: NonOrientableNormalLine -> "
@@ -134,8 +137,7 @@ class Pipeline:
             self.classify()
         g = self.sampling
         self.labeling = run_labeling(self.p, g, self.minima,
-                                     self.saddle_records,
-                                     require_separating=False)
+                                     self.saddle_records)
         gen = check_generic(g, self.labeling, self.minima)
         text = (f"# manifest {self.hash}\n" + self.labeling.report()
                 + "\n" + gen.summary() + "\n")

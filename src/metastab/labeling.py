@@ -16,8 +16,8 @@ import numpy as np
 
 from .manifolds import CriticalManifold, SaddleFrame
 from .potential import Potential
-from .sublevel import (ComponentMap, GridSampling, SeparatingClassification,
-                       components, probe_level)
+from .sublevel import (GridSampling, SeparatingClassification, components,
+                       probe_level)
 
 __all__ = [
     "SaddleRecord",
@@ -108,30 +108,15 @@ def _cluster_levels(saddles):
             for v, idx in levels]
 
 
-def _side_labels(g: GridSampling, cmap: ComponentMap, rec: SaddleRecord):
-    """Global component ids of the two sides of a saddle, at a given level."""
-    out = []
-    for lab in cmap.side_labels(g, rec.manifold.nodes,
-                                0.5 * rec.radius * rec.frame.nu):
-        if lab.size != 1:
-            raise LabelingError(
-                f"saddle {rec.name}: side offsets map to {lab.size} "
-                f"components at level {cmap.sigma:.9g}")
-        out.append(int(lab[0]))
-    if out[0] == out[1]:
-        raise LabelingError(
-            f"saddle {rec.name}: both sides in one component at its own "
-            "level; it does not separate here")
-    return tuple(out)
-
-
-def run_labeling(p: Potential, g: GridSampling, minima, saddles,
-                 require_separating=True) -> LabelingResult:
+def run_labeling(p: Potential, g: GridSampling, minima,
+                 saddles) -> LabelingResult:
     """Label every minimal manifold with (E, j, sigma, S).
 
     `minima` are verified index-0 manifolds; `saddles` are SaddleRecord
-    entries.  Records classified non-separating are skipped (or rejected if
-    `require_separating`); every minimum must be reached by some level.
+    entries.  Records classified non-separating are skipped with a
+    warning; every minimum must be reached by some level, and each saddle's
+    two sides (`ComponentMap.sides`) must be distinct components at its
+    level.
     """
     minima = list(minima)
     for m in minima:
@@ -141,11 +126,9 @@ def run_labeling(p: Potential, g: GridSampling, minima, saddles,
     warnings = []
     for rec in saddles:
         if rec.classification is not None and not rec.classification.separating:
-            msg = (f"saddle {rec.name} is {rec.classification.status}; "
-                   "excluded from the hierarchy")
-            if require_separating:
-                raise LabelingError(msg)
-            warnings.append(msg)
+            warnings.append(f"saddle {rec.name} is "
+                            f"{rec.classification.status}; excluded from "
+                            "the hierarchy")
             continue
         active.append(rec)
 
@@ -178,7 +161,13 @@ def run_labeling(p: Potential, g: GridSampling, minima, saddles,
                               if m.name in labels and min_lab[k] >= 0}
         sides = {}
         for i in idx:
-            sides[active[i].name] = _side_labels(g, cmap, active[i])
+            rec = active[i]
+            a, b = sides[rec.name] = cmap.sides(g, rec.manifold, rec.frame,
+                                                rec.radius)
+            if a == b:
+                raise LabelingError(
+                    f"saddle {rec.name}: both sides in one component at its "
+                    "own level; it does not separate here")
         new_found = False
         seen_new = set()
         for comp in sorted({int(v) for v in min_lab if v >= 0}):

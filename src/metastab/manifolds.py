@@ -43,6 +43,9 @@ VALUE_TOL = 1e-8
 EIG_REL_TOL = 1e-6
 SEPARATION_TOL = 0.1
 
+# node pairs per block of `node_distance`: about 1.5 MB of differences
+_PAIR_BLOCK = 1 << 16
+
 
 class DegenerateParametrizationError(ValueError):
     pass
@@ -219,9 +222,16 @@ def manifold_from_decl(decl, ambient_dim) -> CriticalManifold:
 
 
 def node_distance(a: CriticalManifold, b: CriticalManifold) -> float:
-    """Smallest distance between a node of `a` and a node of `b`."""
-    return float(np.min(np.linalg.norm(
-        a.nodes[:, None, :] - b.nodes[None, :, :], axis=-1)))
+    """Smallest distance between a node of `a` and a node of `b`.
+
+    Rows of `a.nodes` are taken in blocks of about `_PAIR_BLOCK` pairs, so
+    the scratch memory does not grow with the node counts; each pair's
+    distance is the same expression as over the whole (na, nb) array, so
+    the minimum is bit for bit the same."""
+    step = max(1, _PAIR_BLOCK // b.n_nodes)
+    return min(float(np.min(np.linalg.norm(
+        a.nodes[s:s + step, None, :] - b.nodes[None, :, :], axis=-1)))
+        for s in range(0, a.n_nodes, step))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +343,6 @@ class SaddleFrame:
     manifold: CriticalManifold
     mu: np.ndarray        # (k,) negative eigenvalue per node
     nu: np.ndarray        # (k, d) unit eigenvectors
-    orientable: bool = True
 
 
 @dataclass
@@ -379,4 +388,4 @@ def negative_direction_field(p: Potential, M: CriticalManifold):
         closure = float(np.dot(nu[-1], nu[0]))
         if closure < 0:
             return NonOrientableNormalLine(M, mu, closure)
-    return SaddleFrame(M, mu, nu, orientable=True)
+    return SaddleFrame(M, mu, nu)

@@ -64,10 +64,6 @@ class Potential:
 
     # -- evaluation ---------------------------------------------------------
 
-    def value(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.values(x)[0]
-
     def values(self, points):
         """Vectorized evaluation at an (n, d) array of points."""
         return self._evaluate(points, 0)[0]

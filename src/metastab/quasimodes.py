@@ -207,13 +207,12 @@ def plateau_feasible_tau(rec: SaddleRecord):
 
 
 def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
-                 g: GridSampling, h, tau=None,
-                 mode="quadratic") -> SaddleGluing:
+                 g: GridSampling, h, tau=None) -> SaddleGluing:
     """Oriented gluing profile for one (saddle, minimum) pair.
 
     `minimum_component` is the global component id of E(m) at the saddle's
-    level; the classification's side labels fix the sign of ell0 so that it
-    is positive toward the minimum.
+    level; the classification's sides (`b_plus`, `b_minus`) fix the sign
+    of ell0 so that it is positive toward the minimum.
     """
     tau_max = plateau_feasible_tau(rec)
     if tau is None:
@@ -230,13 +229,6 @@ def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
             f"{minimum_component}")
     pts = g.points()
     ell0 = _signed_quadratic_ell0(rec, pts)
-    if mode == "agmon":
-        phi = agmon_distance(p, rec.manifold, g).ravel()
-        val = p.values(pts)
-        gap = np.maximum(phi - (val - rec.value), 0.0)
-        ell0 = np.sign(ell0) * np.sqrt(2.0 * gap)
-    elif mode != "quadratic":
-        raise ValueError(f"unknown ell0 mode {mode!r}")
     if minimum_component != cls.b_plus:
         ell0 = -ell0
     s_grid = np.linspace(0.0, 2.0 * tau, 4097)

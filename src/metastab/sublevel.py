@@ -36,8 +36,11 @@ per cell plus 8 bytes per tube cell while it is sampled and probed
 and at 5 bytes per cell while it is labelled: `local_structure` turns the
 mask into the sublevel set in place and drops the values before the int32
 labels are allocated.  A tube grid lives only while `local_structure`
-runs: its result keeps the component count and the side labels, not the
-grid or its labels.
+runs: its result keeps the component count, not the grid or its labels.
+
+`ComponentMap.sides` is the one rule that matches the two sides of an
+index-1 manifold to components: `local_structure`, `classify_separating`
+and the labeling all read a saddle's sides through it.
 """
 
 from __future__ import annotations
@@ -309,12 +312,27 @@ class ComponentMap:
         """Component label at given points; -1 if excluded or out of box."""
         return grid.lookup(self.labels, points, -1)
 
-    def side_labels(self, grid: Grid, nodes, offset):
-        """The distinct labels, ascending, at nodes + offset and at
-        nodes - offset; excluded and out-of-box points are dropped."""
-        return tuple(np.unique(lab[lab >= 0]) for lab in
-                     (self.label_at(grid, nodes + offset),
-                      self.label_at(grid, nodes - offset)))
+    def sides(self, grid: Grid, M: CriticalManifold, frame: SaddleFrame,
+              radius):
+        """The components (plus, minus) on the two sides of the index-1
+        manifold M: the labels at M.nodes + (radius/2) nu and at
+        M.nodes - (radius/2) nu, excluded and out-of-box points dropped.
+
+        Each side must meet exactly one component, else ValueError.  The
+        two may be the same component; each caller decides what that means.
+        """
+        offset = 0.5 * radius * frame.nu
+        out = []
+        for sign, points in (("+", M.nodes + offset), ("-", M.nodes - offset)):
+            lab = self.label_at(grid, points)
+            lab = np.unique(lab[lab >= 0])
+            if lab.size != 1:
+                raise ValueError(
+                    f"saddle {M.name}: the offset points on its {sign}nu side "
+                    f"meet {lab.size} components of {{f < {self.sigma:.9g}}}; "
+                    "adjust the tube radius")
+            out.append(int(lab[0]))
+        return tuple(out)
 
 
 def components(g: GridSampling, sigma) -> ComponentMap:
@@ -405,8 +423,6 @@ def _band_max(w, d2):
 @dataclass
 class LocalStructure:
     n_components: int
-    plus_label: int | None = None   # side hit by x + (r/2) nu(x)
-    minus_label: int | None = None
 
 
 def _tube_mask(nodes, axes, radius):
@@ -565,8 +581,8 @@ def local_structure(p: Potential, M: CriticalManifold,
                     resolution=None) -> LocalStructure:
     """Components of X_{f(M)} restricted to the tube M + B(0, radius).
 
-    With a direction frame, the two components (if any) are matched to the
-    sides +/- via the offset points x +/- (radius/2) nu(x).  The tube grid
+    With a direction frame, two components must be the two sides of M
+    (`ComponentMap.sides`), or `radius` does not suit M.  The tube grid
     peaks at 1 byte per cell plus 8 per tube cell while it is sampled and
     probed, and at 5 bytes per cell while it is labelled: the mask becomes
     the sublevel set in place and the values are freed before the labels
@@ -576,23 +592,19 @@ def local_structure(p: Potential, M: CriticalManifold,
         raise ValueError("manifold value unknown; run verify_critical first")
     grid = _tube_grid(p, M, radius, resolution)
     level = probe_level(grid, M.value)
-    # the labels and side labels need only the sublevel set and the
-    # geometry: the set is formed in place on the mask, then the values go
+    # the labels and sides need only the sublevel set and the geometry:
+    # the set is formed in place on the mask, then the values go
     inside, values = grid.mask, grid.values
     grid = Grid(grid.box, grid.shape)
     inside[inside] = values < level
     del values
     cmap = _label(inside, level)
-    if cmap.count != 2 or frame is None:
-        return LocalStructure(n_components=cmap.count)
-    plus, minus = cmap.side_labels(grid, M.nodes, 0.5 * radius * frame.nu)
-    if plus.size == 0 or minus.size == 0:
-        raise ValueError("offset points fall outside the sublevel tube; "
-                         "adjust the tube radius")
-    if plus.size != 1 or minus.size != 1 or plus[0] == minus[0]:
-        raise ValueError("inconsistent side assignment from offset points")
-    return LocalStructure(n_components=2, plus_label=int(plus[0]),
-                          minus_label=int(minus[0]))
+    if cmap.count == 2 and frame is not None:
+        plus, minus = cmap.sides(grid, M, frame, radius)
+        if plus == minus:
+            raise ValueError(f"saddle {M.name}: both sides meet one of the "
+                             "two tube components; adjust the tube radius")
+    return LocalStructure(n_components=cmap.count)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +616,6 @@ class SeparatingClassification:
     status: str               # "not_locally_separating" |
                               # "locally_separating_not_separating" |
                               # "separating"
-    sigma: float
     b_plus: int | None = None   # global component ids in X_sigma
     b_minus: int | None = None
 
@@ -623,22 +634,12 @@ def classify_separating(p: Potential, M: CriticalManifold,
     """
     n_local = local_structure(p, M, frame, radius,
                               resolution=resolution).n_components
-    sigma = M.value
     if n_local < 2:
-        return SeparatingClassification(status="not_locally_separating",
-                                        sigma=sigma)
+        return SeparatingClassification(status="not_locally_separating")
     if frame is None:
         raise ValueError("two local components but no direction frame; "
                          "cannot match sides to global components")
-    cmap = components(g, probe_level(g, sigma))
-    plus, minus = cmap.side_labels(g, M.nodes, 0.5 * radius * frame.nu)
-    if plus.size != 1 or minus.size != 1:
-        raise ValueError("offset points map to inconsistent global components")
-    bp, bm = int(plus[0]), int(minus[0])
-    if bp == bm:
-        return SeparatingClassification(
-            status="locally_separating_not_separating", sigma=sigma,
-            b_plus=bp, b_minus=bm)
-    return SeparatingClassification(
-        status="separating", sigma=sigma, b_plus=bp, b_minus=bm)
-
+    cmap = components(g, probe_level(g, M.value))
+    bp, bm = cmap.sides(g, M, frame, radius)
+    status = "separating" if bp != bm else "locally_separating_not_separating"
+    return SeparatingClassification(status=status, b_plus=bp, b_minus=bm)

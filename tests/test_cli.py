@@ -71,6 +71,33 @@ def edited_spec(tmp_path, **changes):
     return str(path)
 
 
+@pytest.mark.parametrize("declared,calls", [(True, 0), (False, 3)])
+def test_default_radius_only_for_undeclared(tmp_path, capsys, monkeypatch,
+                                            declared, calls):
+    # the default radius, one node_distance per pair of the three declared
+    # manifolds, is computed only for a saddle that declares no radius
+    from metastab import cli
+
+    seen = []
+
+    def node_distance(a, b):
+        seen.append((a.name, b.name))
+        return real(a, b)
+
+    real = cli.node_distance
+    monkeypatch.setattr(cli, "node_distance", node_distance)
+    with open(SPEC) as fh:
+        data = json.load(fh)
+    if not declared:
+        for m in data["manifolds"]:
+            m.pop("radius", None)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["classify", "--spec", str(path), "--out",
+                 str(tmp_path)]) == 0
+    assert len(seen) == calls
+
+
 def test_missing_saddle_declaration_fails(tmp_path, capsys):
     with open(SPEC) as fh:
         data = json.load(fh)

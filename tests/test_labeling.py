@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import make_record
-from metastab.labeling import (FICTIVE_SADDLE, LabelingError, check_generic,
-                               run_labeling)
-from metastab.manifolds import manifold_point, verify_critical
+from metastab.labeling import (FICTIVE_SADDLE, LabelingError, SaddleRecord,
+                               check_generic, run_labeling)
+from metastab.manifolds import (manifold_point, negative_direction_field,
+                                verify_critical)
 from metastab.potential import parse_potential
 from metastab.sublevel import sample_grid
 
@@ -199,11 +200,18 @@ def test_nonseparating_record_rejected():
     assert rec.classification.separating
     # force a bogus non-separating classification to exercise the filter
     rec.classification.status = "locally_separating_not_separating"
-    with pytest.raises(LabelingError):
+    with pytest.raises(LabelingError, match="never labeled"):
+        # skipped with a warning, so one minimum ends up unlabeled
         run_labeling(p, g, mins, [rec])
-    with pytest.raises(LabelingError):
-        # skipped silently, minima end up unlabeled
-        run_labeling(p, g, mins, [rec], require_separating=False)
+
+
+def test_side_offset_outside_sublevel_rejected(tilted):
+    # radius 2.5 puts one side's offset at x = 1.35, where f = 0.054 lies
+    # above the saddle's level 0.005
+    frame = negative_direction_field(tilted.p, tilted.saddle)
+    rec = SaddleRecord(manifold=tilted.saddle, frame=frame, radius=2.5)
+    with pytest.raises(ValueError, match="saddle saddle: .* tube radius"):
+        run_labeling(tilted.p, tilted.g, tilted.minima, [rec])
 
 
 def test_equal_depth_minima_flagged():

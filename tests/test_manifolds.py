@@ -2,15 +2,17 @@
 the global negative-direction field (orientable vs Moebius-like cases)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from metastab import manifolds
 from metastab.manifolds import (CriticalManifold, NonOrientableNormalLine,
                                 SaddleFrame, classify_index, manifold_point,
                                 manifold_parametrized, manifold_sphere,
-                                negative_direction_field, transversal_hessian,
-                                verify_critical)
+                                negative_direction_field, node_distance,
+                                transversal_hessian, verify_critical)
 from metastab.potential import parse_potential
 
 from conftest import TWISTED, UNTWISTED, unit_circle
@@ -122,6 +124,42 @@ def test_degenerate_parametrization_rejected():
         manifold_parametrized(
             maps=["0*x1", "0*x1"], param_box=[[0.0, 1.0]],
             periodic=[False], n_nodes=[16], ambient_dim=2, name="squashed")
+
+
+def whole_array_node_distance(a, b):
+    """The smallest node distance from the whole (na, nb, d) array."""
+    return float(np.min(np.linalg.norm(
+        a.nodes[:, None, :] - b.nodes[None, :, :], axis=-1)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_node_distance_blocks_match_whole_array(monkeypatch, block):
+    # block 7 against a one-node manifold takes 7 rows a block, the last
+    # block short; the minima must agree bit for bit
+    monkeypatch.setattr(manifolds, "_PAIR_BLOCK", block)
+    ring = manifold_sphere([0.1, -0.3], 1.3, n_nodes=64)
+    ball = manifold_sphere([0.0, 0.0, 0.0], 0.8, n_nodes=16)
+    cases = [(ring, manifold_point([2.0, 0.7])),
+             (manifold_point([2.0, 0.7]), ring),
+             (ring, manifold_sphere([0.4, 0.2], 0.5, n_nodes=40)),
+             (ball, manifold_sphere([0.3, -0.2, 2.1], 1.1, n_nodes=20))]
+    for a, b in cases:
+        assert node_distance(a, b) == whole_array_node_distance(a, b)
+
+
+def test_node_distance_memory_bounded():
+    # the whole (2304, 2304, 3) difference array and its norms peaked at
+    # 340 MB; blocks of about 2**16 pairs need a few MB
+    a = manifold_sphere([0.0, 0.0, 0.0], 1.0, n_nodes=96)
+    b = manifold_sphere([0.5, 0.0, 2.5], 1.0, n_nodes=96)
+    assert a.n_nodes == b.n_nodes == 2304
+    tracemalloc.start()
+    try:
+        node_distance(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_point_manifold_basics():

@@ -75,9 +75,6 @@ def test_gluing_validation(tilted):
                      tau=1.01 * tau_max)
     with pytest.raises(ValueError, match="border"):
         build_gluing(tilted.p, tilted.record, 999, tilted.g, 0.1)
-    with pytest.raises(ValueError, match="mode"):
-        build_gluing(tilted.p, tilted.record, lab.component, tilted.g, 0.1,
-                     mode="cubic")
 
 
 def nearest_node_ell0(rec, pts):
@@ -155,10 +152,9 @@ def test_missing_gluing_rejected(tilted):
                   0.1, tilted.minima)
 
 
-def quasimode(t, h, mode="quadratic"):
+def quasimode(t, h):
     lab = t.labeling.minima["right"]
-    glu = build_gluing(t.p, t.record, lab.component, t.g, h, tau=0.45,
-                       mode=mode)
+    glu = build_gluing(t.p, t.record, lab.component, t.g, h, tau=0.45)
     return build_psi(t.p, t.m_right, t.labeling, {"saddle": glu}, t.g, h,
                      other_minima=t.minima)
 
@@ -178,13 +174,6 @@ def test_rayleigh_tracks_prediction(tilted, h, lo, hi):
     W = assemble_witten(tilted.p, tilted.box, tilted.g.shape, h)
     ratio = rayleigh(W, psi) / tilted.prediction(h)
     assert lo < ratio < hi
-
-
-def test_agmon_mode_rayleigh(tilted):
-    psi = quasimode(tilted, 0.1, mode="agmon")
-    W = assemble_witten(tilted.p, tilted.box, tilted.g.shape, 0.1)
-    ratio = rayleigh(W, psi) / tilted.prediction(0.1)
-    assert 0.8 < ratio < 1.1
 
 
 def test_rayleigh_grid_mismatch(tilted):

@@ -99,7 +99,14 @@ def test_local_structure_point_saddle_1d(tilted):
     frame = negative_direction_field(tilted.p, tilted.saddle)
     local = local_structure(tilted.p, tilted.saddle, frame, radius=0.7)
     assert local.n_components == 2
-    assert local.plus_label != local.minus_label
+
+
+def test_local_structure_rejects_radius_whose_offset_leaves_sublevel(tilted):
+    # radius 2.5 puts the offset x_saddle + 1.25 at x = 1.35, where
+    # f = 0.054 lies above sigma = 0.005: that side meets no component
+    frame = negative_direction_field(tilted.p, tilted.saddle)
+    with pytest.raises(ValueError, match="saddle saddle: .* tube radius"):
+        local_structure(tilted.p, tilted.saddle, frame, radius=2.5)
 
 
 def test_classify_lower_saddle_separating():
@@ -459,12 +466,9 @@ def test_local_structure_matches_components_on_tube_grid(expression, count):
     cmap = components(g, level)
     local = local_structure(p, M, frame, radius=radius, resolution=resolution)
     assert local.n_components == cmap.count == count
-    if frame is None:
-        assert local.plus_label is None and local.minus_label is None
-    else:
-        plus, minus = cmap.side_labels(g, M.nodes, 0.5 * radius * frame.nu)
-        assert (plus.tolist(), minus.tolist()) == (
-            [local.plus_label], [local.minus_label])
+    if frame is not None:
+        plus, minus = cmap.sides(g, M, frame, radius)
+        assert plus != minus
 
 
 @pytest.mark.parametrize("expression,box,shape", [
