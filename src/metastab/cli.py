@@ -76,6 +76,16 @@ class Pipeline:
     def _out(self, name):
         return os.path.join(self.args.out, name)
 
+    def _write_csv(self, name, header, rows):
+        """The manifest line, then `header` and `rows` as CSV; every line
+        ends in "\n", as in the other artifacts."""
+        with open(self._out(name), "w", newline="") as fh:
+            fh.write(f"# manifest {self.hash}\n")
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+        print(f"wrote {self._out(name)}")
+
     @cached_property
     def sampling(self):
         """f sampled on `self.grid`, once a stage needs it."""
@@ -186,13 +196,9 @@ class Pipeline:
             # the next h's factorization sets the peak: hold none of this
             # h's other eigenvectors through it
             del res
-        with open(self._out("spectrum.csv"), "w", newline="") as fh:
-            fh.write(f"# manifest {self.hash}\n")
-            w = csv.writer(fh)
-            w.writerow(["h", "grid", "k", "eigenvalues", "floor",
-                        "count_small", "gap_ratio", "max_residual"])
-            w.writerows(rows)
-        print(f"wrote {self._out('spectrum.csv')}")
+        self._write_csv("spectrum.csv",
+                        ["h", "grid", "k", "eigenvalues", "floor",
+                         "count_small", "gap_ratio", "max_residual"], rows)
 
     def quasimode(self):
         if not self.eigs:
@@ -213,13 +219,9 @@ class Pipeline:
                              ";".join(f"{v:.12g}" for v in mh),
                              f"{np.max(np.abs(IM.gram - np.eye(len(psis)))):.3g}",
                              f"{IM.norm_loss[j]:.3g}"])
-        with open(self._out("interaction.csv"), "w", newline="") as fh:
-            fh.write(f"# manifest {self.hash}\n")
-            w = csv.writer(fh)
-            w.writerow(["h", "minimum", "rayleigh", "M_h_eigenvalues",
-                        "gram_offdiag_max", "projection_loss"])
-            w.writerows(rows)
-        print(f"wrote {self._out('interaction.csv')}")
+        self._write_csv("interaction.csv",
+                        ["h", "minimum", "rayleigh", "M_h_eigenvalues",
+                         "gram_offdiag_max", "projection_loss"], rows)
 
     def validate(self):
         if self.predictions is None:
@@ -245,13 +247,9 @@ class Pipeline:
                              f"{alpha1:.4g}", int(reliable)])
                 if tol is not None and reliable and abs(ratio - 1) > tol:
                     violated = True
-        with open(self._out("validate.csv"), "w", newline="") as fh:
-            fh.write(f"# manifest {self.hash}\n")
-            w = csv.writer(fh)
-            w.writerow(["h", "minimum", "lambda_num", "lambda_pred",
-                        "ratio", "alpha1_fit", "reliable"])
-            w.writerows(rows)
-        print(f"wrote {self._out('validate.csv')}")
+        self._write_csv("validate.csv",
+                        ["h", "minimum", "lambda_num", "lambda_pred",
+                         "ratio", "alpha1_fit", "reliable"], rows)
         if violated:
             raise SystemExit("validate: ratio tolerance violated")
 
@@ -279,11 +277,6 @@ class Pipeline:
                 samples[M.name].append(s)
                 rows.append([M.name, h, f"{s.mean_exit():.6g}",
                              s.n_censored, s.times.size])
-        with open(self._out("exit_times.csv"), "w", newline="") as fh:
-            fh.write(f"# manifest {self.hash}\n")
-            w = csv.writer(fh)
-            w.writerow(["minimum", "h", "mean_exit", "censored", "paths"])
-            w.writerows(rows)
         for name, ss in samples.items():
             if len(ss) >= 3:
                 fit = sde.arrhenius_fit(ss)
@@ -291,7 +284,9 @@ class Pipeline:
                 print(json.dumps({"minimum": name, "slope": fit.slope,
                                   "target_2S": 2 * S,
                                   "ci_halfwidth": fit.ci_halfwidth}))
-        print(f"wrote {self._out('exit_times.csv')}")
+        self._write_csv("exit_times.csv",
+                        ["minimum", "h", "mean_exit", "censored", "paths"],
+                        rows)
 
     def run(self, command):
         """Run one stage, or every stage for `all`; `self.stage` names the

@@ -33,6 +33,7 @@ def test_all_stages_produce_artifacts(tmp_path, capsys):
         path = tmp_path / name
         assert path.exists(), name
         assert path.read_text().startswith("# manifest ")
+        assert b"\r" not in path.read_bytes(), name
 
 
 def test_prediction_artifact_content(tmp_path, capsys):
