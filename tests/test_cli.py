@@ -80,12 +80,12 @@ def test_default_radius_only_for_undeclared(tmp_path, capsys, monkeypatch,
     from metastab import cli
 
     seen = []
+    real = cli.node_distance
 
     def node_distance(a, b):
         seen.append((a.name, b.name))
         return real(a, b)
 
-    real = cli.node_distance
     monkeypatch.setattr(cli, "node_distance", node_distance)
     with open(SPEC) as fh:
         data = json.load(fh)
