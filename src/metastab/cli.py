@@ -146,8 +146,7 @@ class Pipeline:
         if not self.saddle_records:
             self.classify()
         g = self.sampling
-        self.labeling = run_labeling(self.p, g, self.minima,
-                                     self.saddle_records)
+        self.labeling = run_labeling(g, self.minima, self.saddle_records)
         gen = check_generic(g, self.labeling, self.minima)
         text = (f"# manifest {self.hash}\n" + self.labeling.report()
                 + "\n" + gen.summary() + "\n")
@@ -206,7 +205,7 @@ class Pipeline:
         rows = []
         for h in self.h_list:
             psis = quasimodes.quasimode_bundle(
-                self.p, self.minima, self.labeling, self.saddle_records,
+                self.minima, self.labeling, self.saddle_records,
                 self.sampling, h)
             W = self.pieces.operator(h)
             IM = quasimodes.interaction_matrix(W, psis, self.eigs[h],
@@ -232,15 +231,13 @@ class Pipeline:
         violated = False
         rows = []
         for h in self.h_list:
-            vals = self.eigs[h].values
-            floor = self.eigs[h].floor
+            eig = self.eigs[h]
             # eigenvalue 0 belongs to the global minimum; predict_all gives
-            # the predictions deepest first, so they line up with vals[1:]
-            for j, pr in enumerate(self.predictions):
-                lam_num = vals[1 + j]
+            # the predictions deepest first, so they line up with values[1:]
+            for pr, lam_num, reliable in zip(self.predictions, eig.values[1:],
+                                             eig.reliable()[1:]):
                 lam_pred = pr.evaluate(h)
                 ratio = lam_num / lam_pred if lam_pred > 0 else np.inf
-                reliable = lam_num >= floor
                 alpha1 = (ratio - 1.0) / math.sqrt(h)
                 rows.append([h, pr.minimum, f"{lam_num:.12g}",
                              f"{lam_pred:.12g}", f"{ratio:.6g}",

@@ -37,7 +37,6 @@ __all__ = [
     "evaluate",
     "predict_all",
     "radial_predict",
-    "compare_1d_profile",
     "write_prediction_csv",
     "EXP_CLAMP",
 ]
@@ -61,10 +60,7 @@ class KramersPrediction:
     exponent: float          # e(m)
     constant: float          # D(m)
     contributions: list = field(default_factory=list)
-    denominator: float = 0.0  # int_m |det Hess_perp|^{-1/2} ds
-    dim_min: int = 0          # d_m
     dim_top: int = 0          # d_m^max
-    top_saddles: tuple = ()
     half_integer_expansion: bool = False  # mixed saddle-dimension parity
 
     def evaluate(self, h):
@@ -131,9 +127,7 @@ def prefactor(p: Potential, m: CriticalManifold, L: LabelingResult,
     return KramersPrediction(
         minimum=m.name, barrier=lab.depth,
         exponent=(d_m - d_top) / 2.0 + 1.0,
-        constant=numer / denom, contributions=contributions,
-        denominator=denom, dim_min=d_m, dim_top=d_top,
-        top_saddles=tuple(G.name for G in gammas if G.dim == d_top),
+        constant=numer / denom, contributions=contributions, dim_top=d_top,
         half_integer_expansion=len(parities) > 1)
 
 
@@ -178,40 +172,13 @@ def radial_predict(p: Potential, d, r_m, s_m, barrier) -> KramersPrediction:
         D = (sphere_area(d) * s_m ** (d - 1) * math.pi ** (-(1.0 + d) / 2.0)
              * F2_r ** (d / 2.0) * math.sqrt(abs(F2_s)))
         e = (3.0 - d) / 2.0
-        dim_min = 0
     else:
         D = (s_m ** (d - 1) / (math.pi * r_m ** (d - 1))
              * math.sqrt(F2_r * abs(F2_s)))
         e = 1.0
-        dim_min = d - 1
     return KramersPrediction(
         minimum=f"radial(r={r_m:g})", barrier=barrier, exponent=e,
-        constant=D, dim_min=dim_min, dim_top=d - 1,
-        denominator=float("nan"))
-
-
-@dataclass
-class ProfileComparison:
-    """Relation between a d-dimensional prediction and the 1D profile one."""
-
-    prefactor_ratio: float    # D_profile / D_radial
-    exponent_gap: float       # e_profile - e_radial
-
-
-def compare_1d_profile(pr_radial: KramersPrediction,
-                       pr_profile: KramersPrediction) -> ProfileComparison:
-    """Ratio record: 1D-profile prediction relative to the d-dim one.
-
-    For a spherical minimum the ratio is r_m^{d-1}/s_m^{d-1} with equal
-    exponents; for the center minimum the exponent gap is (d-1)/2.
-    """
-    if abs(pr_radial.barrier - pr_profile.barrier) > 1e-9 * max(
-            1.0, abs(pr_radial.barrier)):
-        raise ValueError("predictions refer to different barriers; "
-                         "mismatched minima")
-    return ProfileComparison(
-        prefactor_ratio=pr_profile.constant / pr_radial.constant,
-        exponent_gap=pr_profile.exponent - pr_radial.exponent)
+        constant=D, dim_top=d - 1)
 
 
 def write_prediction_csv(path, predictions, h_values=(), header_line=None):

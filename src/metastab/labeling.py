@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifolds import CriticalManifold, SaddleFrame
-from .potential import Potential
 from .sublevel import (GridSampling, SeparatingClassification, components,
                        probe_level)
 
@@ -108,8 +107,7 @@ def _cluster_levels(saddles):
             for v, idx in levels]
 
 
-def run_labeling(p: Potential, g: GridSampling, minima,
-                 saddles) -> LabelingResult:
+def run_labeling(g: GridSampling, minima, saddles) -> LabelingResult:
     """Label every minimal manifold with (E, j, sigma, S).
 
     `minima` are verified index-0 manifolds; `saddles` are SaddleRecord
@@ -157,6 +155,7 @@ def run_labeling(p: Potential, g: GridSampling, minima,
         level_maps.append(cmap)
         level_names.append((float(sigma), [active[i].name for i in idx]))
         min_lab = cmap.label_at(g, reps)
+        occupied = {int(v) for v in min_lab if v >= 0}
         labeled_components = {int(min_lab[k]) for k, m in enumerate(minima)
                               if m.name in labels and min_lab[k] >= 0}
         sides = {}
@@ -168,17 +167,14 @@ def run_labeling(p: Potential, g: GridSampling, minima,
                 raise LabelingError(
                     f"saddle {rec.name}: both sides in one component at its "
                     "own level; it does not separate here")
-        new_found = False
-        seen_new = set()
-        for comp in sorted({int(v) for v in min_lab if v >= 0}):
-            if comp in labeled_components or comp in seen_new:
-                continue
-            seen_new.add(comp)
-            inside = [k for k in range(len(minima))
-                      if int(min_lab[k]) == comp and minima[k].name not in labels]
-            if not inside:
-                continue
-            new_found = True
+        # a component that holds no labeled minimum holds unlabeled ones only
+        new_components = sorted(occupied - labeled_components)
+        if not new_components:
+            raise LabelingError(
+                f"separating value {sigma:.9g} produced no new component "
+                "containing an unlabeled minimum; classification inconsistent")
+        for comp in new_components:
+            inside = [k for k in range(len(minima)) if int(min_lab[k]) == comp]
             vals = fvals[inside]
             best = inside[int(np.lexsort((inside, vals))[0])]
             if len(inside) > 1:
@@ -198,14 +194,10 @@ def run_labeling(p: Potential, g: GridSampling, minima,
                 name=minima[best].name, value=float(fvals[best]),
                 sigma=float(sigma), depth=float(sigma - fvals[best]),
                 saddles=j, level=li, component=comp)
-        if not new_found:
-            raise LabelingError(
-                f"separating value {sigma:.9g} produced no new component "
-                "containing an unlabeled minimum; classification inconsistent")
         # every saddle side must border a component that holds some minimum
         for name, (a, b) in sides.items():
             for side in (a, b):
-                if side not in {int(v) for v in min_lab if v >= 0}:
+                if side not in occupied:
                     raise LabelingError(
                         f"saddle {name} borders a component at level "
                         f"{sigma:.9g} containing no declared minimum; "

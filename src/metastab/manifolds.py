@@ -60,7 +60,6 @@ class CriticalManifold:
     """
 
     name: str
-    kind: str                      # "point" | "sphere" | "parametrized"
     dim: int                       # intrinsic dimension d_Gamma
     ambient_dim: int
     nodes: np.ndarray              # (k, d)
@@ -86,7 +85,7 @@ def manifold_point(coords, name="point") -> CriticalManifold:
     coords = np.asarray(coords, dtype=float).ravel()
     d = coords.shape[0]
     return CriticalManifold(
-        name=name, kind="point", dim=0, ambient_dim=d,
+        name=name, dim=0, ambient_dim=d,
         nodes=coords.reshape(1, d), weights=np.ones(1),
         tangents=np.zeros((1, d, 0)),
     )
@@ -109,7 +108,7 @@ def manifold_sphere(center, radius, n_nodes=256, name="sphere") -> CriticalManif
         weights = np.full(n_nodes, radius * 2.0 * np.pi / n_nodes)
         tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, :, None]
         return CriticalManifold(
-            name=name, kind="sphere", dim=1, ambient_dim=2,
+            name=name, dim=1, ambient_dim=2,
             nodes=nodes, weights=weights, tangents=tangents, closed_chain=True,
         )
     if d == 3:
@@ -133,7 +132,7 @@ def manifold_sphere(center, radius, n_nodes=256, name="sphere") -> CriticalManif
         t2 = t2 / np.linalg.norm(t2, axis=-1, keepdims=True)
         tangents = np.stack([t1.reshape(-1, 3), t2.reshape(-1, 3)], axis=-1)
         return CriticalManifold(
-            name=name, kind="sphere", dim=2, ambient_dim=3,
+            name=name, dim=2, ambient_dim=3,
             nodes=nodes, weights=w.ravel(), tangents=tangents,
         )
     raise ValueError("spheres are supported in ambient dimension 2 or 3 "
@@ -186,7 +185,7 @@ def manifold_parametrized(maps, param_box, periodic, n_nodes, ambient_dim,
     tangents = np.linalg.qr(jac)[0]
     closed = k == 1 and bool(periodic[0])
     return CriticalManifold(
-        name=name, kind="parametrized", dim=k, ambient_dim=ambient_dim,
+        name=name, dim=k, ambient_dim=ambient_dim,
         nodes=nodes, weights=weights, tangents=tangents, closed_chain=closed,
     )
 
@@ -241,13 +240,9 @@ def node_distance(a: CriticalManifold, b: CriticalManifold) -> float:
 @dataclass
 class VerificationResult:
     ok: bool
-    max_grad_residual: float
-    value_spread: float
     value: float
     index: int | None
-    nondegenerate: bool
-    index_constant: bool
-    messages: list
+    messages: list                 # one line per failed clause
 
 
 def verify_critical(p: Potential, M: CriticalManifold) -> VerificationResult:
@@ -282,15 +277,10 @@ def verify_critical(p: Potential, M: CriticalManifold) -> VerificationResult:
     ok = (max_grad < GRAD_TOL and spread < VALUE_TOL and nondeg
           and index_constant)
     value = float(np.mean(values))
-    result = VerificationResult(
-        ok=ok, max_grad_residual=max_grad, value_spread=spread, value=value,
-        index=(indices.pop() if index_constant else None),
-        nondegenerate=nondeg, index_constant=index_constant, messages=messages,
-    )
+    index = indices.pop() if index_constant else None
     if ok:
-        M.value = value
-        M.index = result.index
-    return result
+        M.value, M.index = value, index
+    return VerificationResult(ok=ok, value=value, index=index, messages=messages)
 
 
 def _normal_bases(M: CriticalManifold):
@@ -351,7 +341,6 @@ class NonOrientableNormalLine:
     unit field exists (the manifold is not locally separating)."""
     manifold: CriticalManifold
     mu: np.ndarray
-    holonomy_overlap: float   # inner product after loop closure, < 0
 
 
 def negative_direction_field(p: Potential, M: CriticalManifold):
@@ -384,8 +373,6 @@ def negative_direction_field(p: Potential, M: CriticalManifold):
     for i in range(1, k):
         if float(np.dot(nu[i], nu[i - 1])) < 0:
             nu[i] = -nu[i]
-    if M.closed_chain and k > 1:
-        closure = float(np.dot(nu[-1], nu[0]))
-        if closure < 0:
-            return NonOrientableNormalLine(M, mu, closure)
+    if M.closed_chain and k > 1 and float(np.dot(nu[-1], nu[0])) < 0:
+        return NonOrientableNormalLine(M, mu)
     return SaddleFrame(M, mu, nu)

@@ -16,7 +16,6 @@ __all__ = [
     "parse_potential",
     "check_confinement",
     "load_spec_file",
-    "save_spec_file",
     "DomainError",
     "CONFINEMENT_SAMPLES",
     "CONFINEMENT_SHELL_FRACTION",
@@ -278,6 +277,36 @@ def _positive_number(value):
             and math.isfinite(value) and value > 0)
 
 
+def _count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+def _check_sampling(decl, name):
+    """`nodes` is a positive integer or, for a parametrized manifold, one
+    per `param_box` row; `maps` holds strings and `periodic` one bool per
+    `param_box` row.  A missing `param_box` is reported by the builder."""
+    box = decl.get("param_box")
+    rows = len(box) if isinstance(box, list) else None
+    nodes = decl.get("nodes", 1)
+    if not (_count(nodes) or decl.get("kind") == "parametrized"
+            and isinstance(nodes, list) and rows in (None, len(nodes))
+            and all(map(_count, nodes))):
+        raise ValueError(f"manifold {name!r}: field 'nodes' must be a "
+                         "positive integer, or one per 'param_box' row for "
+                         f"a parametrized manifold, got {nodes!r}")
+    maps = decl.get("maps", [])
+    if not (isinstance(maps, list) and all(isinstance(m, str) for m in maps)):
+        raise ValueError(f"manifold {name!r}: field 'maps' must be a list of "
+                         f"expression strings, got {maps!r}")
+    periodic = decl.get("periodic", [False] * (rows or 0))
+    if rows is not None and not (
+            isinstance(periodic, list) and len(periodic) == rows
+            and all(isinstance(b, bool) for b in periodic)):
+        raise ValueError(f"manifold {name!r}: field 'periodic' must hold one "
+                         f"true or false per 'param_box' row ({rows}), "
+                         f"got {periodic!r}")
+
+
 def _is_point(value, dim):
     try:
         return np.asarray(value, dtype=float).shape == (dim,)
@@ -293,7 +322,8 @@ def load_spec_file(path):
     (the kind when omitted) and may give positive numbers "radius" and
     "tau" for its gluing tube; an optional positive "validate_tolerance"
     bounds |ratio - 1| in the validate stage; a point's "coords" and a
-    sphere's "center" hold `dim` numbers)::
+    sphere's "center" hold `dim` numbers; `_check_sampling` gives the
+    rules for "nodes", "maps" and "periodic")::
 
         {
           "expression": "...",
@@ -363,6 +393,7 @@ def load_spec_file(path):
             raise ValueError(f"manifold {name!r}: field {key!r} must give "
                              f"one number per axis ({dim}), "
                              f"got {decl[key]!r}")
+        _check_sampling(decl, name)
         # results are keyed by name: a repeated one would merge two manifolds
         if isinstance(name, str):
             if name in names:
@@ -370,8 +401,3 @@ def load_spec_file(path):
             names.add(name)
     return data
 
-
-def save_spec_file(path, data):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

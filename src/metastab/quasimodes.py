@@ -167,9 +167,7 @@ def agmon_distance(p: Potential, target: CriticalManifold, g: GridSampling):
 class SaddleGluing:
     """Profile data of one saddle crossing, oriented toward a minimum."""
 
-    saddle: str
     tau: float
-    h: float
     ell0: np.ndarray          # signed transversal coordinate on the grid
     C: float                  # normalization int_0^inf zeta(s/tau)e^{-s^2/2h}
     _s_grid: np.ndarray = field(repr=False, default=None)
@@ -206,8 +204,8 @@ def plateau_feasible_tau(rec: SaddleRecord):
     return 0.5 * np.sqrt(2.0 * mu_min) * rec.radius
 
 
-def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
-                 g: GridSampling, h, tau=None) -> SaddleGluing:
+def build_gluing(rec: SaddleRecord, minimum_component, g: GridSampling, h,
+                 tau=None) -> SaddleGluing:
     """Oriented gluing profile for one (saddle, minimum) pair.
 
     `minimum_component` is the global component id of E(m) at the saddle's
@@ -235,8 +233,7 @@ def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
     integrand = zeta(s_grid / tau) * np.exp(-s_grid**2 / (2.0 * h))
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * np.diff(s_grid))])
-    return SaddleGluing(saddle=rec.name, tau=tau, h=h,
-                        ell0=ell0.reshape(g.shape), C=float(cum[-1]),
+    return SaddleGluing(tau=tau, ell0=ell0.reshape(g.shape), C=float(cum[-1]),
                         _s_grid=s_grid, _cum=cum)
 
 
@@ -248,7 +245,6 @@ def build_gluing(p: Potential, rec: SaddleRecord, minimum_component,
 class QuasimodeField:
     minimum: str
     values: np.ndarray        # grid-shaped, >= 0
-    h: float
     cell_volume: float
     delta: float | None = None
 
@@ -260,8 +256,8 @@ class QuasimodeField:
         return self.values.ravel()
 
 
-def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
-              gluings, g: GridSampling, h, other_minima) -> QuasimodeField:
+def build_psi(m: CriticalManifold, L: LabelingResult, gluings,
+              g: GridSampling, h, other_minima) -> QuasimodeField:
     """Quasimode on the grid; pure Gibbs vector for the global minimum.
 
     The cutoff theta is 1 on E(m) and on every gluing tube (so it never
@@ -274,7 +270,7 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
     cell_volume = float(np.prod(g.spacings))
     gibbs = np.exp(-np.minimum((vals - lab.value) / h, EXP_CLAMP))
     if FICTIVE_SADDLE in lab.saddles:
-        return QuasimodeField(minimum=m.name, values=gibbs, h=h,
+        return QuasimodeField(minimum=m.name, values=gibbs,
                               cell_volume=cell_volume)
     missing = [s for s in lab.saddles if s not in gluings]
     if missing:
@@ -291,7 +287,7 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
     psi = 2.0 * theta * gibbs
     for s in lab.saddles:
         psi *= 0.5 * (gluings[s].v() + 1.0)
-    field_ = QuasimodeField(minimum=m.name, values=psi, h=h,
+    field_ = QuasimodeField(minimum=m.name, values=psi,
                             cell_volume=cell_volume, delta=delta)
     for other in other_minima:
         if other.name == m.name:
@@ -303,8 +299,7 @@ def build_psi(p: Potential, m: CriticalManifold, L: LabelingResult,
     return field_
 
 
-def quasimode_bundle(p: Potential, minima, L: LabelingResult, records,
-                     g: GridSampling, h):
+def quasimode_bundle(minima, L: LabelingResult, records, g: GridSampling, h):
     """The quasimodes of all `minima`, in their order.
 
     Each saddle of j(m) but the fictive one gets its gluing toward E(m),
@@ -315,10 +310,10 @@ def quasimode_bundle(p: Potential, minima, L: LabelingResult, records,
     psis = []
     for m in minima:
         lab = L.minima[m.name]
-        gluings = {s: build_gluing(p, by_name[s], lab.component, g, h,
+        gluings = {s: build_gluing(by_name[s], lab.component, g, h,
                                    tau=by_name[s].tau)
                    for s in lab.saddles if s != FICTIVE_SADDLE}
-        psis.append(build_psi(p, m, L, gluings, g, h, minima))
+        psis.append(build_psi(m, L, gluings, g, h, minima))
     return psis
 
 

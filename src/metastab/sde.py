@@ -131,7 +131,6 @@ class ArrheniusFit:
     slope: float              # d ln(mean exit) / d(1/h); compare to 2 S(m)
     intercept: float
     ci_halfwidth: float       # bootstrap confidence half-width on the slope
-    h_values: np.ndarray
 
 
 def arrhenius_fit(samples) -> ArrheniusFit:
@@ -157,4 +156,4 @@ def arrhenius_fit(samples) -> ArrheniusFit:
         boots[b] = np.polyfit(x, yb, 1)[0]
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return ArrheniusFit(slope=float(slope), intercept=float(intercept),
-                        ci_halfwidth=float((hi - lo) / 2.0), h_values=hs)
+                        ci_halfwidth=float((hi - lo) / 2.0))

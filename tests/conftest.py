@@ -52,8 +52,7 @@ class TiltedWell:
                                   tau=0.45)
         self.records = [self.record]
         self.minima = [self.m_left, self.m_right]
-        self.labeling = run_labeling(self.p, self.g, self.minima,
-                                     self.records)
+        self.labeling = run_labeling(self.g, self.minima, self.records)
         self.S_right = self.saddle.value - self.m_right.value
         f2 = lambda x: 3.0 * x * x - 1.0
         self.D_right = math.sqrt(f2(xr) * abs(f2(xs))) / math.pi
@@ -91,8 +90,7 @@ class ThreeMinima:
         self.records = [make_record(self.p, M, radius=0.45, g=self.g,
                                     tau=0.45)
                         for M in (self.s_left, self.s_right)]
-        self.labeling = run_labeling(self.p, self.g, self.minima,
-                                     self.records)
+        self.labeling = run_labeling(self.g, self.minima, self.records)
         self.S_outer = self.s_right.value - self.m_right.value
         f2 = lambda x: 5 * x**4 - 75 * x * x / 4.0 + 9.0
         self.D_outer = math.sqrt(f2(2.0) * abs(f2(1.5))) / math.pi
@@ -147,7 +145,7 @@ def mexican_labeled(mexican):
     m = mexican
     m.g = sample_grid(m.p, m.box, shape=(768, 768))
     m.record = make_record(m.p, m.saddle, radius=0.45, g=m.g)
-    m.labeling = run_labeling(m.p, m.g, m.minima, [m.record])
+    m.labeling = run_labeling(m.g, m.minima, [m.record])
     return m
 
 

@@ -147,7 +147,7 @@ def test_criterion_05_quasimode_route(tilted, three_minima):
         k = len(fx.minima)
         W = assemble_witten(fx.p, fx.box, fx.g.shape, h)
         eig = smallest_eigs(W, k)
-        psis = quasimode_bundle(fx.p, fx.minima, fx.labeling, fx.records,
+        psis = quasimode_bundle(fx.minima, fx.labeling, fx.records,
                                 fx.g, h)
         im = interaction_matrix(W, psis, eig, fx.labeling)
         got = np.sort(im.eigenvalues())
@@ -162,7 +162,7 @@ def test_criterion_05_quasimode_route(tilted, three_minima):
     for h in (0.2, 0.1, 0.05):
         W = assemble_witten(tilted.p, tilted.box, tilted.g.shape, h)
         eig = smallest_eigs(W, 2)
-        psis = quasimode_bundle(tilted.p, tilted.minima, tilted.labeling,
+        psis = quasimode_bundle(tilted.minima, tilted.labeling,
                                 tilted.records, tilted.g, h)
         im = interaction_matrix(W, psis, eig, tilted.labeling)
         losses.append(float(np.max(im.norm_loss)))
@@ -176,7 +176,7 @@ def test_criterion_05_quasimode_route(tilted, three_minima):
 def test_criterion_06_quasimode_norm(tilted, mexican_labeled):
     clauses = []
     h = 0.05
-    psi1 = quasimode_bundle(tilted.p, tilted.minima, tilted.labeling,
+    psi1 = quasimode_bundle(tilted.minima, tilted.labeling,
                             tilted.records, tilted.g, h)[
         [m.name for m in tilted.minima].index("right")]
     f2 = 3.0 * tilted.x_right**2 - 1.0
@@ -185,7 +185,7 @@ def test_criterion_06_quasimode_norm(tilted, mexican_labeled):
     clauses.append((abs(r1 - 1.0) <= 0.10,
                     f"1D norm ratio {r1:.3f} within 10%"))
     mx = mexican_labeled
-    psi2 = quasimode_bundle(mx.p, mx.minima, mx.labeling, [mx.record],
+    psi2 = quasimode_bundle(mx.minima, mx.labeling, [mx.record],
                             mx.g, h)[mx.minima.index(mx.m_center)]
     target2 = 4.0 * math.pi * h / mx.profile_dd(0.0)
     r2 = psi2.norm_sq() / target2
@@ -248,7 +248,7 @@ def test_criterion_09_radial_profile_coherence(mexican_labeled):
     s = manifold_point([mx.s_saddle], name="saddle_ring")
     for M in (m0, m1, s):
         assert verify_critical(p1, M).ok
-    lab1 = run_labeling(p1, g1, [m0, m1],
+    lab1 = run_labeling(g1, [m0, m1],
                         [make_record(p1, s, radius=0.45, g=g1)])
     clauses.append((lab1.global_min == mx.labeling.global_min == "ring",
                     "same global minimum"))

@@ -168,6 +168,22 @@ def _set_manifold(index, field, value):
     return edit
 
 
+def _add_manifold(**decl):
+    def edit(data):
+        data["manifolds"].append(dict(decl, name="extra", role="saddle"))
+        return data
+    return edit
+
+
+def _ring(nodes):
+    # the spec's expression on a 2D box, with a circle that sets `nodes`
+    def edit(data):
+        return dict(data, dim=2, box=[[-2.4, 2.4], [-2.4, 2.4]], manifolds=[
+            {"name": "ring", "kind": "sphere", "center": [0.0, 0.0],
+             "radius": 1.0, "role": "minimum", "nodes": nodes}])
+    return edit
+
+
 @pytest.mark.parametrize("edit,fragment", [
     (lambda data: 3, "JSON object"),
     (lambda data: dict(data, manifolds=[5] + data["manifolds"][1:]),
@@ -183,9 +199,19 @@ def _set_manifold(index, field, value):
     (lambda data: dict(data, manifolds=data["manifolds"] + [
         {"name": "ring", "kind": "sphere", "center": [0.0, 0.0],
          "radius": 1.0, "role": "saddle"}]), "'center' must give one number per axis (1)"),
+    (_ring("abc"), "'nodes' must be a positive integer"),
+    (_ring(2.5), "'nodes' must be a positive integer"),
+    (_ring(0), "'nodes' must be a positive integer"),
+    (_add_manifold(kind="parametrized", maps=[5], param_box=[[0.0, 1.0]]),
+     "'maps' must be a list of expression strings"),
+    (_add_manifold(kind="parametrized", maps=["x1"],
+                   param_box=[[0.0, 1.0]], periodic=[]),
+     "'periodic' must hold one true or false per 'param_box' row (1)"),
 ], ids=["top-level-number", "manifold-number", "manifolds-string",
         "expression-number", "radius-text", "tau-text", "tolerance-text",
-        "name-null", "name-repeated", "coords-length", "center-length"])
+        "name-null", "name-repeated", "coords-length", "center-length",
+        "nodes-text", "nodes-fraction", "nodes-zero", "maps-number",
+        "periodic-short"])
 def test_malformed_spec_fails_in_setup(tmp_path, capsys, edit, fragment):
     # each is refused before any stage runs, without a traceback
     with open(SPEC) as fh:

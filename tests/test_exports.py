@@ -1,6 +1,9 @@
-"""The package's export lists name only what exists."""
+"""The package's export lists name only what exists, and its functions
+read every parameter they take."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -30,3 +33,43 @@ def test_package_imports_resolve():
             assert getattr(metastab, name) is getattr(module, name)
     with pytest.raises(AttributeError):
         metastab.no_such_name
+
+
+# abstract methods that only raise: their parameters are the interface
+ABSTRACT = {("expr", "Node.evaluate")}
+
+
+def _unread_parameters(module_name):
+    """(function, parameter) pairs of `module_name` whose parameter no load
+    in the function's body reads.  A starred catch-all such as
+    `__exit__(self, *exc_info)` takes what a protocol passes, and is not
+    counted."""
+    path = pathlib.Path(metastab.__path__[0]) / f"{module_name}.py"
+    unread = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join(scope + [child.name])
+                args = child.args
+                params = [a.arg for a in
+                          args.posonlyargs + args.args + args.kwonlyargs]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                if (module_name, name) not in ABSTRACT:
+                    unread.extend((name, a) for a in params if a not in read)
+                visit(child, scope + [child.name])
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name])
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return unread
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_parameter_is_read(name):
+    unread = _unread_parameters(name)
+    assert not unread, f"metastab.{name}: parameters never read: {unread}"

@@ -11,10 +11,10 @@ import math
 import pytest
 
 from conftest import make_record
-from metastab.kramers import (KramersPrediction, compare_1d_profile, evaluate,
-                              predict_all, prefactor, radial_predict,
-                              saddle_flux_integral, sphere_area,
-                              weight_integral, write_prediction_csv)
+from metastab.kramers import (KramersPrediction, evaluate, predict_all,
+                              prefactor, radial_predict, saddle_flux_integral,
+                              sphere_area, weight_integral,
+                              write_prediction_csv)
 from metastab.labeling import LabelingResult, MinimumLabel, run_labeling
 from metastab.manifolds import (manifold_parametrized, manifold_point,
                                 verify_critical)
@@ -76,7 +76,7 @@ def test_profile_comparison_center(mexican_labeled):
     for M in (m0, m1, s):
         assert verify_critical(p1, M).ok
     rec = make_record(p1, s, radius=0.45, g=g1)
-    lab1 = run_labeling(p1, g1, [m0, m1], [rec])
+    lab1 = run_labeling(g1, [m0, m1], [rec])
     # same barriers and matching saddle sets as the 2D labeling
     assert lab1.global_min == "ring"
     assert lab1.minima["center"].depth == pytest.approx(
@@ -84,19 +84,12 @@ def test_profile_comparison_center(mexican_labeled):
     assert lab1.minima["center"].saddles == ("saddle_ring",)
     pr_profile = prefactor(p1, m0, lab1, {"saddle_ring": s})
     pr_radial = radial_predict(m.p, 2, 0.0, m.s_saddle, m.S_center)
-    cmp = compare_1d_profile(pr_radial, pr_profile)
-    assert cmp.exponent_gap == pytest.approx(0.5)
+    assert pr_profile.exponent - pr_radial.exponent == pytest.approx(0.5)
     # D_profile / D_radial = sqrt(pi) / (|S^1| s2 F''(0)^{1/2} / pi ... )
     expect = (math.sqrt(m.profile_dd(0.0)) / math.pi) / (
         sphere_area(2) * m.s_saddle * math.pi ** -1.5 * m.profile_dd(0.0))
-    assert cmp.prefactor_ratio == pytest.approx(expect, rel=1e-12)
-
-
-def test_barrier_mismatch_rejected(mexican):
-    a = radial_predict(mexican.p, 2, 0.0, mexican.s_saddle, 0.07)
-    b = radial_predict(mexican.p, 2, 0.0, mexican.s_saddle, 0.08)
-    with pytest.raises(ValueError):
-        compare_1d_profile(a, b)
+    assert pr_profile.constant / pr_radial.constant == pytest.approx(
+        expect, rel=1e-12)
 
 
 def test_evaluate_clamps_and_validates():

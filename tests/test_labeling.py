@@ -119,7 +119,7 @@ def labeling_matches_oracle(coef, minima, saddles, box):
         records.append(make_record(p, M, radius=0.8 * gap, g=g))
     for M in min_manifolds:
         assert verify_critical(p, M).ok
-    result = run_labeling(p, g, min_manifolds, records)
+    result = run_labeling(g, min_manifolds, records)
     expected = oracle_labeling(coef, minima, saddles)
     bad = []
     if len(result.minima) != len(expected):
@@ -185,7 +185,7 @@ def test_report_mentions_every_minimum(three_minima):
 
 def test_missing_saddle_raises(tilted):
     with pytest.raises(LabelingError):
-        run_labeling(tilted.p, tilted.g, tilted.minima, [])
+        run_labeling(tilted.g, tilted.minima, [])
 
 
 def test_nonseparating_record_rejected():
@@ -202,7 +202,7 @@ def test_nonseparating_record_rejected():
     rec.classification.status = "locally_separating_not_separating"
     with pytest.raises(LabelingError, match="never labeled"):
         # skipped with a warning, so one minimum ends up unlabeled
-        run_labeling(p, g, mins, [rec])
+        run_labeling(g, mins, [rec])
 
 
 def test_side_offset_outside_sublevel_rejected(tilted):
@@ -211,7 +211,7 @@ def test_side_offset_outside_sublevel_rejected(tilted):
     frame = negative_direction_field(tilted.p, tilted.saddle)
     rec = SaddleRecord(manifold=tilted.saddle, frame=frame, radius=2.5)
     with pytest.raises(ValueError, match="saddle saddle: .* tube radius"):
-        run_labeling(tilted.p, tilted.g, tilted.minima, [rec])
+        run_labeling(tilted.g, tilted.minima, [rec])
 
 
 def test_equal_depth_minima_flagged():
@@ -222,7 +222,7 @@ def test_equal_depth_minima_flagged():
     for M in mins + [top]:
         verify_critical(p, M)
     rec = make_record(p, top, radius=0.5, g=g)
-    result = run_labeling(p, g, mins, [rec])
+    result = run_labeling(g, mins, [rec])
     assert result.warnings    # global-minimum tie broken by declaration order
     rep = check_generic(g, result, mins)
     assert not rep.ok

@@ -9,7 +9,7 @@ import pytest
 
 from metastab.potential import (_ScrambledHalton, _shell_samples,
                                 check_confinement, load_spec_file,
-                                parse_potential, save_spec_file)
+                                parse_potential)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -187,7 +187,7 @@ def test_spec_file_round_trip(tmp_path):
         ],
     }
     path = tmp_path / "spec.json"
-    save_spec_file(path, data)
+    path.write_text(json.dumps(data))
     back = load_spec_file(path)
     assert back["expression"] == data["expression"]
     assert back["dim"] == 2
@@ -199,3 +199,24 @@ def test_spec_file_missing_field(tmp_path):
     path.write_text('{"expression": "x1^2"}')
     with pytest.raises(ValueError):
         load_spec_file(path)
+
+
+@pytest.mark.parametrize("fields,bad", [
+    ({"nodes": 8}, None), ({"nodes": [8]}, None),
+    ({"periodic": [True], "nodes": [8]}, None),
+    ({"nodes": [8, 8]}, "'nodes'"), ({"nodes": [True]}, "'nodes'"),
+    ({"nodes": True}, "'nodes'"), ({"periodic": [1]}, "'periodic'"),
+    ({"periodic": [True, False]}, "'periodic'"),
+])
+def test_parametrized_sampling_fields(tmp_path, fields, bad):
+    # a count, or one per param_box row; one bool per param_box row
+    decl = dict({"name": "arc", "kind": "parametrized", "role": "saddle",
+                 "maps": ["x1"], "param_box": [[0.0, 1.0]]}, **fields)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"expression": "x1^2", "dim": 1,
+                                "box": [[-1.0, 1.0]], "manifolds": [decl]}))
+    if bad is None:
+        assert load_spec_file(path)["manifolds"] == [decl]
+    else:
+        with pytest.raises(ValueError, match=bad):
+            load_spec_file(path)

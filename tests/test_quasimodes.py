@@ -51,7 +51,7 @@ def test_plateau_feasible_tau(tilted):
 def test_gluing_normalization_and_profile(tilted):
     lab = tilted.labeling.minima["right"]
     h = 0.01
-    glu = build_gluing(tilted.p, tilted.record, lab.component, tilted.g, h,
+    glu = build_gluing(tilted.record, lab.component, tilted.g, h,
                        tau=0.45)
     # tau >> sqrt(h): the cutoff costs only e^{-tau^2/2h}
     assert glu.C == pytest.approx(math.sqrt(math.pi * h / 2.0), rel=1e-3)
@@ -71,10 +71,10 @@ def test_gluing_validation(tilted):
     lab = tilted.labeling.minima["right"]
     tau_max = plateau_feasible_tau(tilted.record)
     with pytest.raises(ValueError, match="plateau"):
-        build_gluing(tilted.p, tilted.record, lab.component, tilted.g, 0.1,
+        build_gluing(tilted.record, lab.component, tilted.g, 0.1,
                      tau=1.01 * tau_max)
     with pytest.raises(ValueError, match="border"):
-        build_gluing(tilted.p, tilted.record, 999, tilted.g, 0.1)
+        build_gluing(tilted.record, 999, tilted.g, 0.1)
 
 
 def nearest_node_ell0(rec, pts):
@@ -128,7 +128,7 @@ def test_agmon_equals_f_near_minimum(tilted):
 
 def test_global_minimum_is_pure_gibbs(tilted):
     h = 0.1
-    psi = build_psi(tilted.p, tilted.m_left, tilted.labeling, {}, tilted.g, h,
+    psi = build_psi(tilted.m_left, tilted.labeling, {}, tilted.g, h,
                     tilted.minima)
     f = tilted.g.values
     expect = np.exp(-(f - tilted.m_left.value) / h)
@@ -138,24 +138,24 @@ def test_global_minimum_is_pure_gibbs(tilted):
 
 def test_misoriented_gluing_leaks(tilted):
     lab = tilted.labeling.minima["right"]
-    glu = build_gluing(tilted.p, tilted.record, lab.component, tilted.g, 0.1,
+    glu = build_gluing(tilted.record, lab.component, tilted.g, 0.1,
                        tau=0.45)
     glu = dataclasses.replace(glu, ell0=-glu.ell0)
     with pytest.raises(ValueError, match="leak"):
-        build_psi(tilted.p, tilted.m_right, tilted.labeling,
+        build_psi(tilted.m_right, tilted.labeling,
                   {"saddle": glu}, tilted.g, 0.1, other_minima=tilted.minima)
 
 
 def test_missing_gluing_rejected(tilted):
     with pytest.raises(ValueError, match="saddle"):
-        build_psi(tilted.p, tilted.m_right, tilted.labeling, {}, tilted.g,
+        build_psi(tilted.m_right, tilted.labeling, {}, tilted.g,
                   0.1, tilted.minima)
 
 
 def quasimode(t, h):
     lab = t.labeling.minima["right"]
-    glu = build_gluing(t.p, t.record, lab.component, t.g, h, tau=0.45)
-    return build_psi(t.p, t.m_right, t.labeling, {"saddle": glu}, t.g, h,
+    glu = build_gluing(t.record, lab.component, t.g, h, tau=0.45)
+    return build_psi(t.m_right, t.labeling, {"saddle": glu}, t.g, h,
                      other_minima=t.minima)
 
 
@@ -185,8 +185,8 @@ def test_rayleigh_grid_mismatch(tilted):
 
 def interaction_setup(t, h=0.1, k=2):
     lab = t.labeling.minima["right"]
-    glu = build_gluing(t.p, t.record, lab.component, t.g, h, tau=0.45)
-    psis = [build_psi(t.p, m, t.labeling, {"saddle": glu}, t.g, h,
+    glu = build_gluing(t.record, lab.component, t.g, h, tau=0.45)
+    psis = [build_psi(m, t.labeling, {"saddle": glu}, t.g, h,
                       other_minima=t.minima) for m in t.minima]
     W = assemble_witten(t.p, t.box, t.g.shape, h)
     return W, psis, smallest_eigs(W, k)
