@@ -1,9 +1,10 @@
 """Batch front end: check -> classify -> label -> predict -> solve ->
 quasimode -> validate -> simulate, driven by a JSON potential spec file.
 
-Every artifact starts with the manifest hash so runs are attributable;
-`all` runs the stages in pipeline order and is byte-identical to running
-them one by one with the same seed.
+The spec file is read and every artifact written here alone.  Every
+artifact starts with the manifest hash so runs are attributable; `all`
+runs the stages in pipeline order and is byte-identical to running them
+one by one with the same seed.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import numpy as np
 from . import kramers, quasimodes, sde, spectral
 from .labeling import (FICTIVE_SADDLE, SaddleRecord, check_generic,
                        run_labeling)
-from .manifolds import (classify_index, manifold_from_decl,
+from .manifolds import (classify_index, manifold_parametrized,
+                        manifold_point, manifold_sphere,
                         negative_direction_field, node_distance,
                         verify_critical)
-from .potential import check_confinement, load_spec_file, parse_potential
+from .potential import check_confinement, parse_potential
 from .spectral import EigenResult
 from .sublevel import Grid, classify_separating, sample_grid
 
@@ -43,12 +45,159 @@ def _manifest_hash(spec_data, args):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _positive(value, kind=(int, float)):
+    """A finite positive number of type `kind`; a bool is not a number."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+def _floats(value):
+    """`value` as a float array, or None if it does not convert."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
+def _intervals(value, field, rows=None):
+    """Check that `value` holds finite [lo, hi] rows with lo < hi, `rows`
+    of them if given: the rule of a spec's `box` and of a `param_box`.
+    Returns the number of rows."""
+    box = _floats(value)
+    if (box is None or box.ndim != 2 or box.shape[1] != 2
+            or len(box) != (rows or len(box)) or not np.all(np.isfinite(box))
+            or not np.all(box[:, 0] < box[:, 1])):
+        count = "" if rows is None else f"{rows} "
+        raise ValueError(f"{field} must hold {count}finite [lo, hi] rows "
+                         f"with lo < hi, got {value!r}")
+    return len(box)
+
+
+def read_spec(path):
+    """Load a potential spec file (README, *Spec file format*) and check
+    its spec-level fields: a string "expression", a positive integer
+    "dim", a "box" of `dim` finite [lo, hi] rows with lo < hi, an optional
+    positive "validate_tolerance" (the bound on |ratio - 1| in validate),
+    and a list "manifolds" of declarations.  Each declaration has "role"
+    "minimum" or "saddle", a name of its own (the kind when omitted), and
+    may give positive numbers "radius" and "tau" for its gluing tube;
+    `build_manifold` checks the geometry fields.  A sphere's "radius" is
+    also its classification tube radius: `classify` reads a saddle's
+    "radius" whatever its kind."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"spec file must hold a JSON object, got {data!r}")
+    for key in ("expression", "dim", "box"):
+        if key not in data:
+            raise ValueError(f"spec file missing field {key!r}")
+    if not isinstance(data["expression"], str):
+        raise ValueError("spec field 'expression' must be a string, "
+                         f"got {data['expression']!r}")
+    if not _positive(data["dim"], int):
+        raise ValueError("spec field 'dim' must be a positive integer, "
+                         f"got {data['dim']!r}")
+    _intervals(data["box"], "spec field 'box'", data["dim"])
+    tolerance = data.get("validate_tolerance")
+    if tolerance is not None and not _positive(tolerance):
+        raise ValueError("spec field 'validate_tolerance' must be a positive "
+                         f"number, got {tolerance!r}")
+    manifolds = data.setdefault("manifolds", [])
+    if not isinstance(manifolds, list):
+        raise ValueError("spec field 'manifolds' must be a list of "
+                         f"declarations, got {manifolds!r}")
+    names = set()
+    for decl in manifolds:
+        if not isinstance(decl, dict):
+            raise ValueError("spec field 'manifolds' must hold declaration "
+                             f"objects, got {decl!r}")
+        name = decl.get("name", decl.get("kind"))
+        if "name" in decl and not isinstance(name, str):
+            raise ValueError(f"manifold field 'name' must be a string, "
+                             f"got {name!r}")
+        role = decl.get("role")
+        if role not in ("minimum", "saddle"):
+            raise ValueError(f"manifold {decl.get('name')!r}: field 'role' "
+                             f"must be 'minimum' or 'saddle', got {role!r}")
+        for key in ("radius", "tau"):
+            if key in decl and not _positive(decl[key]):
+                raise ValueError(f"manifold {name!r}: field {key!r} must be "
+                                 f"a positive number, got {decl[key]!r}")
+        # results are keyed by name: a repeated one would merge two manifolds
+        if isinstance(name, str):
+            if name in names:
+                raise ValueError(f"manifold name {name!r} declared twice")
+            names.add(name)
+    return data
+
+
+def build_manifold(decl, dim):
+    """The manifold of one declaration of a `read_spec` spec, each geometry
+    field checked where it is read.  A point's "coords" and a sphere's
+    "center" hold `dim` numbers; "nodes" (256 when omitted) is a positive
+    integer or, for a parametrized manifold, one per "param_box" row;
+    "maps" holds expression strings and "periodic" (all false when
+    omitted) one bool per "param_box" row.  A field that the kind does not
+    read is not checked."""
+    kind = decl.get("kind")
+    name = decl.get("name", kind)
+
+    def field(key):
+        if key not in decl:
+            raise ValueError(f"manifold {name!r}: {kind} declaration "
+                             f"missing field {key!r}")
+        return decl[key]
+
+    def refuse(key, rule):
+        raise ValueError(f"manifold {name!r}: field {key!r} must {rule}, "
+                         f"got {decl[key]!r}")
+
+    def coordinates(key):
+        if getattr(_floats(field(key)), "shape", None) != (dim,):
+            refuse(key, f"give one number per axis ({dim})")
+        return decl[key]
+
+    def nodes(rows=None):
+        n = decl.get("nodes", 256)
+        if not (_positive(n, int) or rows and isinstance(n, list)
+                and len(n) == rows and all(_positive(c, int) for c in n)):
+            refuse("nodes", "be a positive integer, or one per 'param_box' "
+                            "row for a parametrized manifold")
+        return n
+
+    if kind == "point":
+        return manifold_point(coordinates("coords"), name=name)
+    if kind == "sphere":
+        return manifold_sphere(coordinates("center"), field("radius"),
+                               n_nodes=nodes(), name=name)
+    if kind != "parametrized":
+        raise ValueError(f"manifold {name!r}: unknown kind {kind!r}")
+    maps = field("maps")
+    if not (isinstance(maps, list) and all(isinstance(m, str) for m in maps)):
+        refuse("maps", "be a list of expression strings")
+    rows = _intervals(field("param_box"), f"manifold {name!r}: field "
+                      "'param_box'")
+    periodic = decl.get("periodic", [False] * rows)
+    if not (isinstance(periodic, list) and len(periodic) == rows
+            and all(isinstance(b, bool) for b in periodic)):
+        refuse("periodic", f"hold one true or false per 'param_box' row "
+                           f"({rows})")
+    return manifold_parametrized(maps, decl["param_box"], periodic,
+                                 nodes(rows), dim, name=name)
+
+
 class Pipeline:
     """Holds shared state across stages for one manifest."""
 
     def __init__(self, args):
+        if not (all(math.isfinite(h) and h > 0 for h in args.h)
+                and len(set(args.h)) == len(args.h)):
+            raise ValueError("--h values must be finite, positive and "
+                             f"distinct, got {args.h}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         self.args = args
-        self.spec = load_spec_file(args.spec)
+        self.spec = read_spec(args.spec)
         self.hash = _manifest_hash(self.spec, args)
         self.p = parse_potential(self.spec["expression"], self.spec["dim"])
         self.grid = Grid(self.spec["box"], args.grid)
@@ -57,14 +206,15 @@ class Pipeline:
         self.minima = []
         self.saddle_records = []
         self.saddle_manifolds = {}
-        self.saddle_decls = {}      # name -> its spec declaration
+        self.saddle_tubes = {}      # name -> (radius, tau), None if undeclared
         for decl in self.spec["manifolds"]:
-            M = manifold_from_decl(decl, self.p.dim)
+            M = build_manifold(decl, self.p.dim)
             if decl["role"] == "minimum":
                 self.minima.append(M)
             else:
                 self.saddle_manifolds[M.name] = M
-                self.saddle_decls[M.name] = decl
+                self.saddle_tubes[M.name] = (decl.get("radius"),
+                                             decl.get("tau"))
         self.labeling = None
         # h -> EigenResult with the first len(minima) eigenvectors only
         self.eigs = {}
@@ -127,9 +277,9 @@ class Pipeline:
             res = verify_critical(self.p, M)
             if not res.ok:
                 raise SystemExit(f"{M.name}: {'; '.join(res.messages)}")
-            decl = self.saddle_decls[M.name]
-            radius = decl["radius"] if "radius" in decl else \
-                self.default_radius
+            radius, tau = self.saddle_tubes[M.name]
+            if radius is None:
+                radius = self.default_radius
             frame = negative_direction_field(self.p, M)
             if not hasattr(frame, "nu"):
                 lines.append(f"{M.name}: NonOrientableNormalLine -> "
@@ -139,7 +289,7 @@ class Pipeline:
             lines.append(f"{M.name}: index 1, sigma = {M.value:.9g}, "
                          f"{cls.status}")
             self.saddle_records.append(SaddleRecord(
-                M, frame, radius, tau=decl.get("tau"), classification=cls))
+                M, frame, radius, tau=tau, classification=cls))
         print("\n".join(lines))
 
     def label(self):
@@ -161,10 +311,16 @@ class Pipeline:
             self.label()
         self.predictions = kramers.predict_all(
             self.p, self.labeling, self.minima, self.saddle_manifolds)
-        path = self._out("predictions.csv")
-        kramers.write_prediction_csv(path, self.predictions, self.h_list,
-                                     header_line=f"# manifest {self.hash}")
-        print(f"wrote {path}")
+        rows = [[pr.minimum, f"{pr.barrier:.12g}", f"{pr.exponent:g}",
+                 f"{pr.constant:.12g}",
+                 ";".join(f"{c.name}:dim={c.dim}:integral={c.integral:.12g}"
+                          f":top={int(c.in_top_set)}"
+                          for c in pr.contributions)]
+                + [f"{pr.evaluate(h):.12g}" for h in self.h_list]
+                for pr in self.predictions]
+        self._write_csv("predictions.csv",
+                        ["minimum", "S", "exponent", "D", "saddles"]
+                        + [f"lambda(h={h:g})" for h in self.h_list], rows)
 
     def solve(self):
         if self.labeling is None:

@@ -18,7 +18,6 @@ path for rotation-invariant potentials.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +36,6 @@ __all__ = [
     "evaluate",
     "predict_all",
     "radial_predict",
-    "write_prediction_csv",
     "EXP_CLAMP",
 ]
 
@@ -180,24 +178,3 @@ def radial_predict(p: Potential, d, r_m, s_m, barrier) -> KramersPrediction:
         minimum=f"radial(r={r_m:g})", barrier=barrier, exponent=e,
         constant=D, dim_top=d - 1)
 
-
-def write_prediction_csv(path, predictions, h_values=(), header_line=None):
-    """Prediction table; one row per minimum, saddle breakdown inline.
-
-    `header_line`, if given, is written first as its own line (the CLI's
-    manifest line).  Lines end in "\\n"."""
-    with open(path, "w", newline="") as fh:
-        if header_line is not None:
-            fh.write(header_line + "\n")
-        w = csv.writer(fh, lineterminator="\n")
-        header = ["minimum", "S", "exponent", "D", "saddles"]
-        header += [f"lambda(h={h:g})" for h in h_values]
-        w.writerow(header)
-        for pr in predictions:
-            breakdown = ";".join(
-                f"{c.name}:dim={c.dim}:integral={c.integral:.12g}"
-                f":top={int(c.in_top_set)}" for c in pr.contributions)
-            row = [pr.minimum, f"{pr.barrier:.12g}", f"{pr.exponent:g}",
-                   f"{pr.constant:.12g}", breakdown]
-            row += [f"{evaluate(pr, h):.12g}" for h in h_values]
-            w.writerow(row)

@@ -24,7 +24,6 @@ __all__ = [
     "manifold_point",
     "manifold_sphere",
     "manifold_parametrized",
-    "manifold_from_decl",
     "node_distance",
     "verify_critical",
     "transversal_hessian",
@@ -188,36 +187,6 @@ def manifold_parametrized(maps, param_box, periodic, n_nodes, ambient_dim,
         name=name, dim=k, ambient_dim=ambient_dim,
         nodes=nodes, weights=weights, tangents=tangents, closed_chain=closed,
     )
-
-
-_REQUIRED_FIELDS = {
-    "point": ("coords",),
-    "sphere": ("center", "radius"),
-    "parametrized": ("maps", "param_box"),
-}
-
-
-def manifold_from_decl(decl, ambient_dim) -> CriticalManifold:
-    """Build a manifold from a spec-file declaration dict."""
-    kind = decl.get("kind")
-    name = decl.get("name", kind)
-    if not isinstance(kind, str) or kind not in _REQUIRED_FIELDS:
-        raise ValueError(f"manifold {name!r}: unknown kind {kind!r}")
-    for key in _REQUIRED_FIELDS[kind]:
-        if key not in decl:
-            raise ValueError(f"manifold {name!r}: {kind} declaration "
-                             f"missing field {key!r}")
-    if kind == "point":
-        return manifold_point(decl["coords"], name=name)
-    if kind == "sphere":
-        return manifold_sphere(decl["center"], decl["radius"],
-                               n_nodes=decl.get("nodes", 256), name=name)
-    if kind == "parametrized":
-        k = len(decl["param_box"])
-        return manifold_parametrized(
-            decl["maps"], decl["param_box"],
-            decl.get("periodic", [False] * k),
-            decl.get("nodes", 256), ambient_dim, name=name)
 
 
 def node_distance(a: CriticalManifold, b: CriticalManifold) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -15,7 +14,6 @@ __all__ = [
     "ConfinementReport",
     "parse_potential",
     "check_confinement",
-    "load_spec_file",
     "DomainError",
     "CONFINEMENT_SAMPLES",
     "CONFINEMENT_SHELL_FRACTION",
@@ -266,138 +264,4 @@ def check_confinement(p: Potential, box) -> ConfinementReport:
         gradient_ok=bool(min_grad >= 1.0 / C),
         hessian_ok=bool(max_ratio <= C),
     )
-
-
-# ---------------------------------------------------------------------------
-# Potential spec files (JSON): expression, dim, box, manifold declarations.
-
-
-def _positive_number(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
-
-
-def _count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
-
-
-def _check_sampling(decl, name):
-    """`nodes` is a positive integer or, for a parametrized manifold, one
-    per `param_box` row; `maps` holds strings and `periodic` one bool per
-    `param_box` row.  A missing `param_box` is reported by the builder."""
-    box = decl.get("param_box")
-    rows = len(box) if isinstance(box, list) else None
-    nodes = decl.get("nodes", 1)
-    if not (_count(nodes) or decl.get("kind") == "parametrized"
-            and isinstance(nodes, list) and rows in (None, len(nodes))
-            and all(map(_count, nodes))):
-        raise ValueError(f"manifold {name!r}: field 'nodes' must be a "
-                         "positive integer, or one per 'param_box' row for "
-                         f"a parametrized manifold, got {nodes!r}")
-    maps = decl.get("maps", [])
-    if not (isinstance(maps, list) and all(isinstance(m, str) for m in maps)):
-        raise ValueError(f"manifold {name!r}: field 'maps' must be a list of "
-                         f"expression strings, got {maps!r}")
-    periodic = decl.get("periodic", [False] * (rows or 0))
-    if rows is not None and not (
-            isinstance(periodic, list) and len(periodic) == rows
-            and all(isinstance(b, bool) for b in periodic)):
-        raise ValueError(f"manifold {name!r}: field 'periodic' must hold one "
-                         f"true or false per 'param_box' row ({rows}), "
-                         f"got {periodic!r}")
-
-
-def _is_point(value, dim):
-    try:
-        return np.asarray(value, dtype=float).shape == (dim,)
-    except (TypeError, ValueError):
-        return False
-
-
-def load_spec_file(path):
-    """Load a potential spec file and check its fields.
-
-    Schema (`box` holds `dim` finite [lo, hi] pairs with lo < hi; every
-    manifold also has "role": "minimum" or "saddle", a name of its own
-    (the kind when omitted) and may give positive numbers "radius" and
-    "tau" for its gluing tube; an optional positive "validate_tolerance"
-    bounds |ratio - 1| in the validate stage; a point's "coords" and a
-    sphere's "center" hold `dim` numbers; `_check_sampling` gives the
-    rules for "nodes", "maps" and "periodic")::
-
-        {
-          "expression": "...",
-          "dim": 2,
-          "box": [[lo, hi], ...],
-          "manifolds": [
-            {"name": "...", "kind": "point", "coords": [..]},
-            {"name": "...", "kind": "sphere", "center": [..], "radius": r,
-             "nodes": 256},
-            {"name": "...", "kind": "parametrized", "maps": ["...", ...],
-             "param_box": [[lo, hi], ...], "periodic": [true, ...],
-             "nodes": [n, ...]}
-          ]
-        }
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"spec file must hold a JSON object, got {data!r}")
-    for key in ("expression", "dim", "box"):
-        if key not in data:
-            raise ValueError(f"spec file missing field {key!r}")
-    if not isinstance(data["expression"], str):
-        raise ValueError("spec field 'expression' must be a string, "
-                         f"got {data['expression']!r}")
-    dim = data["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ValueError("spec field 'dim' must be a positive integer, "
-                         f"got {dim!r}")
-    try:
-        box = np.asarray(data["box"], dtype=float)
-    except (TypeError, ValueError):
-        box = None
-    if box is None or box.shape != (dim, 2):
-        raise ValueError(f"spec field 'box' must be {dim} [lo, hi] pairs, "
-                         f"got {data['box']!r}")
-    if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
-        raise ValueError("spec field 'box' needs finite bounds with "
-                         f"lo < hi on every axis, got {data['box']!r}")
-    tolerance = data.get("validate_tolerance")
-    if tolerance is not None and not _positive_number(tolerance):
-        raise ValueError("spec field 'validate_tolerance' must be a positive "
-                         f"number, got {tolerance!r}")
-    manifolds = data.setdefault("manifolds", [])
-    if not isinstance(manifolds, list):
-        raise ValueError("spec field 'manifolds' must be a list of "
-                         f"declarations, got {manifolds!r}")
-    names = set()
-    for decl in manifolds:
-        if not isinstance(decl, dict):
-            raise ValueError("spec field 'manifolds' must hold declaration "
-                             f"objects, got {decl!r}")
-        name = decl.get("name", decl.get("kind"))
-        if "name" in decl and not isinstance(name, str):
-            raise ValueError(f"manifold field 'name' must be a string, "
-                             f"got {name!r}")
-        role = decl.get("role")
-        if role not in ("minimum", "saddle"):
-            raise ValueError(f"manifold {decl.get('name')!r}: field 'role' "
-                             f"must be 'minimum' or 'saddle', got {role!r}")
-        for key in ("radius", "tau"):
-            if key in decl and not _positive_number(decl[key]):
-                raise ValueError(f"manifold {name!r}: field {key!r} must be "
-                                 f"a positive number, got {decl[key]!r}")
-        key = {"point": "coords", "sphere": "center"}.get(decl.get("kind"))
-        if key in decl and not _is_point(decl[key], dim):
-            raise ValueError(f"manifold {name!r}: field {key!r} must give "
-                             f"one number per axis ({dim}), "
-                             f"got {decl[key]!r}")
-        _check_sampling(decl, name)
-        # results are keyed by name: a repeated one would merge two manifolds
-        if isinstance(name, str):
-            if name in names:
-                raise ValueError(f"manifold name {name!r} declared twice")
-            names.add(name)
-    return data
 

@@ -207,11 +207,18 @@ def _ring(nodes):
     (_add_manifold(kind="parametrized", maps=["x1"],
                    param_box=[[0.0, 1.0]], periodic=[]),
      "'periodic' must hold one true or false per 'param_box' row (1)"),
+    (_add_manifold(kind="parametrized", maps=["x1"], param_box=5),
+     "'param_box' must hold finite [lo, hi] rows with lo < hi"),
+    (_add_manifold(kind="parametrized", maps=["x1"], param_box=[0.0, 1.0]),
+     "'param_box' must hold finite [lo, hi] rows with lo < hi"),
+    (_add_manifold(kind="parametrized", maps=["x1"], param_box=[[1.0, 0.0]]),
+     "'param_box' must hold finite [lo, hi] rows with lo < hi"),
 ], ids=["top-level-number", "manifold-number", "manifolds-string",
         "expression-number", "radius-text", "tau-text", "tolerance-text",
         "name-null", "name-repeated", "coords-length", "center-length",
         "nodes-text", "nodes-fraction", "nodes-zero", "maps-number",
-        "periodic-short"])
+        "periodic-short", "param_box-number", "param_box-flat",
+        "param_box-reversed"])
 def test_malformed_spec_fails_in_setup(tmp_path, capsys, edit, fragment):
     # each is refused before any stage runs, without a traceback
     with open(SPEC) as fh:
@@ -219,6 +226,22 @@ def test_malformed_spec_fails_in_setup(tmp_path, capsys, edit, fragment):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     code = main(["all", "--spec", str(path), "--grid", "1024", "--h", "0.2",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: setup: ")
+    assert fragment in err
+
+
+@pytest.mark.parametrize("flag,fragment", [
+    ("--h=0", "--h values"), ("--h=-0.1", "--h values"),
+    ("--h=nan", "--h values"), ("--h=inf", "--h values"),
+    ("--h=0.2,0.2", "--h values"), ("--seed=-1", "--seed"),
+], ids=["h-zero", "h-negative", "h-nan", "h-infinite", "h-repeated",
+        "seed-negative"])
+def test_bad_h_or_seed_fails_in_setup(tmp_path, capsys, flag, fragment):
+    # every h must be finite, positive and distinct, and the seed >= 0
+    code = main(["all", "--spec", SPEC, "--grid", "1024", flag,
                  "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err

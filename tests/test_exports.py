@@ -1,5 +1,5 @@
-"""The package's export lists name only what exists, and its functions
-read every parameter they take."""
+"""The package's export lists name only what exists, its functions read
+every parameter they take, and only its front end touches file formats."""
 
 import ast
 import importlib
@@ -73,3 +73,17 @@ def _unread_parameters(module_name):
 def test_every_parameter_is_read(name):
     unread = _unread_parameters(name)
     assert not unread, f"metastab.{name}: parameters never read: {unread}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])
+def test_file_formats_only_in_cli(name):
+    # the spec file is read and the artifacts are written by `cli` alone;
+    # every other module takes and returns objects
+    tree = ast.parse((pathlib.Path(metastab.__path__[0])
+                      / f"{name}.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    formats = [m for m in imported if m.split(".")[0] in ("json", "csv")]
+    assert not formats, f"metastab.{name} imports {formats}"

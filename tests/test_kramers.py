@@ -13,8 +13,7 @@ import pytest
 from conftest import make_record
 from metastab.kramers import (KramersPrediction, evaluate, predict_all,
                               prefactor, radial_predict, saddle_flux_integral,
-                              sphere_area, weight_integral,
-                              write_prediction_csv)
+                              sphere_area, weight_integral)
 from metastab.labeling import LabelingResult, MinimumLabel, run_labeling
 from metastab.manifolds import (manifold_parametrized, manifold_point,
                                 verify_critical)
@@ -118,21 +117,6 @@ def test_weight_integral_matches_closed_form(mexican):
     expect = 2 * math.pi * mexican.r_ring / math.sqrt(
         mexican.profile_dd(mexican.r_ring))
     assert got == pytest.approx(expect, rel=1e-10)
-
-
-def test_prediction_csv_round_trip(tilted, tmp_path):
-    import csv
-
-    pred = prefactor(tilted.p, tilted.m_right, tilted.labeling,
-                     {"saddle": tilted.saddle})
-    path = tmp_path / "pred.csv"
-    write_prediction_csv(path, [pred], h_values=(0.1, 0.05))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][:4] == ["minimum", "S", "exponent", "D"]
-    assert rows[1][0] == "right"
-    assert float(rows[1][1]) == pytest.approx(tilted.S_right, rel=1e-10)
-    assert float(rows[1][5]) == pytest.approx(evaluate(pred, 0.1), rel=1e-10)
 
 
 def test_sphere_area_small_dims():

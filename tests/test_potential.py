@@ -7,9 +7,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from metastab.cli import build_manifold, read_spec
 from metastab.potential import (_ScrambledHalton, _shell_samples,
-                                check_confinement, load_spec_file,
-                                parse_potential)
+                                check_confinement, parse_potential)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -188,7 +188,7 @@ def test_spec_file_round_trip(tmp_path):
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
-    back = load_spec_file(path)
+    back = read_spec(path)
     assert back["expression"] == data["expression"]
     assert back["dim"] == 2
     assert len(back["manifolds"]) == 2
@@ -198,7 +198,7 @@ def test_spec_file_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"expression": "x1^2"}')
     with pytest.raises(ValueError):
-        load_spec_file(path)
+        read_spec(path)
 
 
 @pytest.mark.parametrize("fields,bad", [
@@ -215,8 +215,10 @@ def test_parametrized_sampling_fields(tmp_path, fields, bad):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"expression": "x1^2", "dim": 1,
                                 "box": [[-1.0, 1.0]], "manifolds": [decl]}))
+    spec = read_spec(path)
+    assert spec["manifolds"] == [decl]
     if bad is None:
-        assert load_spec_file(path)["manifolds"] == [decl]
+        assert build_manifold(decl, 1).name == "arc"
     else:
         with pytest.raises(ValueError, match=bad):
-            load_spec_file(path)
+            build_manifold(decl, 1)
