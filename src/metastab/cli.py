@@ -134,9 +134,9 @@ def read_spec(path):
 def build_manifold(decl, dim):
     """The manifold of one declaration of a `read_spec` spec, each geometry
     field checked where it is read.  A point's "coords" and a sphere's
-    "center" hold `dim` numbers; "nodes" (256 when omitted) is a positive
-    integer or, for a parametrized manifold, one per "param_box" row;
-    "maps" holds expression strings and "periodic" (all false when
+    "center" hold `dim` finite numbers; "nodes" (256 when omitted) is a
+    positive integer or, for a parametrized manifold, one per "param_box"
+    row; "maps" holds expression strings and "periodic" (all false when
     omitted) one bool per "param_box" row.  A field that the kind does not
     read is not checked."""
     kind = decl.get("kind")
@@ -153,8 +153,11 @@ def build_manifold(decl, dim):
                          f"got {decl[key]!r}")
 
     def coordinates(key):
-        if getattr(_floats(field(key)), "shape", None) != (dim,):
+        values = _floats(field(key))
+        if getattr(values, "shape", None) != (dim,):
             refuse(key, f"give one number per axis ({dim})")
+        if not np.all(np.isfinite(values)):
+            refuse(key, "hold finite numbers")
         return decl[key]
 
     def nodes(rows=None):
@@ -204,7 +207,7 @@ class Pipeline:
         self.h_list = args.h
         os.makedirs(args.out, exist_ok=True)
         self.minima = []
-        self.saddle_records = []
+        self.saddle_records = None     # a list once classify has run
         self.saddle_manifolds = {}
         self.saddle_tubes = {}      # name -> (radius, tau), None if undeclared
         for decl in self.spec["manifolds"]:
@@ -293,7 +296,7 @@ class Pipeline:
         print("\n".join(lines))
 
     def label(self):
-        if not self.saddle_records:
+        if self.saddle_records is None:
             self.classify()
         g = self.sampling
         self.labeling = run_labeling(g, self.minima, self.saddle_records)

@@ -63,7 +63,7 @@ class CriticalManifold:
     ambient_dim: int
     nodes: np.ndarray              # (k, d)
     weights: np.ndarray            # (k,) surface-measure weights
-    tangents: np.ndarray           # (k, d, dim) orthonormal tangent bases
+    normals: np.ndarray            # (k, d, d - dim) orthonormal normal bases
     closed_chain: bool = False     # nodes ordered along a periodic loop
     value: float | None = None
     index: int | None = None
@@ -86,54 +86,37 @@ def manifold_point(coords, name="point") -> CriticalManifold:
     return CriticalManifold(
         name=name, dim=0, ambient_dim=d,
         nodes=coords.reshape(1, d), weights=np.ones(1),
-        tangents=np.zeros((1, d, 0)),
+        normals=np.eye(d)[None],
     )
 
 
 def manifold_sphere(center, radius, n_nodes=256, name="sphere") -> CriticalManifold:
-    """Sphere (circle in 2D) quadrature.
+    """Sphere (circle in 2D), built as a parametrization.
 
-    2D: equal-weight trapezoid in angle (spectrally accurate for smooth
-    periodic integrands).  3D: trapezoid in azimuth x Gauss-Legendre in the
-    z coordinate (the sphere's area measure is uniform in z).
+    2D: angle x1 in [0, 2pi), equal-weight trapezoid (spectrally accurate
+    for smooth periodic integrands).  3D: azimuth x1 by trapezoid x height
+    x2 in [-1, 1] by Gauss-Legendre (the sphere's area measure is uniform
+    in the height).
     """
     center = np.asarray(center, dtype=float).ravel()
     d = center.shape[0]
+    if not (np.all(np.isfinite(center)) and np.isfinite(radius)):
+        raise ValueError("center and radius must be finite")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    c = [repr(float(v)) for v in center]
+    R = repr(float(radius))
     if d == 2:
-        theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-        nodes = center + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(n_nodes, radius * 2.0 * np.pi / n_nodes)
-        tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, :, None]
-        return CriticalManifold(
-            name=name, dim=1, ambient_dim=2,
-            nodes=nodes, weights=weights, tangents=tangents, closed_chain=True,
-        )
+        return manifold_parametrized(
+            [f"{c[0]} + {R}*cos(x1)", f"{c[1]} + {R}*sin(x1)"],
+            [[0.0, 2.0 * np.pi]], [True], n_nodes, 2, name=name)
     if d == 3:
-        n_t = n_nodes
-        n_z = max(n_nodes // 4, 16)
-        theta = 2.0 * np.pi * np.arange(n_t) / n_t
-        z_gl, w_gl = leggauss(n_z)
-        th, zz = np.meshgrid(theta, z_gl, indexing="ij")
-        rho = np.sqrt(np.maximum(1.0 - zz**2, 0.0))
-        pts = np.stack([rho * np.cos(th), rho * np.sin(th), zz], axis=-1)
-        nodes = center + radius * pts.reshape(-1, 3)
-        w = (radius**2) * (2.0 * np.pi / n_t) * np.broadcast_to(w_gl, th.shape)
-        # tangent basis: d/dtheta and d/dz directions, orthonormalized
-        t1 = np.stack([-np.sin(th), np.cos(th), np.zeros_like(th)], axis=-1)
-        t2 = np.stack(
-            [-zz * np.cos(th) / np.maximum(rho, 1e-12) * rho,
-             -zz * np.sin(th) / np.maximum(rho, 1e-12) * rho,
-             rho],
-            axis=-1,
-        )
-        t2 = t2 / np.linalg.norm(t2, axis=-1, keepdims=True)
-        tangents = np.stack([t1.reshape(-1, 3), t2.reshape(-1, 3)], axis=-1)
-        return CriticalManifold(
-            name=name, dim=2, ambient_dim=3,
-            nodes=nodes, weights=w.ravel(), tangents=tangents,
-        )
+        rho = f"{R}*sqrt(1 - x2^2)"
+        return manifold_parametrized(
+            [f"{c[0]} + {rho}*cos(x1)", f"{c[1]} + {rho}*sin(x1)",
+             f"{c[2]} + {R}*x2"],
+            [[0.0, 2.0 * np.pi], [-1.0, 1.0]], [True, False],
+            [n_nodes, max(n_nodes // 4, 16)], 3, name=name)
     raise ValueError("spheres are supported in ambient dimension 2 or 3 "
                      "(use the radial profile route in higher dimension)")
 
@@ -144,7 +127,7 @@ def _param_axis(lo, hi, n, periodic):
         w = np.full(n, (hi - lo) / n)
     else:
         x, w = leggauss(n)
-        t = lo + (hi - lo) * (x + 1.0) / 2.0
+        t = (lo + hi) / 2.0 + (hi - lo) / 2.0 * x
         w = w * (hi - lo) / 2.0
     return t, w
 
@@ -181,11 +164,12 @@ def manifold_parametrized(maps, param_box, periodic, n_nodes, ambient_dim,
             f"rank-deficient Jacobian at parameter {params[np.argmax(bad)]}")
     gram = jac.transpose(0, 2, 1) @ jac
     weights = w_tensor * np.sqrt(np.linalg.det(gram))
-    tangents = np.linalg.qr(jac)[0]
+    # the last d - k columns of a complete QR span the normal space
+    normals = np.linalg.qr(jac, mode="complete")[0][:, :, k:]
     closed = k == 1 and bool(periodic[0])
     return CriticalManifold(
         name=name, dim=k, ambient_dim=ambient_dim,
-        nodes=nodes, weights=weights, tangents=tangents, closed_chain=closed,
+        nodes=nodes, weights=weights, normals=normals, closed_chain=closed,
     )
 
 
@@ -252,22 +236,6 @@ def verify_critical(p: Potential, M: CriticalManifold) -> VerificationResult:
     return VerificationResult(ok=ok, value=value, index=index, messages=messages)
 
 
-def _normal_bases(M: CriticalManifold):
-    """(k, d, d - dim) orthonormal normal bases, from one batched SVD of the
-    tangent frames (the null space of each frame's transpose)."""
-    d = M.ambient_dim
-    if M.dim == 0:
-        return np.broadcast_to(np.eye(d), (M.n_nodes, d, d))
-    _, s, vh = np.linalg.svd(M.tangents.transpose(0, 2, 1))
-    tol = s[:, :1] * (np.finfo(float).eps * d)
-    rank = np.sum(s > tol, axis=1)
-    if np.any(rank != M.dim):
-        raise DegenerateParametrizationError(
-            "tangent/normal split ill-conditioned at node "
-            f"{np.argmax(rank != M.dim)}")
-    return vh[:, M.dim:].transpose(0, 2, 1)
-
-
 def transversal_hessian(p: Potential, M: CriticalManifold):
     """Hess f restricted to the normal space at every node.
 
@@ -276,7 +244,7 @@ def transversal_hessian(p: Potential, M: CriticalManifold):
     bases chosen.
     """
     _, _, hess = p.hessians(M.nodes)
-    N = _normal_bases(M)
+    N = M.normals
     hperp = N.transpose(0, 2, 1) @ hess @ N
     hperp = 0.5 * (hperp + hperp.transpose(0, 2, 1))
     eigvals = np.linalg.eigvalsh(hperp)

@@ -138,16 +138,9 @@ def _witten_pieces(p: Potential, grid: Grid) -> WittenPieces:
         D_blocks.append(Dk)
         gamma.append(grads[:, a])
     D = sparse.vstack(D_blocks, format="csr")
-    # each row's entries in descending column order, the order in which
-    # scipy's sparse sum h D + Gamma Avg stores them
-    counts = np.diff(D.indptr)
-    rows = np.repeat(np.arange(D.shape[0]), counts)
-    rev = D.indptr[rows] + D.indptr[rows + 1] - 1 - np.arange(D.nnz)
-    D = sparse.csr_matrix((D.data[rev], D.indices[rev], D.indptr),
-                          shape=D.shape)
     D.indices.flags.writeable = False
     D.indptr.flags.writeable = False
-    ga = np.repeat(np.concatenate(gamma), counts) * 0.5
+    ga = np.repeat(np.concatenate(gamma), np.diff(D.indptr)) * 0.5
     return WittenPieces(p=p, grid=grid, D=D, ga=ga)
 
 

@@ -99,6 +99,47 @@ def test_default_radius_only_for_undeclared(tmp_path, capsys, monkeypatch,
     assert len(seen) == calls
 
 
+def test_all_classifies_once_without_saddles(tmp_path, capsys):
+    # a lone minimum leaves no saddle record: label must not classify again
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "expression": "x1^2/2", "dim": 1, "box": [[-3.0, 3.0]],
+        "manifolds": [{"name": "origin", "kind": "point", "coords": [0.0],
+                       "role": "minimum"}]}))
+    assert main(["all", "--spec", str(spec), "--grid", "512",
+                 "--h", "0.2,0.15,0.1", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("origin: minimum") for line in lines) == 1
+
+
+RING_SPEC = {
+    "expression": "r^6/6 - 5*r^4/4 + 2*r^2", "dim": 2,
+    "box": [[-3.0, 3.0], [-3.0, 3.0]], "manifolds": [
+        {"name": "center", "kind": "point", "coords": [0.0, 0.0],
+         "role": "minimum"},
+        {"name": "ring", "kind": "sphere", "center": [0.0, 0.0],
+         "radius": 2.0, "role": "minimum"},
+        {"name": "saddle_ring", "kind": "sphere", "center": [0.0, 0.0],
+         "radius": 1.0, "role": "saddle"}]}
+
+
+def test_ring_prediction_matches_radial_closed_form(tmp_path, capsys):
+    # the center minimum leaves over the saddle circle r = 1: exponent
+    # (3 - d)/2 and the constant of the radial closed form
+    from metastab.kramers import radial_predict
+    from metastab.potential import parse_potential
+    spec = tmp_path / "ring.json"
+    spec.write_text(json.dumps(RING_SPEC))
+    assert main(["predict", "--spec", str(spec), "--grid", "128",
+                 "--h", "0.2", "--out", str(tmp_path)]) == 0
+    _, rows = read_table(tmp_path / "predictions.csv")
+    row = {r["minimum"]: r for r in rows}["center"]
+    assert float(row["exponent"]) == 0.5
+    p = parse_potential(RING_SPEC["expression"], 2)
+    want = radial_predict(p, 2, 0.0, 1.0, float(row["S"])).constant
+    assert float(row["D"]) == pytest.approx(want, rel=1e-10)
+
+
 def test_missing_saddle_declaration_fails(tmp_path, capsys):
     with open(SPEC) as fh:
         data = json.load(fh)
@@ -175,11 +216,11 @@ def _add_manifold(**decl):
     return edit
 
 
-def _ring(nodes):
+def _ring(nodes, center=(0.0, 0.0)):
     # the spec's expression on a 2D box, with a circle that sets `nodes`
     def edit(data):
         return dict(data, dim=2, box=[[-2.4, 2.4], [-2.4, 2.4]], manifolds=[
-            {"name": "ring", "kind": "sphere", "center": [0.0, 0.0],
+            {"name": "ring", "kind": "sphere", "center": list(center),
              "radius": 1.0, "role": "minimum", "nodes": nodes}])
     return edit
 
@@ -199,6 +240,10 @@ def _ring(nodes):
     (lambda data: dict(data, manifolds=data["manifolds"] + [
         {"name": "ring", "kind": "sphere", "center": [0.0, 0.0],
          "radius": 1.0, "role": "saddle"}]), "'center' must give one number per axis (1)"),
+    (_set_manifold(0, "coords", [float("nan")]),
+     "'coords' must hold finite numbers"),
+    (_ring(256, center=(float("inf"), 0.0)),
+     "'center' must hold finite numbers"),
     (_ring("abc"), "'nodes' must be a positive integer"),
     (_ring(2.5), "'nodes' must be a positive integer"),
     (_ring(0), "'nodes' must be a positive integer"),
@@ -216,6 +261,7 @@ def _ring(nodes):
 ], ids=["top-level-number", "manifold-number", "manifolds-string",
         "expression-number", "radius-text", "tau-text", "tolerance-text",
         "name-null", "name-repeated", "coords-length", "center-length",
+        "coords-nan", "center-infinite",
         "nodes-text", "nodes-fraction", "nodes-zero", "maps-number",
         "periodic-short", "param_box-number", "param_box-flat",
         "param_box-reversed"])

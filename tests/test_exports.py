@@ -1,5 +1,6 @@
 """The package's export lists name only what exists, its functions read
-every parameter they take, and only its front end touches file formats."""
+every parameter they take, only its front end touches file formats, and
+two constructors build every manifold."""
 
 import ast
 import importlib
@@ -87,3 +88,21 @@ def test_file_formats_only_in_cli(name):
                  if isinstance(node, ast.ImportFrom) and node.module]
     formats = [m for m in imported if m.split(".")[0] in ("json", "csv")]
     assert not formats, f"metastab.{name} imports {formats}"
+
+
+def test_manifolds_built_by_two_constructors():
+    # a sphere is a parametrization: only `manifold_point` and
+    # `manifold_parametrized` build a CriticalManifold
+    callers = []
+    for name in MODULES:
+        tree = ast.parse((pathlib.Path(metastab.__path__[0])
+                          / f"{name}.py").read_text())
+        for stmt in tree.body:
+            callers += [f"{name}.{getattr(stmt, 'name', '<module>')}"
+                        for node in ast.walk(stmt)
+                        if isinstance(node, ast.Call)
+                        and "CriticalManifold" in (
+                            getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))]
+    assert sorted(callers) == ["manifolds.manifold_parametrized",
+                               "manifolds.manifold_point"]

@@ -32,6 +32,49 @@ def test_parametrized_circle_matches_sphere_quadrature():
     assert Mb.measure() == pytest.approx(Ma.measure(), rel=1e-10)
 
 
+def assert_normals_radial(M, center, radius):
+    # the one normal at each node spans (x - c)/R
+    u = (M.nodes - center) / radius
+    assert M.normals.shape == (M.n_nodes, M.ambient_dim, 1)
+    np.testing.assert_allclose(M.normals @ M.normals.transpose(0, 2, 1),
+                               u[:, :, None] * u[:, None, :], atol=1e-14)
+
+
+def test_circle_off_origin_matches_closed_form():
+    c, R, n = np.array([1.5, -2.0]), 0.7, 64
+    M = manifold_sphere(c, R, n_nodes=n)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    np.testing.assert_allclose(
+        M.nodes, c + R * np.stack([np.cos(theta), np.sin(theta)], axis=1),
+        rtol=1e-14)
+    np.testing.assert_allclose(M.weights, np.full(n, R * 2.0 * np.pi / n),
+                               rtol=1e-14)
+    assert M.closed_chain
+    assert_normals_radial(M, c, R)
+
+
+def test_sphere_off_origin_matches_closed_form():
+    from numpy.polynomial.legendre import leggauss
+    c, R, n = np.array([1.5, -2.0, 3.0]), 0.8, 64
+    M = manifold_sphere(c, R, n_nodes=n)
+    z_gl, w_gl = leggauss(16)
+    assert M.n_nodes == n * 16
+    # azimuth-major order: the heights run through z_gl at each azimuth
+    np.testing.assert_allclose(M.nodes[:, 2], c[2] + R * np.tile(z_gl, n),
+                               rtol=1e-14)
+    np.testing.assert_allclose(
+        M.weights, R**2 * (2.0 * np.pi / n) * np.tile(w_gl, n), rtol=1e-14)
+    assert_normals_radial(M, c, R)
+
+
+@pytest.mark.parametrize("center,radius", [
+    ([np.nan, 0.0], 1.0), ([0.0, 0.0, np.inf], 1.0), ([0.0, 0.0], np.inf),
+], ids=["center-nan", "center-infinite", "radius-infinite"])
+def test_sphere_refuses_non_finite(center, radius):
+    with pytest.raises(ValueError, match="finite"):
+        manifold_sphere(center, radius)
+
+
 def test_quadrature_converges_under_node_doubling(mexican):
     # int_M |det Hess_perp|^{-1/2}: value must be node-count independent
     from metastab.kramers import weight_integral

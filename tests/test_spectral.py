@@ -207,10 +207,12 @@ def test_shared_pieces_match_per_h_assembly(expression, box, shape):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # coarse 3D grid
             W = assemble_witten(p, box, shape, h, pieces=pieces)
-        want = per_h_assembly(p, box, shape, h)
-        for got_a, want_a in ((W.A.data, want.data),
-                              (W.A.indices, want.indices),
-                              (W.A.indptr, want.indptr)):
+        # the two store each row's entries in opposite column orders
+        got = W.A.sorted_indices()
+        want = per_h_assembly(p, box, shape, h).sorted_indices()
+        for got_a, want_a in ((got.data, want.data),
+                              (got.indices, want.indices),
+                              (got.indptr, want.indptr)):
             assert got_a.dtype == want_a.dtype
             assert np.array_equal(got_a, want_a)
         assert np.shares_memory(W.A.indices, W.pieces.D.indices)
