@@ -68,11 +68,6 @@ class WittenOperator:
     def n_cells(self):
         return self.A.shape[1]
 
-    @property
-    def cell_shape(self):
-        """The cells as an array of this shape in C order: a chain here."""
-        return (self.n_cells,)
-
     def gram(self):
         """A^T A in CSC form, built afresh on each call."""
         return (self.A.T @ self.A).tocsc()
@@ -119,10 +114,6 @@ class DiscreteWitten(WittenOperator):
     def grid(self):
         """The cells, in C order."""
         return self.pieces.grid
-
-    @property
-    def cell_shape(self):
-        return self.grid.shape
 
 
 def _check_resolution(spacings, h, strict):
@@ -291,52 +282,15 @@ class _OneBlasThread(contextlib.ContextDecorator):
 ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _eliminated_cells(shape):
-    """Whether each cell (C order) is eliminated ahead of the factor.
-    A^T A couples a cell only to its neighbours along one axis, so the
-    cells of even index sum share no coupling: their block of the
-    shifted matrix is diagonal.  Eliminating them leaves the Schur
-    complement on the odd cells, which SuperLU factors and solves faster
-    than the whole matrix on a grid of one or two dimensions (720^2 on a
-    shared 2-core VM: 3.5 s and 78 ms a solve, against 4.5 s and 100 ms).
-    On a 3D grid it factors slower (48x40x40: 53 s against 37 s), so
-    none is eliminated there."""
-    if len(shape) > 2:
-        return np.zeros(int(np.prod(shape)), dtype=bool)
-    return np.indices(shape).sum(axis=0).ravel() % 2 == 0
-
-
-def _eliminate(G, sigma, elim, kept):
-    """For G - sigma = [[diag(d), B], [B^T, C]] in the order `elim, kept`:
-    1/d, diag(d)^-1 B and the Schur complement C - B^T diag(d)^-1 B on
-    `kept` (CSC)."""
-    rows = G.tocsr()
-    G_elim = rows[elim]
-    d_block = G_elim[:, elim]
-    if d_block.nnz != elim.size:
-        raise RuntimeError("the cells eliminated first are coupled")
-    d_inv = 1.0 / (d_block.diagonal() - sigma)
-    B = G_elim[:, kept]
-    DB = sparse.diags(d_inv) @ B
-    C = rows[kept][:, kept] - sigma * sparse.identity(kept.size, format="csr")
-    schur = (C - B.T @ DB).tocsc()
-    return d_inv, DB, schur
-
-
 @ONE_BLAS_THREAD
 def smallest_eigs(op, k, ordering=None) -> EigenResult:
     """k smallest eigenpairs of A^T A via shift-invert at a small negative
     shift; eigenvalues sorted ascending, floor = 100 eps ||A^T A||.
 
-    On a grid of one or two dimensions the cells of even index sum,
-    whose block of the shifted matrix is diagonal, are eliminated first,
-    and SuperLU factors the Schur complement on the others; on a 3D grid
-    it factors the whole shifted matrix.  The factored cells are taken in
-    their order in `ordering`, a permutation of the cells, when one is
-    given (an earlier result's `ordering` on the same grid: the stencil's
-    sparsity does not depend on h), else in SuperLU's minimum-degree
-    order on C + C^T; the order used is returned, the eliminated cells
-    first.  ARPACK
+    The shifted matrix is factored in `ordering`, a permutation of the
+    cells, when one is given (an earlier result's `ordering` on the same
+    grid: the stencil's sparsity does not depend on h), else in SuperLU's
+    minimum-degree order on A + A^T; the order used is returned.  ARPACK
     runs to relative tolerance ARPACK_TOL from a fixed start vector, so
     repeated calls with the same arguments return the same values and
     vectors.  Each pair's residual
@@ -360,58 +314,43 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     # max absolute row sum, a bound on the 2-norm
     norm = float(np.max(np.abs(G).sum(axis=1)))
     sigma = -1e-8 * max(norm, 1.0)
-    first = _eliminated_cells(op.cell_shape)
-    if ordering is None:
-        elim, kept = np.flatnonzero(first), np.flatnonzero(~first)
-    else:
-        elim, kept = ordering[first[ordering]], ordering[~first[ordering]]
-    d_inv, DB, schur = _eliminate(G, sigma, elim, kept)
+    shifted = (G - sigma * sparse.identity(n, format="csc")).tocsc()
     # the factorization's scratch sets the peak memory: hold nothing else
     # through it, and build G again for the residual check
     del G
     if ordering is None:
         # SuperLU's default COLAMD ordering fills in badly on the symmetric
         # stencil; the AT_PLUS_A minimum-degree ordering is several times
-        # faster.  Its column permutation maps each cell of `kept` to its
-        # position.
-        lu = splu(schur, permc_spec="MMD_AT_PLUS_A")
-        ordering = np.concatenate([elim, kept[np.argsort(lu.perm_c)]])
+        # faster.  Its column permutation maps each cell to its position.
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
+        ordering = np.argsort(lu.perm_c)
+        solve = lu.solve
     else:
-        lu = splu(schur, permc_spec="NATURAL")
-    del schur
-    # [[diag(d), B], [B^T, C]] x = b: x_kept solves the Schur complement
-    # system, then x_elim = (b_elim - B x_kept) / d
-    BtD = DB.T.tocsr()
-    n_elim = elim.size
+        shifted = shifted[ordering][:, ordering]
+        lu = splu(shifted, permc_spec="NATURAL")
 
-    def solve(b):
-        x = np.empty_like(b)
-        b_elim = b[:n_elim]
-        x[n_elim:] = lu.solve(b[n_elim:] - BtD @ b_elim)
-        x[:n_elim] = d_inv * b_elim - DB @ x[n_elim:]
-        return x
-    # ARPACK works on the cells in the order `elim, kept`; with its dtype
-    # given, LinearOperator spares a solve on zeros
-    cells = np.concatenate([elim, kept])
+        def solve(b):
+            x = np.empty_like(b)
+            x[ordering] = lu.solve(b[ordering])
+            return x
+    del shifted
+    # with its dtype given, LinearOperator spares a solve on zeros
     op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
     # ARPACK's default start vector is random; a constant one needs more
     # shift-invert solves than this fixed random one
-    v0 = np.random.default_rng(0).standard_normal(n)[cells]
+    v0 = np.random.default_rng(0).standard_normal(n)
     # a Lanczos basis smaller than ARPACK's default of 20 vectors restarts
     # more often but needs fewer shift-invert solves in all
     ncv = min(max(2 * k + 2, 12), n)
     try:
         # in shift-invert mode ARPACK only applies OPinv
-        vals, cell_vecs = eigsh(op_inv, k=k, sigma=sigma, which="LM",
-                                tol=ARPACK_TOL, OPinv=op_inv, v0=v0,
-                                ncv=ncv)
+        vals, vecs = eigsh(op_inv, k=k, sigma=sigma, which="LM",
+                           tol=ARPACK_TOL, OPinv=op_inv, v0=v0, ncv=ncv)
     except ArpackNoConvergence as exc:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     del op_inv, solve, lu         # the factors are done with
     order = np.argsort(vals)
-    vals = vals[order]
-    vecs = np.empty_like(cell_vecs)
-    vecs[cells] = cell_vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
     floor = RELIABLE_FLOOR_FACTOR * np.finfo(float).eps * norm
     if np.any(vals < -1e-14 * norm):
         raise RuntimeError("negative eigenvalue beyond rounding; "

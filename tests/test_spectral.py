@@ -319,20 +319,6 @@ def test_ordering_must_permute_the_cells():
             smallest_eigs(W, 3, ordering=bad)
 
 
-def test_even_cells_are_eliminated_first_in_2d():
-    # the cells of even index sum share no coupling, so their block of the
-    # Gram matrix is diagonal and they lead the returned order
-    p = parse_potential(TILTED_2D, 2)
-    W = assemble_witten(p, [[-2.4, 2.4], [-1.5, 2.0]], (96, 65), 0.2)
-    order = smallest_eigs(W, 3).ordering
-    parity = np.sum(np.unravel_index(order, W.grid.shape), axis=0) % 2
-    n_even = np.count_nonzero(parity == 0)
-    assert np.all(parity[:n_even] == 0) and np.all(parity[n_even:] == 1)
-    even = order[:n_even]
-    block = W.gram().tocsr()[even][:, even]
-    assert block.nnz == n_even and np.all(block.diagonal() > 0)
-
-
 def openblas_threads():
     """(get, set) thread-count functions of each OpenBLAS this process has
     loaded, looked up independently of `spectral`."""
