@@ -52,10 +52,18 @@ def _positive(value, kind=(int, float)):
 
 
 def _floats(value):
-    """`value` as a float array, or None if it does not convert."""
+    """`value` as a float array if it is a JSON number or a rectangular
+    nest of lists of them, else None; a bool or a numeric string is not a
+    number."""
+    def numeric(v):
+        if isinstance(v, list):
+            return all(map(numeric, v))
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not numeric(value):
+        return None
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except ValueError:            # a ragged nest
         return None
 
 

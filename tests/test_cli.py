@@ -258,13 +258,25 @@ def _ring(nodes, center=(0.0, 0.0)):
      "'param_box' must hold finite [lo, hi] rows with lo < hi"),
     (_add_manifold(kind="parametrized", maps=["x1"], param_box=[[1.0, 0.0]]),
      "'param_box' must hold finite [lo, hi] rows with lo < hi"),
+    (_set_manifold(0, "coords", [True]),
+     "'coords' must give one number per axis (1)"),
+    (_set_manifold(0, "coords", ["-1.04"]),
+     "'coords' must give one number per axis (1)"),
+    (_ring(256, center=(True, 0.0)),
+     "'center' must give one number per axis (2)"),
+    (lambda data: dict(data, box=[["-2.4", 2.4]]),
+     "'box' must hold 1 finite [lo, hi] rows with lo < hi"),
+    (_add_manifold(kind="parametrized", maps=["x1"],
+                   param_box=[[False, 1.0]]),
+     "'param_box' must hold finite [lo, hi] rows with lo < hi"),
 ], ids=["top-level-number", "manifold-number", "manifolds-string",
         "expression-number", "radius-text", "tau-text", "tolerance-text",
         "name-null", "name-repeated", "coords-length", "center-length",
         "coords-nan", "center-infinite",
         "nodes-text", "nodes-fraction", "nodes-zero", "maps-number",
         "periodic-short", "param_box-number", "param_box-flat",
-        "param_box-reversed"])
+        "param_box-reversed", "coords-bool", "coords-text", "center-bool",
+        "box-numeric-text", "param_box-bool"])
 def test_malformed_spec_fails_in_setup(tmp_path, capsys, edit, fragment):
     # each is refused before any stage runs, without a traceback
     with open(SPEC) as fh:

@@ -185,6 +185,19 @@ def test_polynomial_jets_are_exact(a, b, n):
                                          rel=1e-11, abs=1e-11)
 
 
+@pytest.mark.parametrize("n", [-3, -1, 0, 1, 2, 3, 4, 7])
+def test_integer_power_matches_pow(n):
+    # the value and both derivatives are products, not pow calls; they
+    # agree with numpy's float power to a few ulps
+    x = np.geomspace(0.1, 3.0, 20)
+    x = np.concatenate([-x, x])
+    v, g, H = parse(f"x1^{n}", 1).evaluate([x], 2)
+    assert v == pytest.approx(x ** float(n), rel=1e-14)
+    assert g[0] == pytest.approx(n * x ** float(n - 1), rel=1e-14)
+    assert H[0, 0] == pytest.approx(n * (n - 1) * x ** float(n - 2),
+                                    rel=1e-14)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-2, 2, allow_nan=False), min_size=2, max_size=2))
 def test_vectorized_matches_scalar_everywhere(xs):

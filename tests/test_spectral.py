@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
@@ -157,21 +158,39 @@ def test_residuals_below_floor_tilted_2d():
     assert np.all(res.residuals <= res.floor)
 
 
-def perturbed_eigsh(*args, **kwargs):
-    """`eigsh` with its second eigenvector perturbed by 1e-6."""
-    vals, vecs = eigsh(*args, **kwargs)
-    vecs[:, 1] += 1e-6 * np.random.default_rng(3).standard_normal(
-        vecs.shape[0])
-    vecs[:, 1] /= np.linalg.norm(vecs[:, 1])
-    return vals, vecs
+def perturbed_eigsh(scale):
+    """`eigsh` with its second eigenvector perturbed by `scale` times a
+    standard normal vector, taken orthogonal to the vectors returned."""
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        noise = np.random.default_rng(3).standard_normal(vecs.shape[0])
+        vecs[:, 1] += scale * (noise - vecs @ (vecs.T @ noise))
+        vecs[:, 1] /= np.linalg.norm(vecs[:, 1])
+        return vals, vecs
+    return perturbed
 
 
 def test_residual_check_rejects_perturbed_eigenvector(monkeypatch):
     p = parse_potential(TILTED_2D, 2)
     W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
-    monkeypatch.setattr(spectral, "eigsh", perturbed_eigsh)
+    monkeypatch.setattr(spectral, "eigsh", perturbed_eigsh(1e-6))
     with pytest.raises(RuntimeError, match="residual"):
         smallest_eigs(W, 3)
+
+
+def test_one_more_solve_takes_rounding_out_of_a_pair(monkeypatch):
+    # noise of norm 1e-10 lifts the residual over the floor, as the
+    # rounding that ARPACK leaves in a pair far above the shift can; one
+    # more shift-invert solve scales it by about lambda over the noise's
+    # eigenvalues and brings the residual back under
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
+    clean = smallest_eigs(W, 3)
+    monkeypatch.setattr(spectral, "eigsh", perturbed_eigsh(1e-12))
+    res = smallest_eigs(W, 3)
+    assert np.all(res.residuals <= res.floor)
+    assert abs(res.vectors[:, 1] @ clean.vectors[:, 1]) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def per_h_assembly(p, box, shape, h):
@@ -319,6 +338,45 @@ def test_ordering_must_permute_the_cells():
             smallest_eigs(W, 3, ordering=bad)
 
 
+def test_even_cells_are_eliminated_first_in_2d():
+    # the cells of even index sum share no coupling, so their block of the
+    # Gram matrix is diagonal and they lead the returned order
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4], [-1.5, 2.0]], (96, 65), 0.2)
+    order = smallest_eigs(W, 3).ordering
+    parity = np.sum(np.unravel_index(order, W.grid.shape), axis=0) % 2
+    n_even = np.count_nonzero(parity == 0)
+    assert np.all(parity[:n_even] == 0) and np.all(parity[n_even:] == 1)
+    even = order[:n_even]
+    block = W.gram().tocsr()[even][:, even]
+    assert block.nnz == n_even and np.all(block.diagonal() > 0)
+
+
+@pytest.mark.parametrize("expression,box,shape,factored", [
+    (TILTED_2D, [[-2.4, 2.4], [-1.5, 2.0]], (24, 20), 240),
+    ("(x1^2 + x2^2 + x3^2 - 1)^2 + x3/5", [[-2.0, 2.0], [-1.5, 1.5],
+                                          [-1.0, 1.2]], (10, 9, 8), 720),
+])
+def test_eliminated_solve_matches_dense_eigh(monkeypatch, expression, box,
+                                             shape, factored):
+    # a 2D grid factors its odd cells alone, a 3D grid every cell.  At
+    # h = 0.3 the smallest value is 1.5e-4, far enough above eps ||G|| for
+    # the dense solve to hold it to 1e-9 (at h = 0.2, 5.6e-6, it does not)
+    sizes = []
+    real = spectral.splu
+    monkeypatch.setattr(spectral, "splu", lambda matrix, **kwargs: (
+        sizes.append(matrix.shape[0]) or real(matrix, **kwargs)))
+    p = parse_potential(expression, len(box))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # coarse grids
+        W = assemble_witten(p, box, shape, 0.3)
+    res = smallest_eigs(W, 4)
+    assert sizes == [factored]
+    dense = scipy.linalg.eigh(W.gram().toarray(), eigvals_only=True)[:4]
+    assert np.all(res.values > res.floor)
+    assert res.values == pytest.approx(dense, rel=1e-9, abs=0.0)
+
+
 def openblas_threads():
     """(get, set) thread-count functions of each OpenBLAS this process has
     loaded, looked up independently of `spectral`."""
@@ -386,7 +444,7 @@ def test_solve_holds_blas_at_one_thread(monkeypatch, blas_threads):
     assert seen == [ones] * 4
     assert thread_counts(blas_threads) == caller
     monkeypatch.setattr(spectral, "eigsh",
-                        recording(perturbed_eigsh, seen, blas_threads))
+                        recording(perturbed_eigsh(1e-6), seen, blas_threads))
     with pytest.raises(RuntimeError, match="residual"):
         smallest_eigs(W, 3)
     assert seen == [ones] * 6
