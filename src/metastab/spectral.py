@@ -297,10 +297,10 @@ def _eliminated_cells(shape):
     cells of even index sum share no coupling: their block of the
     shifted matrix is diagonal.  Eliminating them leaves the Schur
     complement on the odd cells, which SuperLU factors and solves faster
-    than the whole matrix on a grid of one or two dimensions (720^2 on a
-    shared 2-core VM: 3.5 s and 78 ms a solve, against 4.5 s and 100 ms).
-    On a 3D grid it factors slower (48x40x40: 53 s against 37 s), so
-    none is eliminated there."""
+    than the whole matrix on a grid of one or two dimensions (on a
+    shared 2-core VM: at 720^2 a factor of 3.3 s against 4.6 s, at 512^2
+    a solve of 40 ms against 48 ms).  On a 3D grid it factors slower
+    (48x40x40: 53 s against 37 s), so none is eliminated there."""
     if len(shape) > 2:
         return np.zeros(int(np.prod(shape)), dtype=bool)
     return np.indices(shape).sum(axis=0).ravel() % 2 == 0
@@ -362,8 +362,9 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     cells = np.concatenate([cells[first[cells]], cells[~first[cells]]])
     m = np.count_nonzero(first)
     d_inv, DB, schur = _eliminate(G, sigma, cells, m)
-    # the factorization's scratch sets the peak memory: hold nothing else
-    # through it, and build G again for the residual check
+    # the factorization's scratch sets the peak memory: hold nothing but
+    # the elimination's pieces through it, and build G again for the
+    # residual check
     del G
     if ordering is None:
         # SuperLU's default COLAMD ordering fills in badly on the symmetric
