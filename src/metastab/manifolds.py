@@ -42,7 +42,8 @@ VALUE_TOL = 1e-8
 EIG_REL_TOL = 1e-6
 SEPARATION_TOL = 0.1
 
-# node pairs per block of `node_distance`: about 1.5 MB of differences
+# node pairs up to which `node_distance` measures every pair at once (about
+# 1.5 MB of differences); above it, a k-d tree picks the candidates
 _PAIR_BLOCK = 1 << 16
 
 
@@ -176,14 +177,22 @@ def manifold_parametrized(maps, param_box, periodic, n_nodes, ambient_dim,
 def node_distance(a: CriticalManifold, b: CriticalManifold) -> float:
     """Smallest distance between a node of `a` and a node of `b`.
 
-    Rows of `a.nodes` are taken in blocks of about `_PAIR_BLOCK` pairs, so
-    the scratch memory does not grow with the node counts; each pair's
-    distance is the same expression as over the whole (na, nb) array, so
-    the minimum is bit for bit the same."""
-    step = max(1, _PAIR_BLOCK // b.n_nodes)
-    return min(float(np.min(np.linalg.norm(
-        a.nodes[s:s + step, None, :] - b.nodes[None, :, :], axis=-1)))
-        for s in range(0, a.n_nodes, step))
+    Up to `_PAIR_BLOCK` node pairs, every pair is measured.  Above it, a
+    k-d tree finds the smallest distance in O(n log n) time, and the pairs
+    whose tree distance lies within a relative 1e-12 of it are measured
+    again with the same per-pair expression: the tree rounds its distances
+    differently, and the minimum over those pairs is bit for bit the one
+    over every pair."""
+    if a.n_nodes * b.n_nodes <= _PAIR_BLOCK:
+        return float(np.min(np.linalg.norm(
+            a.nodes[:, None, :] - b.nodes[None, :, :], axis=-1)))
+    from scipy.spatial import cKDTree
+    tree_a, tree_b = cKDTree(a.nodes), cKDTree(b.nodes)
+    nearest = float(np.min(tree_b.query(a.nodes)[0]))
+    pairs = tree_a.sparse_distance_matrix(
+        tree_b, nearest * (1.0 + 1e-12), output_type="ndarray")
+    return float(np.min(np.linalg.norm(
+        a.nodes[pairs["i"]] - b.nodes[pairs["j"]], axis=-1)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
+import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ from scipy import sparse
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
+from . import sublevel
 from .potential import Potential
 from .sublevel import Grid
 
@@ -43,6 +46,11 @@ DEFAULT_ETA0 = 0.1
 # relative tolerance of the Lanczos iteration in smallest_eigs; at 1e-9 a
 # residual of the 512x512 tilted double well already exceeds the floor
 ARPACK_TOL = 1e-12
+# bytes of process growth per factored cell and per ln(factored cells)
+# over the first solve of a grid whose even cells are eliminated (fill
+# grows like n log n): measured 158 at 512^2 (131 072 factored cells,
+# L+U 15.7 M) and 161 at 720^2 (259 200 cells, L+U 34.4 M)
+_FACTOR_CELL_BYTES = 161
 
 
 class GridResolutionError(ValueError):
@@ -291,6 +299,29 @@ class _OneBlasThread(contextlib.ContextDecorator):
 ONE_BLAS_THREAD = _OneBlasThread()
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, looked up once in the process's C library;
+    None where the C library has none (musl, macOS, Windows)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_freed_heap():
+    """Hand the heap that has been freed back to the OS, where the C
+    library can.  Once large arrays have been mmapped and freed, glibc
+    raises its mmap threshold, so the solve's per-h sparse temporaries
+    land in the brk heap, and their holes would otherwise stay resident
+    under the LU factor and the Lanczos basis."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _eliminated_cells(shape):
     """Whether each cell (C order) is eliminated ahead of the factor.
     A^T A couples a cell only to its neighbours along one axis, so the
@@ -340,6 +371,21 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     one more shift-invert solve of its vector, and a pair still above it
     raises RuntimeError rather than being trusted.
 
+    Memory.  The first factorization of a 1D or 2D grid is projected to
+    grow the process by `_FACTOR_CELL_BYTES` n ln n bytes for its n
+    factored cells, and a projection above physical memory raises
+    ValueError before anything is built (a 3D grid is not projected).
+    Freed heap is handed back to the OS, where the C library has glibc's
+    malloc_trim, at three phase boundaries: before the factorization,
+    before the Lanczos phase and before the residual check builds G
+    again.  glibc would keep the holes that the per-h temporaries (G, its
+    permuted copy, the block products, the Schur complement) leave in its
+    brk arena resident under the factor and the Lanczos basis: in
+    `metastab all` on the 512^2 tilted double well, at the third
+    factorization, the arena held 146 MB, 83 MB of it free, and the RSS
+    was 221 MB without the releases and 138 MB with them.  The values and
+    vectors do not depend on the releases.
+
     The whole solve runs with every loaded OpenBLAS held at one thread,
     and the caller's thread counts are restored on return.  Its time goes
     into serial sparse triangular solves between short BLAS calls; a
@@ -353,19 +399,31 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
         raise ValueError(f"k = {k} must be below the grid size {n}")
     if ordering is not None and not _is_permutation(ordering, n):
         raise ValueError(f"the ordering must permute all {n} cells")
+    first = _eliminated_cells(op.cell_shape)
+    m = np.count_nonzero(first)
+    if ordering is None and m:
+        # the first factor of a 1D or 2D grid; later ones reuse its
+        # ordering, and a 3D factor is not covered
+        need = _FACTOR_CELL_BYTES * (n - m) * math.log(n - m)
+        have = sublevel._physical_memory()
+        if have is not None and need > have:
+            raise ValueError(
+                f"the shift-invert factor of {n - m} cells needs about "
+                f"{need:.3g} bytes, more than the {have:.3g} bytes of "
+                f"physical memory; lower the resolution (`resolution`, or "
+                f"`--grid` on the command line)")
     G = op.gram()
     # max absolute row sum, a bound on the 2-norm
     norm = float(np.max(np.abs(G).sum(axis=1)))
     sigma = -1e-8 * max(norm, 1.0)
-    first = _eliminated_cells(op.cell_shape)
     cells = np.arange(n) if ordering is None else ordering
     cells = np.concatenate([cells[first[cells]], cells[~first[cells]]])
-    m = np.count_nonzero(first)
     d_inv, DB, schur = _eliminate(G, sigma, cells, m)
     # the factorization's scratch sets the peak memory: hold nothing but
     # the elimination's pieces through it, and build G again for the
     # residual check
     del G
+    _release_freed_heap()
     if ordering is None:
         # SuperLU's default COLAMD ordering fills in badly on the symmetric
         # stencil; the AT_PLUS_A minimum-degree ordering is several times
@@ -377,13 +435,15 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     else:
         lu = splu(schur, permc_spec="NATURAL")
     del schur
+    _release_freed_heap()
     # [[diag(d), B], [B^T, C]] x = b: x[m:] solves the Schur complement
-    # system, then x[:m] = (b[:m] - B x[m:]) / d
-    BtD = DB.T.tocsr()
+    # system, then x[:m] = (b[:m] - B x[m:]) / d; B^T diag(d)^-1 is DB's
+    # transpose, a view of its arrays
+    DBt = DB.T
 
     def solve(b):
         x = np.empty_like(b)
-        x[m:] = lu.solve(b[m:] - BtD @ b[:m])
+        x[m:] = lu.solve(b[m:] - DBt @ b[:m])
         x[:m] = d_inv * b[:m] - DB @ x[m:]
         return x
     # ARPACK works on the cells in the order `cells`, so a solve gathers
@@ -403,11 +463,12 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     del op_inv
     order, back = np.argsort(vals), np.argsort(cells)
-    vals, vecs = vals[order], vecs[back][:, order]
+    vals, vecs = vals[order], vecs[np.ix_(back, order)]
     floor = RELIABLE_FLOOR_FACTOR * np.finfo(float).eps * norm
     if np.any(vals < -1e-14 * norm):
         raise RuntimeError("negative eigenvalue beyond rounding; "
                            "factored operator corrupted")
+    _release_freed_heap()
     G = op.gram()
     residuals = np.linalg.norm(G @ vecs - vecs * vals, axis=0)
     for i in np.flatnonzero(residuals > floor):

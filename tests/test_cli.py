@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from metastab import spectral
+from metastab import spectral, sublevel
 from metastab.cli import main
 
 SPEC = "specs/tilted_double_well.json"
@@ -289,6 +289,21 @@ def test_malformed_spec_fails_in_setup(tmp_path, capsys, edit, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error: setup: ")
     assert fragment in err
+
+
+def test_solve_beyond_physical_memory_fails_in_solve(tmp_path, capsys,
+                                                     monkeypatch):
+    # 1024 cells pass the grid's 13 B/cell refusal at 256 KiB, but the
+    # factor of their 512 odd cells is projected at about 514 KB
+    monkeypatch.setattr(sublevel, "_physical_memory", lambda: 1 << 18)
+    code = main(["solve", "--spec", SPEC, "--grid", "1024", "--h", "0.2",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solve: the shift-invert factor of 512 "
+                          "cells needs about ")
+    assert "physical memory" in err
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("flag,fragment", [

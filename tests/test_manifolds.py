@@ -3,6 +3,7 @@ the global negative-direction field (orientable vs Moebius-like cases)."""
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -177,8 +178,8 @@ def whole_array_node_distance(a, b):
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
 def test_node_distance_blocks_match_whole_array(monkeypatch, block):
-    # block 7 against a one-node manifold takes 7 rows a block, the last
-    # block short; the minima must agree bit for bit
+    # blocks 1 and 7 send every case with more pairs to the k-d tree; the
+    # minima must agree bit for bit
     monkeypatch.setattr(manifolds, "_PAIR_BLOCK", block)
     ring = manifold_sphere([0.1, -0.3], 1.3, n_nodes=64)
     ball = manifold_sphere([0.0, 0.0, 0.0], 0.8, n_nodes=16)
@@ -190,9 +191,41 @@ def test_node_distance_blocks_match_whole_array(monkeypatch, block):
         assert node_distance(a, b) == whole_array_node_distance(a, b)
 
 
+def nodes_only(nodes):
+    """What `node_distance` reads of a manifold."""
+    return types.SimpleNamespace(nodes=nodes, n_nodes=len(nodes))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_node_distance_tree_matches_whole_array(seed):
+    # 400 x 300 pairs take the k-d tree; the sets are dyadic, so the
+    # planted translates lie at exactly equal distances, and a copied node
+    # is a coincident pair
+    rng = np.random.default_rng(seed)
+    dim = 2 + seed % 2
+    a = np.round(rng.uniform(-4.0, 4.0, (400, dim)) * 1024) / 1024
+    b = np.round(rng.uniform(-4.0, 4.0, (300, dim)) * 1024) / 1024
+    shift = np.full(dim, 3.0 / 1024)
+    tie = a[[5, 17, 230]] + shift
+    # translates of one length, in random directions: their distances
+    # differ in the last bits only
+    step = rng.normal(size=a.shape)
+    step *= 1e-3 / np.linalg.norm(step, axis=1, keepdims=True)
+    cases = [(a, b), (b, a), (a, np.vstack([b, tie])),
+             (a, np.vstack([b, tie, a[99]])), (a, a + step)]
+    for x, y in cases:
+        x, y = nodes_only(x), nodes_only(y)
+        assert x.n_nodes * y.n_nodes > manifolds._PAIR_BLOCK
+        assert node_distance(x, y) == whole_array_node_distance(x, y)
+    assert node_distance(nodes_only(a), nodes_only(np.vstack([b, tie]))) \
+        == np.linalg.norm(shift)
+    assert node_distance(nodes_only(a), nodes_only(np.vstack([b, a[99]]))) \
+        == 0.0
+
+
 def test_node_distance_memory_bounded():
     # the whole (2304, 2304, 3) difference array and its norms peaked at
-    # 340 MB; blocks of about 2**16 pairs need a few MB
+    # 340 MB; the k-d tree path traced 0.08 MB
     a = manifold_sphere([0.0, 0.0, 0.0], 1.0, n_nodes=96)
     b = manifold_sphere([0.5, 0.0, 2.5], 1.0, n_nodes=96)
     assert a.n_nodes == b.n_nodes == 2304

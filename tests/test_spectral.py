@@ -8,6 +8,7 @@ the scheme error directly.
 """
 
 import ctypes
+import platform
 import threading
 import warnings
 
@@ -17,7 +18,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from metastab import spectral
+from metastab import spectral, sublevel
 from metastab.potential import parse_potential
 from metastab.spectral import (DEFAULT_ETA0, GridResolutionError,
                                assemble_radial, assemble_witten, count_small,
@@ -336,6 +337,67 @@ def test_ordering_must_permute_the_cells():
                 good.astype(float), np.zeros(n, dtype=bool)):
         with pytest.raises(ValueError, match="must permute all"):
             smallest_eigs(W, 3, ordering=bad)
+
+
+def test_first_factor_beyond_physical_memory_is_refused(monkeypatch):
+    # 96^2 factors 4608 cells, projected at 6.26 MB; a later h that
+    # reuses the ordering is not projected again
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
+    ordering = smallest_eigs(W, 3).ordering
+    monkeypatch.setattr(sublevel, "_physical_memory", lambda: 6_000_000)
+    with pytest.raises(ValueError, match="factor of 4608 cells needs about "
+                       r"6\.26e\+06 bytes"):
+        smallest_eigs(W, 3)
+    smallest_eigs(W, 3, ordering=ordering)
+    monkeypatch.setattr(sublevel, "_physical_memory", lambda: None)
+    smallest_eigs(W, 3)
+
+
+def recorded(name, function, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+    return wrapper
+
+
+def test_freed_heap_is_released_at_the_phase_boundaries(monkeypatch):
+    # before the factor, before the Lanczos phase and before the residual
+    # check builds G again
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
+    calls = []
+    for name in ("_release_freed_heap", "splu", "eigsh"):
+        monkeypatch.setattr(spectral, name,
+                            recorded(name, getattr(spectral, name), calls))
+    monkeypatch.setattr(W, "gram", recorded("gram", W.gram, calls))
+    smallest_eigs(W, 3)
+    assert calls == ["gram", "_release_freed_heap", "splu",
+                     "_release_freed_heap", "eigsh", "_release_freed_heap",
+                     "gram"]
+
+
+def test_solve_without_malloc_trim_is_the_same(monkeypatch):
+    if platform.libc_ver()[0] == "glibc":
+        assert spectral._malloc_trim() is not None
+    p = parse_potential(TILTED_2D, 2)
+    W = assemble_witten(p, [[-2.4, 2.4]] * 2, 96, 0.2)
+    normal = smallest_eigs(W, 3)
+
+    def no_library(*args, **kwargs):
+        raise OSError("no C library")
+    # the solve above has looked up OpenBLAS already, so only the
+    # malloc_trim lookup meets the failing CDLL
+    spectral._malloc_trim.cache_clear()
+    monkeypatch.setattr(spectral.ctypes, "CDLL", no_library)
+    try:
+        assert spectral._malloc_trim() is None
+        bare = smallest_eigs(W, 3)
+    finally:
+        spectral._malloc_trim.cache_clear()
+    for field in ("values", "vectors", "residuals", "ordering"):
+        assert np.array_equal(getattr(bare, field), getattr(normal, field))
+    assert bare.floor == normal.floor
 
 
 def test_even_cells_are_eliminated_first_in_2d():
