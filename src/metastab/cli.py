@@ -377,12 +377,11 @@ class Pipeline:
             W = self.pieces.operator(h)
             IM = quasimodes.interaction_matrix(W, psis, self.eigs[h],
                                                self.labeling)
-            mh = np.sort(IM.eigenvalues())
             by_name = {q.minimum: q for q in psis}
             for j, name in enumerate(IM.names):
                 mu = quasimodes.rayleigh(W, by_name[name])
                 rows.append([h, name, f"{mu:.12g}",
-                             ";".join(f"{v:.12g}" for v in mh),
+                             ";".join(f"{v:.12g}" for v in IM.values),
                              f"{np.max(np.abs(IM.gram - np.eye(len(psis)))):.3g}",
                              f"{IM.norm_loss[j]:.3g}"])
         self._write_csv("interaction.csv",

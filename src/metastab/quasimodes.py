@@ -7,8 +7,8 @@ Each non-global minimum m gets an approximate eigenfunction
 where v_Gamma is an error-function-like profile in the signed transversal
 coordinate ell0 across the saddle (positive on the E(m) side) and theta_m
 is a smoothstep cutoff of the distance to E(m).  The global minimum keeps
-the pure Gibbs vector.  Rayleigh quotients and the projected interaction
-matrix give an independent route to the small spectrum.
+the pure Gibbs vector.  Rayleigh quotients are this route's own numbers;
+the projected interaction matrix gives back the solver's, by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .kramers import EXP_CLAMP
 from .labeling import FICTIVE_SADDLE, LabelingResult, SaddleRecord
 from .manifolds import CriticalManifold, node_distance
 from .potential import Potential
-from .spectral import WittenOperator
+from .spectral import WittenOperator, ritz
 from .sublevel import GridSampling
 
 __all__ = [
@@ -333,27 +333,23 @@ def rayleigh(op: WittenOperator, psi: QuasimodeField):
 class InteractionMatrix:
     names: list               # basis order, decreasing S
     gram: np.ndarray          # <phi_j, phi_k>
-    projected: np.ndarray     # M_h in the orthonormalized projected basis
+    values: np.ndarray        # M_h's eigenvalues, ascending
     norm_loss: np.ndarray     # 1 - ||Pi_h phi_j||^2 per quasimode
-
-    def eigenvalues(self):
-        return np.linalg.eigvalsh(self.projected)
 
 
 def interaction_matrix(op, psis, eig, L: LabelingResult) -> InteractionMatrix:
-    """Gram matrix of the quasimodes and the projected small-space matrix.
+    """Gram matrix of the quasimodes and the spectrum of M_h.
 
-    `eig` holds the discrete small eigenvectors; each normalized quasimode
-    phi_j is projected onto their span (a loss of norm above
-    MAX_PROJECTION_LOSS rejected), the projections are Gram-Schmidt
-    orthonormalized in order of decreasing barrier S, and M_h is the
-    quadratic form in that basis.
+    Each normalized quasimode phi_j (by decreasing barrier S) is projected
+    onto the span of `eig`'s vectors, a loss of norm above
+    MAX_PROJECTION_LOSS rejected, and M_h's values are the Ritz values of
+    A^T A on the projections (`spectral.ritz`).  The projections span the
+    solver's vectors, so these are the solver's values by construction.
     """
     order = sorted(psis, key=lambda q: -L.minima[q.minimum].depth)
     names = [q.minimum for q in order]
     Phi = np.stack([q.flat() / np.linalg.norm(q.flat()) for q in order],
                    axis=1)
-    G = Phi.T @ Phi
     V = eig.vectors
     proj = V @ (V.T @ Phi)
     loss = 1.0 - np.sum(proj**2, axis=0)
@@ -362,14 +358,6 @@ def interaction_matrix(op, psis, eig, L: LabelingResult) -> InteractionMatrix:
         raise ValueError(f"projection loses more than "
                          f"{MAX_PROJECTION_LOSS:.0%} of the norm for {bad}; "
                          "quasimodes and solver disagree")
-    # Gram-Schmidt in the S-ordering
-    E = np.empty_like(proj)
-    for j in range(proj.shape[1]):
-        v = proj[:, j].copy()
-        for k in range(j):
-            v -= (E[:, k] @ v) * E[:, k]
-        E[:, j] = v / np.linalg.norm(v)
-    AE = op.A @ E
-    M = AE.T @ AE
-    return InteractionMatrix(names=names, gram=G, projected=M,
+    return InteractionMatrix(names=names, gram=Phi.T @ Phi,
+                             values=ritz(op.A, proj)[0],
                              norm_loss=loss)

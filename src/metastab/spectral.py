@@ -36,6 +36,7 @@ __all__ = [
     "assemble_radial",
     "EigenResult",
     "smallest_eigs",
+    "ritz",
     "count_small",
     "GridResolutionError",
     "ARPACK_TOL",
@@ -351,6 +352,17 @@ def _eliminate(G, sigma, cells, m):
     return d_inv, DB, (C - B.T @ DB).tocsc()
 
 
+def ritz(A, Y):
+    """Ritz pairs of A^T A on the span of Y through the factor: the QR
+    Y = QR, then the SVD A Q = U S W^T.  Returns S^2 ascending and Q W to
+    match.  A^T A is never formed, so small values keep the relative
+    accuracy of A's singular values (Demmel et al., Computing the SVD
+    with high relative accuracy, 1999)."""
+    Q, _ = np.linalg.qr(Y)
+    _, s, Wt = np.linalg.svd(A @ Q, full_matrices=False)
+    return s[::-1] ** 2, Q @ Wt[::-1].T
+
+
 @ONE_BLAS_THREAD
 def smallest_eigs(op, k, ordering=None) -> EigenResult:
     """k smallest eigenpairs of A^T A via shift-invert at a small negative
@@ -367,9 +379,9 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     cells first.  ARPACK runs to relative tolerance ARPACK_TOL
     from a fixed start vector, so repeated calls with the same arguments
     return the same values and vectors.  Each pair's residual
-    ||G v - lambda v|| is checked against the floor: a pair above it gets
-    one more shift-invert solve of its vector, and a pair still above it
-    raises RuntimeError rather than being trusted.
+    ||G v - lambda v|| is checked against the floor: if one is above it,
+    one block step solves every vector once more and takes `ritz` on
+    their span, and a pair still above it raises RuntimeError.
 
     Memory.  The first factorization of a 1D or 2D grid is projected to
     grow the process by `_FACTOR_CELL_BYTES` n ln n bytes for its n
@@ -471,13 +483,14 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     _release_freed_heap()
     G = op.gram()
     residuals = np.linalg.norm(G @ vecs - vecs * vals, axis=0)
-    for i in np.flatnonzero(residuals > floor):
+    if np.any(residuals > floor):
         # ARPACK's vectors carry rounding near eps times the largest
-        # shift-invert value, which can lift the residual of a pair far
-        # above the shift over the floor; one more solve takes it out
-        x = solve(vecs[cells, i])[back]
-        vecs[:, i] = x / np.linalg.norm(x)
-        residuals[i] = np.linalg.norm(G @ vecs[:, i] - vals[i] * vecs[:, i])
+        # shift-invert value, which can lift a pair's residual above the
+        # floor; one more solve of every vector damps it, and the Ritz
+        # step on their span keeps the pairs orthogonal
+        Y = np.column_stack([solve(v) for v in vecs[cells].T])[back]
+        vals, vecs = ritz(op.A, Y)
+        residuals = np.linalg.norm(G @ vecs - vecs * vals, axis=0)
     del solve, lu                 # the factors are done with
     if np.any(residuals > floor):
         raise RuntimeError(f"eigenpair residual {np.max(residuals):.3g} "

@@ -150,7 +150,7 @@ def test_criterion_05_quasimode_route(tilted, three_minima):
         psis = quasimode_bundle(fx.minima, fx.labeling, fx.records,
                                 fx.g, h)
         im = interaction_matrix(W, psis, eig, fx.labeling)
-        got = np.sort(im.eigenvalues())
+        got = im.values
         rel = max(abs(a - b) / b
                   for a, b in zip(got[1:], eig.values[1:]))
         clauses.append((rel <= 1e-2,

@@ -1,6 +1,7 @@
 """The package's export lists name only what exists, its functions read
-every parameter they take, only its front end touches file formats, and
-two constructors build every manifold."""
+every parameter they take, only its front end touches file formats, two
+constructors build every manifold, and no dense eigensolver reads the
+small spectrum."""
 
 import ast
 import importlib
@@ -106,3 +107,18 @@ def test_manifolds_built_by_two_constructors():
                             getattr(node.func, "attr", None))]
     assert sorted(callers) == ["manifolds.manifold_parametrized",
                                "manifolds.manifold_point"]
+
+
+@pytest.mark.parametrize("name", ["spectral", "quasimodes"])
+def test_small_spectrum_only_through_the_factor(name):
+    # the values of A^T A far below eps ||A^T A|| survive only in its
+    # factor A (`spectral.ritz`); a dense symmetric eigensolver on a Gram
+    # matrix loses them.  The Hessians of `manifolds` and `sde` are no
+    # Gram matrices and are left alone
+    tree = ast.parse((pathlib.Path(metastab.__path__[0])
+                      / f"{name}.py").read_text())
+    calls = [f"{name}.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and {getattr(node.func, "id", None),
+                  getattr(node.func, "attr", None)} & {"eigvalsh", "eigh"}]
+    assert not calls, f"dense eigensolver calls: {calls}"

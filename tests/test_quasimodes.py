@@ -196,7 +196,7 @@ def test_interaction_matrix_recovers_spectrum(tilted):
     W, psis, eig = interaction_setup(tilted)
     im = interaction_matrix(W, psis, eig, tilted.labeling)
     assert im.names == ["left", "right"]        # decreasing barrier depth
-    got = im.eigenvalues()
+    got = im.values
     assert got[1] == pytest.approx(eig.values[1], rel=1e-8)
     assert abs(got[0]) <= max(eig.values[0], eig.floor)
     assert np.all(im.norm_loss < 1e-3)
