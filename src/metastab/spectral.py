@@ -48,10 +48,14 @@ DEFAULT_ETA0 = 0.1
 # residual of the 512x512 tilted double well already exceeds the floor
 ARPACK_TOL = 1e-12
 # bytes of process growth per factored cell and per ln(factored cells)
-# over the first solve of a grid whose even cells are eliminated (fill
+# over the first solve of a 2D grid whose even cells are eliminated (fill
 # grows like n log n): measured 158 at 512^2 (131 072 factored cells,
 # L+U 15.7 M) and 161 at 720^2 (259 200 cells, L+U 34.4 M)
 _FACTOR_CELL_BYTES = 161
+# the same per factored cell on a 1D grid, whose fill grows like n: 603-615
+# at 2^18 cells (131 072 factored) and 617-628 at 2^20 (524 288 factored),
+# for x^4/4 - x^2/2 + x/10 at h = 0.2 and k = 5
+_FACTOR_CELL_BYTES_1D = 630
 
 
 class GridResolutionError(ValueError):
@@ -357,9 +361,11 @@ def ritz(A, Y):
     Y = QR, then the SVD A Q = U S W^T.  Returns S^2 ascending and Q W to
     match.  A^T A is never formed, so small values keep the relative
     accuracy of A's singular values (Demmel et al., Computing the SVD
-    with high relative accuracy, 1999)."""
+    with high relative accuracy, 1999).  U is never formed either: the
+    SVD is taken of the k x k R factor of A Q, whose singular values and
+    right vectors are A Q's."""
     Q, _ = np.linalg.qr(Y)
-    _, s, Wt = np.linalg.svd(A @ Q, full_matrices=False)
+    _, s, Wt = np.linalg.svd(np.linalg.qr(A @ Q, mode="r"))
     return s[::-1] ** 2, Q @ Wt[::-1].T
 
 
@@ -383,9 +389,10 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     one block step solves every vector once more and takes `ritz` on
     their span, and a pair still above it raises RuntimeError.
 
-    Memory.  The first factorization of a 1D or 2D grid is projected to
-    grow the process by `_FACTOR_CELL_BYTES` n ln n bytes for its n
-    factored cells, and a projection above physical memory raises
+    Memory.  The first factorization of a 2D grid is projected to grow
+    the process by `_FACTOR_CELL_BYTES` n ln n bytes for its n factored
+    cells, and that of a 1D grid by `_FACTOR_CELL_BYTES_1D` n bytes; a
+    projection above physical memory raises
     ValueError before anything is built (a 3D grid is not projected).
     Freed heap is handed back to the OS, where the C library has glibc's
     malloc_trim, at three phase boundaries: before the factorization,
@@ -416,7 +423,8 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     if ordering is None and m:
         # the first factor of a 1D or 2D grid; later ones reuse its
         # ordering, and a 3D factor is not covered
-        need = _FACTOR_CELL_BYTES * (n - m) * math.log(n - m)
+        need = (_FACTOR_CELL_BYTES_1D * (n - m) if len(op.cell_shape) == 1
+                else _FACTOR_CELL_BYTES * (n - m) * math.log(n - m))
         have = sublevel._physical_memory()
         if have is not None and need > have:
             raise ValueError(

@@ -17,12 +17,15 @@ costs about (number of nodes) x (rows per node box) plus one pass over the
 grid, and never forms a full-grid coordinate or distance array; f is then
 evaluated on the tube cells only.
 
-Grid passes that need temporaries (sampling, `probe_level`) stream
-over slabs of consecutive axis-0 planes: at most 2**18 cells per slab for
-sampling and 2**15 for `probe_level` (or one plane, if a plane is larger).
-Their scratch memory is therefore bounded by the slab, not the grid, and
-the arithmetic is the same cell for cell, so results do not depend on the
-slab size.  `probe_level`'s slab is small enough that its few temporaries
+Grid passes that need temporaries (sampling, `probe_level`, labelling)
+stream over slabs of consecutive axis-0 planes: at most 2**18 cells per
+slab for sampling, 2**15 for `probe_level` and 2**20 for labelling (or
+one plane, if a plane is larger).  Their scratch memory is therefore
+bounded by the slab, not the grid, and results do not depend on the slab
+size: sampling and `probe_level` do the same arithmetic cell for cell,
+and the labeller (`_label`) merges the ids that meet across slab faces
+and numbers the components as one `ndimage.label` call on the whole grid
+would.  `probe_level`'s slab is small enough that its few temporaries
 stay in a core's cache; it converts each plane once, and reduces its band
 of level-crossing cells axis by axis, without a per-cell maximum over the
 axes.  Beyond the slabs, `components` on a full grid holds the float64
@@ -32,11 +35,11 @@ physical memory at that rate is refused before anything is allocated.
 A tube grid (`TubeSampling`) keeps f on the tube cells only: its boolean
 mask and the float64 values of the cells it marks.  It peaks at 1 byte
 per cell plus 8 bytes per tube cell while it is sampled and probed
-(`probe_level` reads it slab by slab, the cells off the tube as +inf),
-and at 5 bytes per cell while it is labelled: `local_structure` turns the
-mask into the sublevel set in place and drops the values before the int32
-labels are allocated.  A tube grid lives only while `local_structure`
-runs: its result keeps the component count, not the grid or its labels.
+(`probe_level` reads it slab by slab, the cells off the tube as +inf).
+`local_structure` then turns the mask into the sublevel set in place,
+drops the values, and labels it slab by slab, keeping only the component
+count and the labels of the cells under the side points: a tube grid
+never holds a label grid.  It lives only while `local_structure` runs.
 
 `ComponentMap.sides` is the one rule that matches the two sides of an
 index-1 manifold to components: `local_structure`, `classify_separating`
@@ -88,14 +91,17 @@ LEVEL_EPS_REL = 1e-6
 DEFAULT_RESOLUTION = {1: 4096, 2: 1024, 3: 160}
 
 # cells per axis-0 slab of the streamed grid passes; a `probe_level` slab
-# of float64 is 256 KiB, so its temporaries fit in cache
+# of float64 is 256 KiB, so its temporaries fit in cache.  A labelling
+# slab of 2**20 cells labels a 320^3 tube as fast as one `ndimage.label`
+# call; 2**18 cost 0.05-0.08 s more per tube in merging
 _SAMPLE_SLAB = 1 << 18
 _PROBE_SLAB = 1 << 15
+_LABEL_SLAB = 1 << 20
 # padded window rows per batch of nodes in the tube-mask run search
 _RUN_BATCH = 1 << 18
 # bytes per cell of `components` on a full grid: float64 values, the bool
-# sublevel set and its int32 labels (a tube grid peaks at 1 + 4, plus 8
-# per tube cell while it is sampled)
+# sublevel set and its int32 labels (a tube grid peaks at 1, plus 8 per
+# tube cell, while it is sampled; it never holds a label grid)
 _CELL_BYTES = 8 + 1 + 4
 
 
@@ -186,6 +192,13 @@ class Grid:
             j[j == n] = n - 1
             idx[:, a] = j
         return idx
+
+    def flat_index(self, points):
+        """C-order flat indices of the cells holding points; -1 for
+        out-of-box points."""
+        idx = self.index_of(points)
+        flat = np.ravel_multi_index(tuple(np.maximum(idx, 0).T), self.shape)
+        return np.where(np.all(idx >= 0, axis=1), flat, -1)
 
     def lookup(self, array, points, outside):
         """`array`, shaped like the grid, read at the cells holding
@@ -302,15 +315,25 @@ def _check_finite(values):
 
 @dataclass
 class ComponentMap:
-    """Face-adjacent component labels of {f < sigma}; label -1 = excluded."""
+    """Face-adjacent component labels of {f < sigma}; label -1 = excluded.
+
+    `labels` is the whole label grid, or None for a map labelled for a few
+    cells only (`_label`'s `keep`): `kept` then maps each of those cells'
+    flat C-order index to its label, and only points in them are read.
+    """
 
     sigma: float
-    labels: np.ndarray         # int32, -1 excluded, 0..count-1 otherwise
+    labels: np.ndarray | None  # int32, -1 excluded, 0..count-1 otherwise
     count: int
+    kept: dict | None = None
 
     def label_at(self, grid: Grid, points):
         """Component label at given points; -1 if excluded or out of box."""
-        return grid.lookup(self.labels, points, -1)
+        if self.labels is not None:
+            return grid.lookup(self.labels, points, -1)
+        return np.array([self.kept[c] if c >= 0 else -1
+                         for c in grid.flat_index(points).tolist()],
+                        dtype=np.int32)
 
     def sides(self, grid: Grid, M: CriticalManifold, frame: SaddleFrame,
               radius):
@@ -321,9 +344,8 @@ class ComponentMap:
         Each side must meet exactly one component, else ValueError.  The
         two may be the same component; each caller decides what that means.
         """
-        offset = 0.5 * radius * frame.nu
         out = []
-        for sign, points in (("+", M.nodes + offset), ("-", M.nodes - offset)):
+        for sign, points in zip("+-", _side_points(M, frame, radius)):
             lab = self.label_at(grid, points)
             lab = np.unique(lab[lab >= 0])
             if lab.size != 1:
@@ -335,17 +357,110 @@ class ComponentMap:
         return tuple(out)
 
 
+def _side_points(M: CriticalManifold, frame: SaddleFrame, radius):
+    """M.nodes + (radius/2) nu and M.nodes - (radius/2) nu: the points
+    `ComponentMap.sides` reads on the two sides of M."""
+    offset = 0.5 * radius * frame.nu
+    return M.nodes + offset, M.nodes - offset
+
+
 def components(g: GridSampling, sigma) -> ComponentMap:
     """Connected components of {cells: f < sigma} under face adjacency."""
     return _label(g.values < sigma, sigma)
 
 
-def _label(inside, sigma) -> ComponentMap:
-    """The face-adjacent components of `inside`, the cells below sigma."""
+def _label(inside, sigma, keep=None) -> ComponentMap:
+    """The face-adjacent components of `inside`, the cells below sigma,
+    numbered 0, 1, ... by their first cell in C order, as `ndimage.label`
+    numbers them on the whole grid.
+
+    Streams over axis-0 slabs of at most `_LABEL_SLAB` = 2**20 cells (or
+    one plane).  Each slab is labelled on its own, its provisional ids
+    offset past the earlier slabs', and the id pairs that meet across each
+    slab face are merged (`_face_pairs`, `_merge_ids`).  A component's
+    first cell is the first cell of its smallest provisional id, so its
+    number is the rank of that id among the groups' smallest ids.  A grid
+    of one slab gets one `ndimage.label` call and no merge.
+
+    Without `keep` the map holds the int32 label grid, renumbered slab by
+    slab in place.  With `keep`, flat C-order indices of cells (-1 for
+    none), no label grid outlives its slab: the map holds the count and
+    the labels of those cells only, read in the same pass.
+    """
     structure = ndimage.generate_binary_structure(inside.ndim, 1)
-    labels, count = ndimage.label(inside, structure=structure)
-    labels -= 1
+    plane = math.prod(inside.shape[1:])
+    slabs = list(_slabs(inside.shape, _LABEL_SLAB))
+    if keep is None:
+        labels = np.empty(inside.shape, dtype=np.int32)
+    else:
+        keep = np.asarray(keep, dtype=np.int64)
+        kept = np.zeros(keep.shape, dtype=np.int64)     # provisional ids
+    n = 0                       # provisional ids so far
+    last = None                 # the previous slab's last plane of ids
+    pairs = []
+    for start, stop in slabs:
+        ids = (labels[start:stop] if keep is None
+               else np.empty(inside[start:stop].shape, dtype=np.int32))
+        count = ndimage.label(inside[start:stop], structure, output=ids)
+        if n:
+            np.add(ids, n, out=ids, where=ids > 0)
+        if last is not None:
+            pairs.append(_face_pairs(last, ids[:1]))
+        if keep is not None:
+            here = (keep >= start * plane) & (keep < stop * plane)
+            kept[here] = ids.reshape(-1)[keep[here] - start * plane]
+        last = ids[-1:].copy()
+        n += count
+    root = _merge_ids(n, pairs)
+    # a root is the smallest id of its group; -1 for id 0, outside
+    number = np.cumsum(root == np.arange(n + 1), dtype=np.int64) - 2
+    count = int(number[-1]) + 1
+    if keep is not None:
+        at = np.where(keep >= 0, number[root[kept]], -1)
+        return ComponentMap(sigma=float(sigma), labels=None, count=count,
+                            kept=dict(zip(keep.tolist(), at.tolist())))
+    if count == n:              # nothing merged: number[i] = i - 1
+        labels -= 1
+    else:
+        number = number[root].astype(np.int32)
+        for start, stop in slabs:
+            labels[start:stop] = number[labels[start:stop]]
     return ComponentMap(sigma=float(sigma), labels=labels, count=count)
+
+
+def _face_pairs(before, after):
+    """The distinct pairs of ids (a, b), both inside, that meet across a
+    slab face: `before` is the plane before it, `after` the plane after,
+    as a single int64 key a * 2**32 + b each.  Runs of one pair along a
+    row are dropped before the sort."""
+    a, b = before.reshape(-1), after.reshape(-1)
+    both = (a > 0) & (b > 0)
+    a, b = a[both], b[both]
+    new = np.ones(a.size, dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return np.unique((a[new].astype(np.int64) << 32) | b[new])
+
+
+def _merge_ids(n, pairs):
+    """root[i], the smallest of the ids 0..n joined to id i by the keyed
+    pairs (`_face_pairs`), by hooking each pair's roots to the smaller one
+    and compressing the paths until every pair shares its root."""
+    root = np.arange(n + 1)
+    keys = np.concatenate(pairs) if pairs else np.empty(0, dtype=np.int64)
+    a, b = keys >> 32, keys & 0xFFFFFFFF
+    while a.size:
+        ra, rb = root[a], root[b]
+        low = np.minimum(ra, rb)
+        np.minimum.at(root, ra, low)
+        np.minimum.at(root, rb, low)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        split = root[a] != root[b]
+        a, b = a[split], b[split]
+    return root
 
 
 def probe_level(g: GridSampling | TubeSampling, sigma):
@@ -584,9 +699,10 @@ def local_structure(p: Potential, M: CriticalManifold,
     With a direction frame, two components must be the two sides of M
     (`ComponentMap.sides`), or `radius` does not suit M.  The tube grid
     peaks at 1 byte per cell plus 8 per tube cell while it is sampled and
-    probed, and at 5 bytes per cell while it is labelled: the mask becomes
-    the sublevel set in place and the values are freed before the labels
-    are allocated.  The tube grid and its labels are freed on return.
+    probed.  The mask becomes the sublevel set in place and the values are
+    freed before it is labelled, slab by slab: the labeller keeps only the
+    component count and the labels of the cells under the side points, so
+    no label grid is ever held.  The tube grid is freed on return.
     """
     if M.value is None:
         raise ValueError("manifold value unknown; run verify_critical first")
@@ -598,7 +714,9 @@ def local_structure(p: Potential, M: CriticalManifold,
     grid = Grid(grid.box, grid.shape)
     inside[inside] = values < level
     del values
-    cmap = _label(inside, level)
+    keep = (np.empty(0, dtype=np.int64) if frame is None else
+            grid.flat_index(np.concatenate(_side_points(M, frame, radius))))
+    cmap = _label(inside, level, keep)
     if cmap.count == 2 and frame is not None:
         plus, minus = cmap.sides(grid, M, frame, radius)
         if plus == minus:

@@ -294,7 +294,7 @@ def test_malformed_spec_fails_in_setup(tmp_path, capsys, edit, fragment):
 def test_solve_beyond_physical_memory_fails_in_solve(tmp_path, capsys,
                                                      monkeypatch):
     # 1024 cells pass the grid's 13 B/cell refusal at 256 KiB, but the
-    # factor of their 512 odd cells is projected at about 514 KB
+    # factor of their 512 odd cells is projected at about 323 KB
     monkeypatch.setattr(sublevel, "_physical_memory", lambda: 1 << 18)
     code = main(["solve", "--spec", SPEC, "--grid", "1024", "--h", "0.2",
                  "--out", str(tmp_path)])
@@ -503,6 +503,14 @@ def test_cli_import_skips_scipy_spatial():
     # about 0.1 s at start-up; only a saddle with more than one node, or
     # the Agmon distance, needs it
     assert modules_after("import metastab.cli", "scipy.spatial") == "[]"
+
+
+def test_tube_path_import_skips_scipy_sparse():
+    # the tube layer labels and merges with ndimage and numpy alone;
+    # scipy.sparse.csgraph would add about 11 MB of RSS and 0.05-0.09 s
+    # of import to every tube classification
+    assert modules_after("import metastab.manifolds, metastab.sublevel, "
+                         "metastab.potential", "scipy.sparse") == "[]"
 
 
 def test_artifacts_independent_of_blas_threads(tmp_path):

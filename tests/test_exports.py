@@ -1,7 +1,7 @@
 """The package's export lists name only what exists, its functions read
 every parameter they take, only its front end touches file formats, two
-constructors build every manifold, and no dense eigensolver reads the
-small spectrum."""
+constructors build every manifold, no dense eigensolver reads the small
+spectrum, and one function labels components."""
 
 import ast
 import importlib
@@ -122,3 +122,25 @@ def test_small_spectrum_only_through_the_factor(name):
              and {getattr(node.func, "id", None),
                   getattr(node.func, "attr", None)} & {"eigvalsh", "eigh"}]
     assert not calls, f"dense eigensolver calls: {calls}"
+
+
+def test_one_labeller():
+    # `sublevel._label` labels slab by slab and keeps the labels a caller
+    # asks for; an `ndimage.label` call anywhere else would hold a label
+    # grid of the whole input
+    callers = []
+    for name in MODULES:
+        tree = ast.parse((pathlib.Path(metastab.__path__[0])
+                          / f"{name}.py").read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("scipy.ndimage")
+                    for alias in node.names]
+        assert "label" not in imported, f"metastab.{name} imports label"
+        for stmt in tree.body:
+            callers += [f"{name}.{getattr(stmt, 'name', '<module>')}"
+                        for node in ast.walk(stmt)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "label"
+                        and getattr(node.func.value, "id", None) == "ndimage"]
+    assert callers == ["sublevel._label"]

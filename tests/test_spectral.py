@@ -413,6 +413,19 @@ def test_first_factor_beyond_physical_memory_is_refused(monkeypatch):
     smallest_eigs(W, 3)
 
 
+def test_first_1d_factor_projected_per_cell(monkeypatch):
+    # a 1D factor fills in like n: its 32 768 cells are projected at
+    # 630 B each, 20.6 MB, where the 2D n ln n fit projected 54.9 MB
+    p = parse_potential("x1^4/4 - x1^2/2 + x1/10", 1)
+    W = assemble_witten(p, [[-2.4, 2.4]], 1 << 16, 0.2)
+    monkeypatch.setattr(sublevel, "_physical_memory", lambda: 40_000_000)
+    assert smallest_eigs(W, 3).values.size == 3
+    monkeypatch.setattr(sublevel, "_physical_memory", lambda: 20_000_000)
+    with pytest.raises(ValueError, match="factor of 32768 cells needs about "
+                       r"2\.06e\+07 bytes"):
+        smallest_eigs(W, 3)
+
+
 def recorded(name, function, calls):
     def wrapper(*args, **kwargs):
         calls.append(name)

@@ -439,7 +439,7 @@ def test_tube_grid_peak_memory(expression):
 def test_tube_grid_labelling_peak_memory(expression):
     # 1 B/cell of mask plus 8 B per tube cell (about a third of the cells)
     # while sampled; then the sublevel set, formed in place on the mask,
-    # and its int32 labels: 5 B/cell
+    # labelled one slab at a time (test_tube_grid_labelled_without_a_label_grid)
     p = parse_potential(expression, 3)
     M = unit_circle(256)
     verify_critical(p, M)
@@ -469,6 +469,102 @@ def test_local_structure_matches_components_on_tube_grid(expression, count):
     if frame is not None:
         plus, minus = cmap.sides(g, M, frame, radius)
         assert plus != minus
+
+
+@pytest.mark.parametrize("expression,count", [(TWISTED, 1), (UNTWISTED, 2)],
+                         ids=["twisted", "untwisted"])
+@pytest.mark.parametrize("planes", [1, 7])
+def test_local_structure_slab_labels_match_whole_grid(expression, count,
+                                                      planes, monkeypatch):
+    # the 96^3 tube fits in one labelling slab; labelled a few planes at a
+    # time it keeps the same count and the same sides
+    p = parse_potential(expression, 3)
+    M = unit_circle(128)
+    verify_critical(p, M)
+    frame = negative_direction_field(p, M)
+    frame = frame if hasattr(frame, "nu") else None
+    radius, resolution = 0.3, 96
+    tube = sublevel._tube_grid(p, M, radius, resolution)
+    grid = Grid(tube.box, tube.shape)
+    inside = tube.mask.copy()
+    level = probe_level(tube, M.value)
+    inside[inside] = tube.values < level
+    assert inside.size <= sublevel._LABEL_SLAB
+    whole = sublevel._label(inside, level)
+    monkeypatch.setattr(sublevel, "_LABEL_SLAB", planes * 96 * 96)
+    keep = ([] if frame is None else grid.flat_index(
+        np.concatenate(sublevel._side_points(M, frame, radius))))
+    slabbed = sublevel._label(inside, level, keep)
+    assert slabbed.labels is None
+    assert slabbed.count == whole.count == count
+    local = local_structure(p, M, frame, radius=radius, resolution=resolution)
+    assert local.n_components == count
+    if frame is not None:
+        sides = slabbed.sides(grid, M, frame, radius)
+        assert sides == whole.sides(grid, M, frame, radius)
+        assert sides[0] != sides[1]
+
+
+def test_tube_grid_labelled_without_a_label_grid(monkeypatch):
+    # an int32 label grid of the 160^3 tube would take 4 B/cell; the
+    # labeller holds one 2**20-cell slab of ids at a time
+    p = parse_potential(UNTWISTED, 3)
+    M = unit_circle(256)
+    verify_critical(p, M)
+    frame = negative_direction_field(p, M)
+    label, peaks = sublevel._label, []
+
+    def traced_label(*args):
+        with traced_memory() as mem:
+            cmap = label(*args)
+        peaks.append(mem.peak)
+        return cmap
+    monkeypatch.setattr(sublevel, "_label", traced_label)
+    local = local_structure(p, M, frame, radius=0.3, resolution=160)
+    assert local.n_components == 2
+    assert len(peaks) == 1
+    assert peaks[0] < 4 * 160**3
+
+
+@pytest.mark.parametrize("dim,extent", [(1, 300), (2, 40), (3, 12)])
+def test_slab_labels_match_ndimage(dim, extent, monkeypatch):
+    # random masks labelled one to three planes at a time: the whole
+    # label grid, and the labels kept for a few cells, are ndimage.label's
+    rng = np.random.default_rng(dim)
+    structure = ndimage.generate_binary_structure(dim, 1)
+    for _ in range(100):
+        shape = tuple(int(n) for n in rng.integers(2, extent, size=dim))
+        mask = rng.random(shape) < rng.uniform(0.2, 0.8)
+        monkeypatch.setattr(sublevel, "_LABEL_SLAB",
+                            math.prod(shape[1:]) * int(rng.integers(1, 4)))
+        want, count = ndimage.label(mask, structure)
+        want -= 1
+        cmap = sublevel._label(mask, 0.0)
+        assert np.array_equal(cmap.labels, want)
+        assert cmap.count == count
+        keep = rng.integers(-1, mask.size, 20)
+        kept = sublevel._label(mask, 0.0, keep)
+        assert kept.labels is None and kept.count == count
+        assert [kept.kept[c] for c in keep.tolist()] == \
+            np.where(keep >= 0, want.ravel()[keep], -1).tolist()
+
+
+def test_slab_labels_u_joined_in_last_slab(monkeypatch):
+    # one row per slab: the U's arms meet only in the last row, after a
+    # second component has started between them; the U, first in C
+    # order, takes 0 and its right arm is renumbered with it
+    mask = np.zeros((6, 5), dtype=bool)
+    mask[:, 0] = mask[:, 4] = mask[-1] = True
+    mask[1:3, 2] = True
+    want = np.where(mask, 0, -1)
+    want[1:3, 2] = 1
+    monkeypatch.setattr(sublevel, "_LABEL_SLAB", 5)
+    cmap = sublevel._label(mask, 0.0)
+    assert cmap.count == 2
+    assert np.array_equal(cmap.labels, want)
+    kept = sublevel._label(mask, 0.0, [4, 12, 29, 1, -1])
+    assert kept.count == 2
+    assert kept.kept == {4: 0, 12: 1, 29: 0, 1: -1, -1: -1}
 
 
 @pytest.mark.parametrize("expression,box,shape", [
@@ -555,11 +651,12 @@ def reference_components(g, sigma):
                 ids=["default-slabs", "one-plane", "2900-cells",
                      "30000-cells"])
 def slab_cells(request, monkeypatch):
-    """Run with the module's slab sizes, or with both set to `param` cells
-    (at least one axis-0 plane per slab)."""
+    """Run with the module's slab sizes, or with all three set to `param`
+    cells (at least one axis-0 plane per slab)."""
     if request.param is not None:
         monkeypatch.setattr(sublevel, "_PROBE_SLAB", request.param)
         monkeypatch.setattr(sublevel, "_SAMPLE_SLAB", request.param)
+        monkeypatch.setattr(sublevel, "_LABEL_SLAB", request.param)
     return request.param
 
 
