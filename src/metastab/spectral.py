@@ -438,7 +438,14 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     sigma = -1e-8 * max(norm, 1.0)
     cells = np.arange(n) if ordering is None else ordering
     cells = np.concatenate([cells[first[cells]], cells[~first[cells]]])
-    d_inv, DB, schur = _eliminate(G, sigma, cells, m)
+    if m:
+        d_inv, DB, schur = _eliminate(G, sigma, cells, m)
+    else:
+        # nothing eliminated (3D): the Schur complement is the shifted
+        # matrix itself
+        P = G if ordering is None else G.tocsr()[cells][:, cells]
+        schur = (P - sigma * sparse.identity(n, format="csr")).tocsc()
+        del P
     # the factorization's scratch sets the peak memory: hold nothing but
     # the elimination's pieces through it, and build G again for the
     # residual check
@@ -456,16 +463,19 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
         lu = splu(schur, permc_spec="NATURAL")
     del schur
     _release_freed_heap()
-    # [[diag(d), B], [B^T, C]] x = b: x[m:] solves the Schur complement
-    # system, then x[:m] = (b[:m] - B x[m:]) / d; B^T diag(d)^-1 is DB's
-    # transpose, a view of its arrays
-    DBt = DB.T
+    if m:
+        # [[diag(d), B], [B^T, C]] x = b: x[m:] solves the Schur complement
+        # system, then x[:m] = (b[:m] - B x[m:]) / d; B^T diag(d)^-1 is
+        # DB's transpose, a view of its arrays
+        DBt = DB.T
 
-    def solve(b):
-        x = np.empty_like(b)
-        x[m:] = lu.solve(b[m:] - DBt @ b[:m])
-        x[:m] = d_inv * b[:m] - DB @ x[m:]
-        return x
+        def solve(b):
+            x = np.empty_like(b)
+            x[m:] = lu.solve(b[m:] - DBt @ b[:m])
+            x[:m] = d_inv * b[:m] - DB @ x[m:]
+            return x
+    else:
+        solve = lu.solve
     # ARPACK works on the cells in the order `cells`, so a solve gathers
     # nothing; with its dtype given, LinearOperator spares a solve on zeros
     op_inv = LinearOperator((n, n), matvec=solve, dtype=float)

@@ -12,34 +12,37 @@ Local structure is computed on a tube grid: the cells whose centers lie
 within `radius` of some node of the manifold.  Each row of cells along the
 last axis meets a node's ball in one run, so the tube mask is built from
 runs: their ends are found exactly with a few float evaluations per row,
-and the merged runs are written into the boolean grid in one pass.  That
+and the merged runs are packed into the mask's bits chunk by chunk.  That
 costs about (number of nodes) x (rows per node box) plus one pass over the
 grid, and never forms a full-grid coordinate or distance array; f is then
 evaluated on the tube cells only.
 
 Grid passes that need temporaries (sampling, `probe_level`, labelling)
 stream over slabs of consecutive axis-0 planes: at most 2**18 cells per
-slab for sampling, 2**15 for `probe_level` and 2**20 for labelling (or
-one plane, if a plane is larger).  Their scratch memory is therefore
-bounded by the slab, not the grid, and results do not depend on the slab
-size: sampling and `probe_level` do the same arithmetic cell for cell,
-and the labeller (`_label`) merges the ids that meet across slab faces
-and numbers the components as one `ndimage.label` call on the whole grid
-would.  `probe_level`'s slab is small enough that its few temporaries
-stay in a core's cache; it converts each plane once, and reduces its band
-of level-crossing cells axis by axis, without a per-cell maximum over the
-axes.  Beyond the slabs, `components` on a full grid holds the float64
-values, the boolean sublevel set and one int32 label grid: about 13 bytes
-per cell.  A grid shape whose cells would need more than the machine's
-physical memory at that rate is refused before anything is allocated.
-A tube grid (`TubeSampling`) keeps f on the tube cells only: its boolean
-mask and the float64 values of the cells it marks.  It peaks at 1 byte
-per cell plus 8 bytes per tube cell while it is sampled and probed
-(`probe_level` reads it slab by slab, the cells off the tube as +inf).
-`local_structure` then turns the mask into the sublevel set in place,
-drops the values, and labels it slab by slab, keeping only the component
-count and the labels of the cells under the side points: a tube grid
-never holds a label grid.  It lives only while `local_structure` runs.
+slab for sampling, 2**15 for `probe_level` and 2**20 for labelling a
+tube (or one plane, if a plane is larger).  Their scratch memory is
+therefore bounded by the slab, not the grid, and results do not depend on
+the slab size: sampling and `probe_level` do the same arithmetic cell for
+cell, and the labeller (`_label`) merges the ids that meet across slab
+faces and numbers the components as one `ndimage.label` call on the whole
+grid would.  `probe_level`'s slab is small enough that its few
+temporaries stay in a core's cache; it converts each plane once, and
+reduces its band of level-crossing cells axis by axis, without a per-cell
+maximum over the axes.  Beyond the slabs, `components` on a full grid
+holds the float64 values, the boolean sublevel set and one int32 label
+grid: about 13 bytes per cell.  A grid shape whose cells would need more
+than the machine's physical memory at that rate is refused before
+anything is allocated.
+A tube grid (`TubeSampling`) keeps f on the tube cells only: its mask one
+bit per cell (`np.packbits` of the C-order cells) and the float64 values
+of the cells it marks, about 1/8 byte per cell plus 8 bytes per tube
+cell.  Every pass over it (sampling, `probe_level`, labelling) unpacks
+only the planes of its own slab, so no tube grid ever holds a byte per
+cell.  `local_structure` labels its sublevel set slab by slab, each slab
+formed from the bits, the values and the level, keeping only the
+component count and the labels of the cells under the side points: a
+tube grid never holds a label grid either.  It lives only while
+`local_structure` runs.
 
 `ComponentMap.sides` is the one rule that matches the two sides of an
 index-1 manifold to components: `local_structure`, `classify_separating`
@@ -99,9 +102,12 @@ _PROBE_SLAB = 1 << 15
 _LABEL_SLAB = 1 << 20
 # padded window rows per batch of nodes in the tube-mask run search
 _RUN_BATCH = 1 << 18
+# cells per chunk in which the tube mask's bits are packed from its runs;
+# a multiple of 8, so that each chunk fills whole bytes
+_PACK_CELLS = 1 << 18
 # bytes per cell of `components` on a full grid: float64 values, the bool
-# sublevel set and its int32 labels (a tube grid peaks at 1, plus 8 per
-# tube cell, while it is sampled; it never holds a label grid)
+# sublevel set and its int32 labels (a tube grid holds 1/8, its mask's
+# bits, plus 8 per tube cell; it never holds a label grid)
 _CELL_BYTES = 8 + 1 + 4
 
 
@@ -228,21 +234,63 @@ class GridSampling(Grid):
 class TubeSampling(Grid):
     """Samples of f on the tube cells of a grid only.
 
-    `values` holds f at the cells `mask` marks, in C order, and the cells
-    of axis-0 plane i are values[offsets[i]:offsets[i + 1]].
-    `local_structure` turns the mask into its sublevel set in place.
+    `bits` is the tube mask one bit per cell, `np.packbits` of its cells
+    in C order; `mask` and `sublevel` read it one axis-0 slab at a time.
+    `values` holds f at the tube cells, in C order, and the cells of
+    axis-0 plane i are values[offsets[i]:offsets[i + 1]].
     """
 
-    mask: np.ndarray           # bool, shape `shape`: the tube cells
+    bits: np.ndarray           # uint8, ceil(cells / 8): the tube cells
     values: np.ndarray         # f on the tube cells, 1-D
     offsets: np.ndarray        # int64, shape[0] + 1 plane offsets
+
+    def _planes(self, start, stop):
+        """The tube cells of the axis-0 planes start..stop-1, unpacked."""
+        plane = math.prod(self.shape[1:])
+        first, last = start * plane, stop * plane
+        cells = np.unpackbits(self.bits[first // 8:-(-last // 8)])
+        skip = first % 8
+        return cells[skip:skip + last - first].view(bool).reshape(
+            (stop - start,) + self.shape[1:])
+
+    @property
+    def mask(self):
+        """The tube cells, read by axis-0 slabs."""
+        return _Slabs(self.shape, self._planes)
+
+    def sublevel(self, level):
+        """The tube cells with f below `level`, read by axis-0 slabs."""
+        def below(start, stop):
+            inside = self._planes(start, stop)
+            inside[inside] = \
+                self.values[self.offsets[start]:self.offsets[stop]] < level
+            return inside
+        return _Slabs(self.shape, below)
 
     def slab(self, start, stop):
         """f on the axis-0 planes start..stop-1, +inf off the tube."""
         out = np.full((stop - start,) + self.shape[1:], np.inf)
-        out[self.mask[start:stop]] = \
+        out[self._planes(start, stop)] = \
             self.values[self.offsets[start]:self.offsets[stop]]
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Slabs:
+    """A boolean grid that is never held one byte per cell, read as the
+    slab passes read an array: `shape`, `ndim`, and `[start:stop]`, a
+    fresh bool array of the axis-0 planes start..stop-1 from `read`."""
+
+    shape: tuple
+    read: object               # (start, stop) -> bool array of the planes
+
+    @property
+    def ndim(self):
+        return len(self.shape)
+
+    def __getitem__(self, planes):
+        start, stop, _ = planes.indices(self.shape[0])
+        return self.read(start, stop)
 
 
 def _slabs(shape, max_cells):
@@ -275,20 +323,19 @@ def sample_grid(p: Potential, box, shape=None) -> GridSampling:
     return GridSampling(grid.box, grid.shape, values)
 
 
-def _sample_tube(p: Potential, grid: Grid, mask) -> TubeSampling:
-    """f at the cells of `grid` that `mask` marks, and only there."""
-    offsets = np.zeros(grid.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(mask.reshape(grid.shape[0], -1), axis=1),
-              out=offsets[1:])
-    values = np.empty(offsets[-1])
-    for start, stop, slab in _sample_slabs(p, grid, mask):
-        values[offsets[start]:offsets[stop]] = slab
-    return TubeSampling(grid.box, grid.shape, mask, values, offsets)
+def _sample_tube(p: Potential, grid: Grid, bits, offsets) -> TubeSampling:
+    """f at the cells of `grid` that the packed mask `bits` marks, and
+    only there; `offsets` are its plane offsets (`_pack_runs`)."""
+    tube = TubeSampling(grid.box, grid.shape, bits, np.empty(offsets[-1]),
+                        offsets)
+    for start, stop, slab in _sample_slabs(p, grid, tube.mask):
+        tube.values[offsets[start]:offsets[stop]] = slab
+    return tube
 
 
 def _sample_slabs(p: Potential, grid: Grid, mask=None):
     """(start, stop, f) per axis-0 slab: f at the slab's cells in C order,
-    or at its `mask` cells only where there is a mask."""
+    or at its `mask` cells only where there is a mask (read by slabs)."""
     axes = grid.axes
     for start, stop in _slabs(grid.shape, _SAMPLE_SLAB):
         centers = np.ix_(axes[0][start:stop], *axes[1:])
@@ -374,58 +421,51 @@ def _label(inside, sigma, keep=None) -> ComponentMap:
     numbered 0, 1, ... by their first cell in C order, as `ndimage.label`
     numbers them on the whole grid.
 
-    Streams over axis-0 slabs of at most `_LABEL_SLAB` = 2**20 cells (or
-    one plane).  Each slab is labelled on its own, its provisional ids
-    offset past the earlier slabs', and the id pairs that meet across each
-    slab face are merged (`_face_pairs`, `_merge_ids`).  A component's
-    first cell is the first cell of its smallest provisional id, so its
-    number is the rank of that id among the groups' smallest ids.  A grid
-    of one slab gets one `ndimage.label` call and no merge.
-
-    Without `keep` the map holds the int32 label grid, renumbered slab by
-    slab in place.  With `keep`, flat C-order indices of cells (-1 for
-    none), no label grid outlives its slab: the map holds the count and
-    the labels of those cells only, read in the same pass.
+    Without `keep`, one `ndimage.label` call labels the whole grid and the
+    map holds its int32 label grid.  With `keep`, flat C-order indices of
+    cells (-1 for none), no label grid outlives its slab: the map holds
+    the count and the labels of those cells only.  `inside` is then read
+    by axis-0 slabs of at most `_LABEL_SLAB` = 2**20 cells (or one
+    plane), `inside[start:stop]`, so it need not be an array
+    (`TubeSampling.sublevel`).  Each slab is labelled on its own, its
+    provisional ids offset past the earlier slabs', and the id pairs that
+    meet across each slab face are merged (`_face_pairs`, `_merge_ids`).
+    A component's first cell is the first cell of its smallest
+    provisional id, so its number is the rank of that id among the
+    groups' smallest ids.
     """
     structure = ndimage.generate_binary_structure(inside.ndim, 1)
     plane = math.prod(inside.shape[1:])
-    slabs = list(_slabs(inside.shape, _LABEL_SLAB))
-    if keep is None:
-        labels = np.empty(inside.shape, dtype=np.int32)
+    whole = keep is None        # then the whole grid is one slab
+    if whole:
+        slabs = [(0, inside.shape[0])]
     else:
+        slabs = _slabs(inside.shape, _LABEL_SLAB)
         keep = np.asarray(keep, dtype=np.int64)
         kept = np.zeros(keep.shape, dtype=np.int64)     # provisional ids
     n = 0                       # provisional ids so far
     last = None                 # the previous slab's last plane of ids
     pairs = []
     for start, stop in slabs:
-        ids = (labels[start:stop] if keep is None
-               else np.empty(inside[start:stop].shape, dtype=np.int32))
-        count = ndimage.label(inside[start:stop], structure, output=ids)
+        ids, count = ndimage.label(inside[start:stop], structure)
+        if whole:               # its ids, 1..count, less one
+            ids -= 1
+            return ComponentMap(sigma=float(sigma), labels=ids, count=count)
         if n:
             np.add(ids, n, out=ids, where=ids > 0)
         if last is not None:
             pairs.append(_face_pairs(last, ids[:1]))
-        if keep is not None:
-            here = (keep >= start * plane) & (keep < stop * plane)
-            kept[here] = ids.reshape(-1)[keep[here] - start * plane]
+        here = (keep >= start * plane) & (keep < stop * plane)
+        kept[here] = ids.reshape(-1)[keep[here] - start * plane]
         last = ids[-1:].copy()
         n += count
     root = _merge_ids(n, pairs)
     # a root is the smallest id of its group; -1 for id 0, outside
     number = np.cumsum(root == np.arange(n + 1), dtype=np.int64) - 2
-    count = int(number[-1]) + 1
-    if keep is not None:
-        at = np.where(keep >= 0, number[root[kept]], -1)
-        return ComponentMap(sigma=float(sigma), labels=None, count=count,
-                            kept=dict(zip(keep.tolist(), at.tolist())))
-    if count == n:              # nothing merged: number[i] = i - 1
-        labels -= 1
-    else:
-        number = number[root].astype(np.int32)
-        for start, stop in slabs:
-            labels[start:stop] = number[labels[start:stop]]
-    return ComponentMap(sigma=float(sigma), labels=labels, count=count)
+    at = np.where(keep >= 0, number[root[kept]], -1)
+    return ComponentMap(sigma=float(sigma), labels=None,
+                        count=int(number[-1]) + 1,
+                        kept=dict(zip(keep.tolist(), at.tolist())))
 
 
 def _face_pairs(before, after):
@@ -542,7 +582,8 @@ class LocalStructure:
 
 def _tube_mask(nodes, axes, radius):
     """Cells of the grid with cell-center axes `axes` whose centers lie
-    strictly within `radius` of some node.
+    strictly within `radius` of some node, as the packed mask and its
+    plane offsets (`_pack_runs`).
 
     Exactly the nearest-node test `min_k |c - x_k| < radius`: a cell is in
     the tube iff, for some node, its squared distance, summed axis by axis
@@ -555,9 +596,9 @@ def _tube_mask(nodes, axes, radius):
     evaluations per row rather than one per cell.  The nodes are handled
     in batches of at most `_RUN_BATCH` padded window rows; each batch's
     runs are merged into the union so far (`_merge_runs`), and the union
-    is written out in one pass.  Cost is about len(nodes) x (rows per
-    window) for the runs and their sorts, plus one pass over the mask;
-    scratch memory is bounded by the batch and the merged runs.
+    is packed into bits.  Cost is about len(nodes) x (rows per window)
+    for the runs and their sorts, plus one pass over the mask; scratch
+    memory is bounded by the batch, the merged runs and a packing chunk.
     """
     t = _squared_radius_bound(radius)
     shape = tuple(ax.size for ax in axes)
@@ -579,10 +620,33 @@ def _tube_mask(nodes, axes, radius):
         first, last = _merge_runs(
             np.concatenate([first, row * shape[-1] + start]),
             np.concatenate([last, row * shape[-1] + stop]))
-    # in flat order the merged runs alternate with the gaps between them
-    lengths = np.diff(np.stack([first, last], axis=1).ravel(), prepend=0,
-                      append=math.prod(shape))
-    return np.repeat(np.arange(lengths.size) % 2 == 1, lengths).reshape(shape)
+    return _pack_runs(first, last, shape)
+
+
+def _pack_runs(first, last, shape):
+    """The cells of a grid of shape `shape` that the disjoint, sorted flat
+    runs [first, last) cover: `np.packbits` of the C-order mask, formed
+    `_PACK_CELLS` cells at a time so that no byte per cell of the grid is
+    ever held, and the int64 plane offsets, offsets[i] the number of
+    covered cells before axis-0 plane i."""
+    size = math.prod(shape)
+    bits = np.empty(-(-size // 8), dtype=np.uint8)
+    for lo in range(0, size, _PACK_CELLS):
+        hi = min(lo + _PACK_CELLS, size)
+        i = np.searchsorted(last, lo, side="right")
+        j = np.searchsorted(first, hi)
+        # in flat order the runs alternate with the gaps between them
+        ends = np.stack([first[i:j], last[i:j]], axis=1).ravel()
+        lengths = np.diff(np.clip(ends, lo, hi), prepend=lo, append=hi)
+        cells = np.repeat(np.arange(lengths.size) % 2 == 1, lengths)
+        bits[lo // 8:-(-hi // 8)] = np.packbits(cells)
+    # the cells before a plane's first cell: every run that starts before
+    # it, less what the last of those runs covers from it on
+    edges = np.arange(shape[0] + 1) * math.prod(shape[1:])
+    k = np.searchsorted(first, edges)
+    covered = np.concatenate([[0], np.cumsum(last - first)])
+    beyond = np.concatenate([[0], last])[k] - edges
+    return bits, covered[k] - np.maximum(beyond, 0)
 
 
 def _row_runs(nodes, lo, hi, axes, t):
@@ -688,7 +752,7 @@ def _tube_grid(p: Potential, M: CriticalManifold, radius, resolution):
     lo = np.min(M.nodes, axis=0) - 1.2 * radius
     hi = np.max(M.nodes, axis=0) + 1.2 * radius
     grid = Grid(np.stack([lo, hi], axis=1), resolution)
-    return _sample_tube(p, grid, _tube_mask(M.nodes, grid.axes, radius))
+    return _sample_tube(p, grid, *_tube_mask(M.nodes, grid.axes, radius))
 
 
 def local_structure(p: Potential, M: CriticalManifold,
@@ -698,25 +762,20 @@ def local_structure(p: Potential, M: CriticalManifold,
 
     With a direction frame, two components must be the two sides of M
     (`ComponentMap.sides`), or `radius` does not suit M.  The tube grid
-    peaks at 1 byte per cell plus 8 per tube cell while it is sampled and
-    probed.  The mask becomes the sublevel set in place and the values are
-    freed before it is labelled, slab by slab: the labeller keeps only the
-    component count and the labels of the cells under the side points, so
-    no label grid is ever held.  The tube grid is freed on return.
+    holds 1/8 byte per cell, its mask's bits, plus 8 per tube cell.  Its
+    sublevel set is labelled slab by slab, each slab formed from the bits,
+    the values and the level: the labeller keeps only the component count
+    and the labels of the cells under the side points, so neither a byte
+    nor a label per cell of the grid is ever held.  The tube grid is freed
+    on return.
     """
     if M.value is None:
         raise ValueError("manifold value unknown; run verify_critical first")
     grid = _tube_grid(p, M, radius, resolution)
     level = probe_level(grid, M.value)
-    # the labels and sides need only the sublevel set and the geometry:
-    # the set is formed in place on the mask, then the values go
-    inside, values = grid.mask, grid.values
-    grid = Grid(grid.box, grid.shape)
-    inside[inside] = values < level
-    del values
     keep = (np.empty(0, dtype=np.int64) if frame is None else
             grid.flat_index(np.concatenate(_side_points(M, frame, radius))))
-    cmap = _label(inside, level, keep)
+    cmap = _label(grid.sublevel(level), level, keep)
     if cmap.count == 2 and frame is not None:
         plus, minus = cmap.sides(grid, M, frame, radius)
         if plus == minus:

@@ -511,6 +511,52 @@ def test_eliminated_solve_matches_dense_eigh(monkeypatch, expression, box,
     assert res.values == pytest.approx(dense, rel=1e-9, abs=0.0)
 
 
+def test_3d_solve_factors_the_shifted_matrix_directly(monkeypatch):
+    # no cell is eliminated on a 3D grid, so the solve skips the empty
+    # elimination blocks; SuperLU gets, entry for entry, the matrix that
+    # `_eliminate` forms with nothing eliminated, so the values and vectors
+    # are those of the solve through it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # coarse 3D grid
+        W = assemble_witten(parse_potential("(x1^2 + x2^2 + x3^2)/2", 3),
+                            [[-3.0, 3.0]] * 3, 12, 0.5)
+    eliminate = spectral._eliminate
+    real_splu, real_eigsh = spectral.splu, spectral.eigsh
+    factored, shifts = [], []
+
+    def no_eliminate(*args):
+        raise AssertionError("_eliminate called with no cell eliminated")
+
+    def recording_splu(matrix, **kwargs):
+        factored.append(matrix)
+        return real_splu(matrix, **kwargs)
+
+    def recording_eigsh(*args, **kwargs):
+        shifts.append(kwargs["sigma"])
+        return real_eigsh(*args, **kwargs)
+    monkeypatch.setattr(spectral, "_eliminate", no_eliminate)
+    monkeypatch.setattr(spectral, "splu", recording_splu)
+    monkeypatch.setattr(spectral, "eigsh", recording_eigsh)
+    first = smallest_eigs(W, 5)
+    again = smallest_eigs(W, 5, ordering=first.ordering)
+    runs = [(first, None), (again, first.ordering)]
+    for (res, ordering), matrix, sigma in zip(runs, list(factored),
+                                              list(shifts)):
+        cells = np.arange(W.n_cells) if ordering is None else ordering
+        want = eliminate(W.gram(), sigma, cells, 0)[2]
+        for got_a, want_a in ((matrix.data, want.data),
+                              (matrix.indices, want.indices),
+                              (matrix.indptr, want.indptr)):
+            assert np.array_equal(got_a, want_a)
+        # the same solve through the factor of `_eliminate`'s matrix
+        monkeypatch.setattr(spectral, "splu", lambda _, **kwargs: real_splu(
+            want, **kwargs))
+        ref = smallest_eigs(W, 5, ordering=ordering)
+        assert np.all(res.residuals <= res.floor)
+        for field in ("values", "vectors", "ordering"):
+            assert np.array_equal(getattr(res, field), getattr(ref, field))
+
+
 def openblas_threads():
     """(get, set) thread-count functions of each OpenBLAS this process has
     loaded, looked up independently of `spectral`."""

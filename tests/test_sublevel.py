@@ -257,11 +257,25 @@ def reference_tube_mask(nodes, axes, radius):
     return mask
 
 
+def unpacked(bits, shape):
+    """A mask packed one bit per cell (`np.packbits` of its C-order cells)
+    as a bool grid of shape `shape`."""
+    return np.unpackbits(bits, count=math.prod(shape)).view(bool).reshape(
+        shape)
+
+
+def plane_offsets(mask):
+    """The marked cells before each axis-0 plane of a bool grid, and in
+    all."""
+    per_plane = np.count_nonzero(mask.reshape(mask.shape[0], -1), axis=1)
+    return np.concatenate([[0], np.cumsum(per_plane)])
+
+
 def densify(tube):
     """The tube grid as a full grid: its values on the tube cells, +inf on
     the others."""
     values = np.full(tube.shape, np.inf)
-    values[tube.mask] = tube.values
+    values[tube.mask[:]] = tube.values
     return GridSampling(tube.box, tube.shape, values)
 
 
@@ -269,19 +283,18 @@ def assert_tube_grid_exact(p, M, radius, resolution=None):
     """Check the tube grid against the references; returns the grid and
     local_structure's component count on it."""
     g = sublevel._tube_grid(p, M, radius, resolution)
+    mask = g.mask[:]
     expected = kdtree_tube_mask(g, M.nodes, radius)
-    assert np.array_equal(g.mask, expected)
+    assert np.array_equal(mask, expected)
     axes = [g.centers(a) for a in range(g.dim)]
-    assert np.array_equal(g.mask, reference_tube_mask(M.nodes, axes, radius))
-    assert np.count_nonzero(g.mask) > 0
+    assert np.array_equal(mask, reference_tube_mask(M.nodes, axes, radius))
+    assert np.count_nonzero(mask) > 0
     # tube sampling: the full grid's values on the tube cells in C order,
     # plane i's at offsets[i]:offsets[i + 1]; slabs read +inf off the tube
     full = sample_grid(p, g.box, g.shape)
-    assert g.values.shape == (np.count_nonzero(g.mask),)
-    assert np.array_equal(g.values, full.values[g.mask])
-    per_plane = np.count_nonzero(g.mask.reshape(g.shape[0], -1), axis=1)
-    assert np.array_equal(g.offsets, np.concatenate([[0],
-                                                     np.cumsum(per_plane)]))
+    assert g.values.shape == (np.count_nonzero(mask),)
+    assert np.array_equal(g.values, full.values[mask])
+    assert np.array_equal(g.offsets, plane_offsets(mask))
     dense = densify(g)
     for start, stop in [(0, g.shape[0]), (0, 1), (1, g.shape[0] // 2 + 1),
                         (g.shape[0] - 1, g.shape[0])]:
@@ -323,7 +336,8 @@ def test_tube_mask_node_batches(batch, monkeypatch):
     axes = sublevel.Grid(box, (48, 40, 36)).axes
     expected = reference_tube_mask(M.nodes, axes, 0.3)
     monkeypatch.setattr(sublevel, "_RUN_BATCH", batch)
-    assert np.array_equal(sublevel._tube_mask(M.nodes, axes, 0.3), expected)
+    bits, _ = sublevel._tube_mask(M.nodes, axes, 0.3)
+    assert np.array_equal(unpacked(bits, expected.shape), expected)
 
 
 @st.composite
@@ -367,9 +381,48 @@ def tube_cases(draw, dim):
 @given(data=st.data())
 def test_tube_mask_matches_box_stamping(dim, data):
     nodes, axes, radius = data.draw(tube_cases(dim))
-    mask = sublevel._tube_mask(nodes, axes, radius)
-    assert mask.dtype == bool and mask.flags.c_contiguous
-    assert np.array_equal(mask, reference_tube_mask(nodes, axes, radius))
+    # packed a byte or a few at a time, or in the module's chunks
+    chunk = data.draw(st.sampled_from([8, 24, sublevel._PACK_CELLS]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sublevel, "_PACK_CELLS", chunk)
+        bits, offsets = sublevel._tube_mask(nodes, axes, radius)
+    assert bits.dtype == np.uint8
+    expected = reference_tube_mask(nodes, axes, radius)
+    assert np.array_equal(unpacked(bits, expected.shape), expected)
+    assert np.array_equal(offsets, plane_offsets(expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.integers(2, 3).flatmap(
+           lambda d: st.tuples(*[st.integers(2, 13)] * d)).filter(
+           lambda shape: math.prod(shape[1:]) % 8),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([8, 16, 40, 1 << 18]))
+def test_packed_tube_slabs_match_byte_mask(shape, density, seed, chunk):
+    # planes that do not fill whole bytes, so slabs start mid-byte: the
+    # bits packed from a random mask's runs, and every slab read from
+    # them, equal the byte mask's
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < density
+    values = rng.standard_normal(shape)
+    level = float(rng.standard_normal())
+    flat = np.concatenate([[False], mask.ravel(), [False]])
+    ends = np.flatnonzero(flat[1:] != flat[:-1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sublevel, "_PACK_CELLS", chunk)
+        bits, offsets = sublevel._pack_runs(ends[::2], ends[1::2], shape)
+    assert np.array_equal(bits, np.packbits(mask))
+    assert np.array_equal(offsets, plane_offsets(mask))
+    tube = sublevel.TubeSampling([[0.0, 1.0]] * len(shape), shape, bits,
+                                 values[mask], offsets)
+    dense = np.where(mask, values, np.inf)
+    below = mask & (values < level)
+    for start in range(shape[0]):
+        for stop in range(start + 1, shape[0] + 1):
+            assert np.array_equal(tube.mask[start:stop], mask[start:stop])
+            assert np.array_equal(tube.slab(start, stop), dense[start:stop])
+            assert np.array_equal(tube.sublevel(level)[start:stop],
+                                  below[start:stop])
 
 
 def test_masked_sampling_rejects_non_finite_values():
@@ -379,7 +432,7 @@ def test_masked_sampling_rejects_non_finite_values():
     M = manifold_point([0.0, 0.0], name="saddle")
     assert verify_critical(p, M).ok
     g = sublevel._tube_grid(p, M, 0.5, 64)
-    assert g.values.size == np.count_nonzero(g.mask) > 0
+    assert g.values.size == np.count_nonzero(g.mask[:]) > 0
     assert np.all(np.isfinite(g.values))
     with pytest.raises(ValueError, match="non-finite potential values"):
         local_structure(p, M, None, radius=3.5, resolution=64)
@@ -437,15 +490,41 @@ def test_tube_grid_peak_memory(expression):
 @pytest.mark.parametrize("expression", [TWISTED, UNTWISTED],
                          ids=["twisted", "untwisted"])
 def test_tube_grid_labelling_peak_memory(expression):
-    # 1 B/cell of mask plus 8 B per tube cell (about a third of the cells)
-    # while sampled; then the sublevel set, formed in place on the mask,
-    # labelled one slab at a time (test_tube_grid_labelled_without_a_label_grid)
+    # 1/8 B/cell of mask bits plus 8 B per tube cell (about a third of the
+    # cells); the sublevel set is labelled one slab at a time
+    # (test_tube_grid_labelled_without_a_label_grid)
     p = parse_potential(expression, 3)
     M = unit_circle(256)
     verify_critical(p, M)
     with traced_memory() as mem:
         local_structure(p, M, None, radius=0.3, resolution=160)
     assert mem.peak <= 7 * 160**3
+
+
+@pytest.mark.parametrize("expression", [TWISTED, UNTWISTED],
+                         ids=["twisted", "untwisted"])
+def test_tube_grid_holds_its_mask_one_bit_per_cell(expression, monkeypatch):
+    # the sampled tube grid holds its mask's bits and the values of its
+    # tube cells, and no pass over it (sampling, probing, labelling) adds
+    # more than a sampling slab's scratch; a byte mask would hold 1 B/cell
+    p = parse_potential(expression, 3)
+    M = unit_circle(256)
+    verify_critical(p, M)
+    frame = negative_direction_field(p, M)
+    frame = frame if hasattr(frame, "nu") else None
+    tube_grid, tubes = sublevel._tube_grid, []
+
+    def traced_tube_grid(*args):
+        tube = tube_grid(*args)
+        tubes.append((tube.values.size, tracemalloc.get_traced_memory()[0]))
+        return tube
+    monkeypatch.setattr(sublevel, "_tube_grid", traced_tube_grid)
+    with traced_memory() as mem:
+        local_structure(p, M, frame, radius=0.3, resolution=160)
+    [(tube_cells, held)] = tubes
+    cells = 160**3
+    assert held - 8 * tube_cells <= cells / 8 + 2**16
+    assert mem.peak - 8 * tube_cells <= cells / 8 + 64 * sublevel._SAMPLE_SLAB
 
 
 @pytest.mark.parametrize("expression,count", [(TWISTED, 1), (UNTWISTED, 2)],
@@ -459,8 +538,8 @@ def test_local_structure_matches_components_on_tube_grid(expression, count):
     radius, resolution = 0.3, 96
     tube = sublevel._tube_grid(p, M, radius, resolution)
     g = densify(tube)
-    assert np.array_equal(tube.values, sample_grid(p, g.box,
-                                                   g.shape).values[tube.mask])
+    assert np.array_equal(tube.values, sample_grid(
+        p, g.box, g.shape).values[tube.mask[:]])
     level = probe_level(tube, M.value)
     assert level == reference_probe_level(g, M.value)
     cmap = components(g, level)
@@ -486,7 +565,7 @@ def test_local_structure_slab_labels_match_whole_grid(expression, count,
     radius, resolution = 0.3, 96
     tube = sublevel._tube_grid(p, M, radius, resolution)
     grid = Grid(tube.box, tube.shape)
-    inside = tube.mask.copy()
+    inside = tube.mask[:]
     level = probe_level(tube, M.value)
     inside[inside] = tube.values < level
     assert inside.size <= sublevel._LABEL_SLAB
@@ -610,7 +689,9 @@ def test_tube_mask_boundary_cells(radius):
                   math.sqrt(math.nextafter(t, 0.0) - a * a)])
     d2 = a * a + b * b
     assert d2[0] == t and d2[1] == math.nextafter(t, 0.0)
-    mask = sublevel._tube_mask(np.zeros((1, 2)), [np.array([a]), b], radius)
+    bits, _ = sublevel._tube_mask(np.zeros((1, 2)), [np.array([a]), b],
+                                  radius)
+    mask = unpacked(bits, (1, 2))
     assert mask.tolist() == [[False, True]]
     assert np.array_equal(mask[0], np.sqrt(d2) < radius)
 
@@ -694,8 +775,8 @@ def test_reference_equivalence_3d_tube(slab_cells):
     tube = sublevel._tube_grid(p, M, 0.3, 96)
     assert tube.shape == (96, 96, 96)
     g = densify(tube)
-    assert np.array_equal(tube.values, sample_grid(p, g.box,
-                                                   g.shape).values[tube.mask])
+    assert np.array_equal(tube.values, sample_grid(
+        p, g.box, g.shape).values[tube.mask[:]])
     assert probe_level(tube, M.value) == reference_probe_level(g, M.value)
     assert assert_matches_reference(g, M.value).count == 2
 
