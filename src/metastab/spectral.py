@@ -208,7 +208,7 @@ def assemble_radial(p: Potential, d, R, n, h) -> RadialWitten:
         raise ValueError("need a 1D profile or a radial potential")
     grid = Grid([[0.0, R]], n)
     _check_resolution(grid.spacings, h, strict=False)
-    r_cells, r_faces = grid.centers(0), grid.edges(0)
+    r_cells, r_faces = grid.axes[0], grid.edges(0)
     D1, Avg1 = _diff_avg(n, grid.spacings[0])
     _, grads = profile.gradients(grid.points(face_axis=0))
     B = h * D1 + sparse.diags(grads[:, 0]) @ Avg1

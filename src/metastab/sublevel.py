@@ -10,17 +10,17 @@ are probed at sigma - eps with eps proportional to the value scale.
 
 Local structure is computed on a tube grid: the cells whose centers lie
 within `radius` of some node of the manifold.  Each row of cells along the
-last axis meets a node's ball in one run, so the tube mask is built from
-runs: their ends are found exactly with a few float evaluations per row,
-and the merged runs are packed into the mask's bits chunk by chunk.  That
-costs about (number of nodes) x (rows per node box) plus one pass over the
-grid, and never forms a full-grid coordinate or distance array; f is then
-evaluated on the tube cells only.
+last axis meets a node's ball in one run, so the tube is built as runs:
+their ends are found exactly with a few float evaluations per row, and
+the tube is held as the merged runs.  That costs about (number of nodes)
+x (rows per node box), and never forms a full-grid coordinate or
+distance array; f is then evaluated on the tube cells only.
 
 Grid passes that need temporaries (sampling, `probe_level`, labelling)
 stream over slabs of consecutive axis-0 planes: at most 2**18 cells per
-slab for sampling, 2**15 for `probe_level` and 2**20 for labelling a
-tube (or one plane, if a plane is larger).  Their scratch memory is
+slab for sampling, 2**15 for `probe_level` and 2**19 for labelling a
+tube (or one plane, if a plane is larger).  Each reads the grid through
+`slab(start, stop)`, f on those planes.  Their scratch memory is
 therefore bounded by the slab, not the grid, and results do not depend on
 the slab size: sampling and `probe_level` do the same arithmetic cell for
 cell, and the labeller (`_label`) merges the ids that meet across slab
@@ -33,16 +33,15 @@ holds the float64 values, the boolean sublevel set and one int32 label
 grid: about 13 bytes per cell.  A grid shape whose cells would need more
 than the machine's physical memory at that rate is refused before
 anything is allocated.
-A tube grid (`TubeSampling`) keeps f on the tube cells only: its mask one
-bit per cell (`np.packbits` of the C-order cells) and the float64 values
-of the cells it marks, about 1/8 byte per cell plus 8 bytes per tube
-cell.  Every pass over it (sampling, `probe_level`, labelling) unpacks
-only the planes of its own slab, so no tube grid ever holds a byte per
-cell.  `local_structure` labels its sublevel set slab by slab, each slab
-formed from the bits, the values and the level, keeping only the
-component count and the labels of the cells under the side points: a
-tube grid never holds a label grid either.  It lives only while
-`local_structure` runs.
+A tube grid (`TubeSampling`) keeps f on the tube cells only: its flat
+runs, 16 bytes per run, and the float64 values of the tube cells, 8
+bytes per tube cell.  Every pass over it (sampling, `probe_level`,
+labelling) expands only the planes of its own slab from the runs, so no
+tube grid ever holds a byte per cell.  `local_structure` labels its
+sublevel set slab by slab, +inf off the tube, keeping only the component
+count and the labels of the cells under the side points: a tube grid
+never holds a label grid either.  It lives only while `local_structure`
+runs.
 
 `ComponentMap.sides` is the one rule that matches the two sides of an
 index-1 manifold to components: `local_structure`, `classify_separating`
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -94,20 +93,18 @@ LEVEL_EPS_REL = 1e-6
 DEFAULT_RESOLUTION = {1: 4096, 2: 1024, 3: 160}
 
 # cells per axis-0 slab of the streamed grid passes; a `probe_level` slab
-# of float64 is 256 KiB, so its temporaries fit in cache.  A labelling
-# slab of 2**20 cells labels a 320^3 tube as fast as one `ndimage.label`
-# call; 2**18 cost 0.05-0.08 s more per tube in merging
+# of float64 is 256 KiB, so its temporaries fit in cache.  Labelling
+# slabs of 2**18, 2**19 and 2**20 cells all label the twisted 320^3 tube
+# in 0.24-0.25 s; 2**19 (4 MiB of float64 f) holds half the scratch of
+# 2**20, which set `tube_3d`'s peak
 _SAMPLE_SLAB = 1 << 18
 _PROBE_SLAB = 1 << 15
-_LABEL_SLAB = 1 << 20
+_LABEL_SLAB = 1 << 19
 # padded window rows per batch of nodes in the tube-mask run search
 _RUN_BATCH = 1 << 18
-# cells per chunk in which the tube mask's bits are packed from its runs;
-# a multiple of 8, so that each chunk fills whole bytes
-_PACK_CELLS = 1 << 18
 # bytes per cell of `components` on a full grid: float64 values, the bool
-# sublevel set and its int32 labels (a tube grid holds 1/8, its mask's
-# bits, plus 8 per tube cell; it never holds a label grid)
+# sublevel set and its int32 labels (a tube grid holds 16 B per run plus
+# 8 per tube cell; it never holds a label grid)
 _CELL_BYTES = 8 + 1 + 4
 
 
@@ -166,9 +163,6 @@ class Grid:
         for ax in axes:
             ax.flags.writeable = False
         return axes
-
-    def centers(self, axis):
-        return self.axes[axis]
 
     def edges(self, axis):
         """Face coordinates along `axis`: the shape[axis] + 1 cell bounds."""
@@ -234,63 +228,46 @@ class GridSampling(Grid):
 class TubeSampling(Grid):
     """Samples of f on the tube cells of a grid only.
 
-    `bits` is the tube mask one bit per cell, `np.packbits` of its cells
-    in C order; `mask` and `sublevel` read it one axis-0 slab at a time.
-    `values` holds f at the tube cells, in C order, and the cells of
-    axis-0 plane i are values[offsets[i]:offsets[i + 1]].
+    The tube cells are the disjoint, sorted flat C-order runs
+    [first, last) of `_tube_mask`, 16 B per run; `cells` reads them one
+    axis-0 slab at a time.  `values` holds f at the tube cells, in C
+    order, and the cells of axis-0 plane i are
+    values[offsets[i]:offsets[i + 1]].
     """
 
-    bits: np.ndarray           # uint8, ceil(cells / 8): the tube cells
+    first: np.ndarray          # int64 run starts
+    last: np.ndarray           # int64 run ends
     values: np.ndarray         # f on the tube cells, 1-D
-    offsets: np.ndarray        # int64, shape[0] + 1 plane offsets
+    offsets: np.ndarray = field(init=False)    # int64, shape[0] + 1
 
-    def _planes(self, start, stop):
-        """The tube cells of the axis-0 planes start..stop-1, unpacked."""
+    def __post_init__(self):
+        super().__post_init__()
+        # the cells before a plane's first cell: every run that starts
+        # before it, less what the last of those runs covers from it on
+        edges = np.arange(self.shape[0] + 1) * math.prod(self.shape[1:])
+        k = np.searchsorted(self.first, edges)
+        covered = np.concatenate([[0], np.cumsum(self.last - self.first)])
+        beyond = np.concatenate([[0], self.last])[k] - edges
+        self.offsets = covered[k] - np.maximum(beyond, 0)
+
+    def cells(self, start, stop):
+        """The tube cells of the axis-0 planes start..stop-1, as bools."""
         plane = math.prod(self.shape[1:])
-        first, last = start * plane, stop * plane
-        cells = np.unpackbits(self.bits[first // 8:-(-last // 8)])
-        skip = first % 8
-        return cells[skip:skip + last - first].view(bool).reshape(
-            (stop - start,) + self.shape[1:])
-
-    @property
-    def mask(self):
-        """The tube cells, read by axis-0 slabs."""
-        return _Slabs(self.shape, self._planes)
-
-    def sublevel(self, level):
-        """The tube cells with f below `level`, read by axis-0 slabs."""
-        def below(start, stop):
-            inside = self._planes(start, stop)
-            inside[inside] = \
-                self.values[self.offsets[start]:self.offsets[stop]] < level
-            return inside
-        return _Slabs(self.shape, below)
+        lo, hi = start * plane, stop * plane
+        i = np.searchsorted(self.last, lo, side="right")
+        j = np.searchsorted(self.first, hi)
+        # in flat order the runs alternate with the gaps between them
+        ends = np.stack([self.first[i:j], self.last[i:j]], axis=1).ravel()
+        lengths = np.diff(np.clip(ends, lo, hi), prepend=lo, append=hi)
+        cells = np.repeat(np.arange(lengths.size) % 2 == 1, lengths)
+        return cells.reshape((stop - start,) + self.shape[1:])
 
     def slab(self, start, stop):
         """f on the axis-0 planes start..stop-1, +inf off the tube."""
         out = np.full((stop - start,) + self.shape[1:], np.inf)
-        out[self._planes(start, stop)] = \
+        out[self.cells(start, stop)] = \
             self.values[self.offsets[start]:self.offsets[stop]]
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class _Slabs:
-    """A boolean grid that is never held one byte per cell, read as the
-    slab passes read an array: `shape`, `ndim`, and `[start:stop]`, a
-    fresh bool array of the axis-0 planes start..stop-1 from `read`."""
-
-    shape: tuple
-    read: object               # (start, stop) -> bool array of the planes
-
-    @property
-    def ndim(self):
-        return len(self.shape)
-
-    def __getitem__(self, planes):
-        start, stop, _ = planes.indices(self.shape[0])
-        return self.read(start, stop)
 
 
 def _slabs(shape, max_cells):
@@ -323,41 +300,22 @@ def sample_grid(p: Potential, box, shape=None) -> GridSampling:
     return GridSampling(grid.box, grid.shape, values)
 
 
-def _sample_tube(p: Potential, grid: Grid, bits, offsets) -> TubeSampling:
-    """f at the cells of `grid` that the packed mask `bits` marks, and
-    only there; `offsets` are its plane offsets (`_pack_runs`)."""
-    tube = TubeSampling(grid.box, grid.shape, bits, np.empty(offsets[-1]),
-                        offsets)
-    for start, stop, slab in _sample_slabs(p, grid, tube.mask):
-        tube.values[offsets[start]:offsets[stop]] = slab
-    return tube
-
-
-def _sample_slabs(p: Potential, grid: Grid, mask=None):
+def _sample_slabs(p: Potential, grid: Grid, cells=None):
     """(start, stop, f) per axis-0 slab: f at the slab's cells in C order,
-    or at its `mask` cells only where there is a mask (read by slabs)."""
+    or only at those that `cells(start, stop)` marks where it is given.
+    A non-finite value of f raises ValueError."""
     axes = grid.axes
     for start, stop in _slabs(grid.shape, _SAMPLE_SLAB):
         centers = np.ix_(axes[0][start:stop], *axes[1:])
-        if mask is None:
-            points = np.empty((stop - start,) + grid.shape[1:] + (grid.dim,))
-            for a in range(grid.dim):
-                points[..., a] = centers[a]
-            points = points.reshape(-1, grid.dim)
-        else:
-            inside = mask[start:stop]
-            points = np.empty((np.count_nonzero(inside), grid.dim))
-            for a in range(grid.dim):
-                grid_a = np.broadcast_to(centers[a], inside.shape)
-                points[:, a] = grid_a[inside]
+        inside = (np.ones((stop - start,) + grid.shape[1:], dtype=bool)
+                  if cells is None else cells(start, stop))
+        points = np.empty((np.count_nonzero(inside), grid.dim))
+        for a in range(grid.dim):
+            points[:, a] = np.broadcast_to(centers[a], inside.shape)[inside]
         slab = p.values(points)
-        _check_finite(slab)
+        if not np.all(np.isfinite(slab)):
+            raise ValueError("non-finite potential values on grid")
         yield start, stop, slab
-
-
-def _check_finite(values):
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite potential values on grid")
 
 
 @dataclass
@@ -413,41 +371,40 @@ def _side_points(M: CriticalManifold, frame: SaddleFrame, radius):
 
 def components(g: GridSampling, sigma) -> ComponentMap:
     """Connected components of {cells: f < sigma} under face adjacency."""
-    return _label(g.values < sigma, sigma)
+    return _label(g, sigma)
 
 
-def _label(inside, sigma, keep=None) -> ComponentMap:
-    """The face-adjacent components of `inside`, the cells below sigma,
-    numbered 0, 1, ... by their first cell in C order, as `ndimage.label`
-    numbers them on the whole grid.
+def _label(g: GridSampling | TubeSampling, sigma,
+           keep=None) -> ComponentMap:
+    """The face-adjacent components of the cells of `g` with f below
+    sigma, `g.slab(start, stop) < sigma` (+inf off a tube is never
+    below), numbered 0, 1, ... by their first cell in C order, as
+    `ndimage.label` numbers them on the whole grid.
 
     Without `keep`, one `ndimage.label` call labels the whole grid and the
     map holds its int32 label grid.  With `keep`, flat C-order indices of
     cells (-1 for none), no label grid outlives its slab: the map holds
-    the count and the labels of those cells only.  `inside` is then read
-    by axis-0 slabs of at most `_LABEL_SLAB` = 2**20 cells (or one
-    plane), `inside[start:stop]`, so it need not be an array
-    (`TubeSampling.sublevel`).  Each slab is labelled on its own, its
-    provisional ids offset past the earlier slabs', and the id pairs that
-    meet across each slab face are merged (`_face_pairs`, `_merge_ids`).
+    the count and the labels of those cells only.  `g` is then read by
+    axis-0 slabs of at most `_LABEL_SLAB` = 2**19 cells (or one plane),
+    so a tube grid is never expanded whole.  Each slab is labelled on its
+    own, its provisional ids offset past the earlier slabs', and the id
+    pairs that meet across each slab face are merged (`_face_pairs`,
+    `_merge_ids`).
     A component's first cell is the first cell of its smallest
     provisional id, so its number is the rank of that id among the
     groups' smallest ids.
     """
-    structure = ndimage.generate_binary_structure(inside.ndim, 1)
-    plane = math.prod(inside.shape[1:])
+    structure = ndimage.generate_binary_structure(g.dim, 1)
+    plane = math.prod(g.shape[1:])
     whole = keep is None        # then the whole grid is one slab
-    if whole:
-        slabs = [(0, inside.shape[0])]
-    else:
-        slabs = _slabs(inside.shape, _LABEL_SLAB)
-        keep = np.asarray(keep, dtype=np.int64)
-        kept = np.zeros(keep.shape, dtype=np.int64)     # provisional ids
+    slabs = [(0, g.shape[0])] if whole else _slabs(g.shape, _LABEL_SLAB)
+    keep = np.asarray([] if whole else keep, dtype=np.int64)
+    kept = np.zeros(keep.shape, dtype=np.int64)     # provisional ids
     n = 0                       # provisional ids so far
     last = None                 # the previous slab's last plane of ids
     pairs = []
     for start, stop in slabs:
-        ids, count = ndimage.label(inside[start:stop], structure)
+        ids, count = ndimage.label(g.slab(start, stop) < sigma, structure)
         if whole:               # its ids, 1..count, less one
             ids -= 1
             return ComponentMap(sigma=float(sigma), labels=ids, count=count)
@@ -582,8 +539,8 @@ class LocalStructure:
 
 def _tube_mask(nodes, axes, radius):
     """Cells of the grid with cell-center axes `axes` whose centers lie
-    strictly within `radius` of some node, as the packed mask and its
-    plane offsets (`_pack_runs`).
+    strictly within `radius` of some node, as disjoint, non-touching flat
+    C-order runs [first, last) in increasing order, 16 B per run.
 
     Exactly the nearest-node test `min_k |c - x_k| < radius`: a cell is in
     the tube iff, for some node, its squared distance, summed axis by axis
@@ -595,13 +552,11 @@ def _tube_mask(nodes, axes, radius):
     run of cells (see `_row_runs`), found exactly from a few float
     evaluations per row rather than one per cell.  The nodes are handled
     in batches of at most `_RUN_BATCH` padded window rows; each batch's
-    runs are merged into the union so far (`_merge_runs`), and the union
-    is packed into bits.  Cost is about len(nodes) x (rows per window)
-    for the runs and their sorts, plus one pass over the mask; scratch
-    memory is bounded by the batch, the merged runs and a packing chunk.
+    runs are merged into the union so far (`_merge_runs`).  Cost is
+    about len(nodes) x (rows per window) for the runs and their sorts;
+    scratch memory is bounded by the batch and the merged runs.
     """
     t = _squared_radius_bound(radius)
-    shape = tuple(ax.size for ax in axes)
     d = len(axes)
     nodes = np.asarray(nodes, dtype=float).reshape(-1, d)
     lo = np.stack([np.maximum(np.searchsorted(ax, nodes[:, a] - radius) - 1,
@@ -618,35 +573,9 @@ def _tube_mask(nodes, axes, radius):
         row, start, stop = _row_runs(nodes[s:s + step], lo[s:s + step],
                                      hi[s:s + step], axes, t)
         first, last = _merge_runs(
-            np.concatenate([first, row * shape[-1] + start]),
-            np.concatenate([last, row * shape[-1] + stop]))
-    return _pack_runs(first, last, shape)
-
-
-def _pack_runs(first, last, shape):
-    """The cells of a grid of shape `shape` that the disjoint, sorted flat
-    runs [first, last) cover: `np.packbits` of the C-order mask, formed
-    `_PACK_CELLS` cells at a time so that no byte per cell of the grid is
-    ever held, and the int64 plane offsets, offsets[i] the number of
-    covered cells before axis-0 plane i."""
-    size = math.prod(shape)
-    bits = np.empty(-(-size // 8), dtype=np.uint8)
-    for lo in range(0, size, _PACK_CELLS):
-        hi = min(lo + _PACK_CELLS, size)
-        i = np.searchsorted(last, lo, side="right")
-        j = np.searchsorted(first, hi)
-        # in flat order the runs alternate with the gaps between them
-        ends = np.stack([first[i:j], last[i:j]], axis=1).ravel()
-        lengths = np.diff(np.clip(ends, lo, hi), prepend=lo, append=hi)
-        cells = np.repeat(np.arange(lengths.size) % 2 == 1, lengths)
-        bits[lo // 8:-(-hi // 8)] = np.packbits(cells)
-    # the cells before a plane's first cell: every run that starts before
-    # it, less what the last of those runs covers from it on
-    edges = np.arange(shape[0] + 1) * math.prod(shape[1:])
-    k = np.searchsorted(first, edges)
-    covered = np.concatenate([[0], np.cumsum(last - first)])
-    beyond = np.concatenate([[0], last])[k] - edges
-    return bits, covered[k] - np.maximum(beyond, 0)
+            np.concatenate([first, row * axes[-1].size + start]),
+            np.concatenate([last, row * axes[-1].size + stop]))
+    return first, last
 
 
 def _row_runs(nodes, lo, hi, axes, t):
@@ -748,11 +677,19 @@ def _squared_radius_bound(radius):
     return t
 
 
-def _tube_grid(p: Potential, M: CriticalManifold, radius, resolution):
+def _tube_grid(p: Potential, M: CriticalManifold, radius,
+               resolution) -> TubeSampling:
+    """f on the tube cells (`_tube_mask`) of a grid on M's bounding box
+    padded by 1.2 radius, and only there."""
     lo = np.min(M.nodes, axis=0) - 1.2 * radius
     hi = np.max(M.nodes, axis=0) + 1.2 * radius
     grid = Grid(np.stack([lo, hi], axis=1), resolution)
-    return _sample_tube(p, grid, *_tube_mask(M.nodes, grid.axes, radius))
+    first, last = _tube_mask(M.nodes, grid.axes, radius)
+    tube = TubeSampling(grid.box, grid.shape, first, last,
+                        np.empty(int(np.sum(last - first))))
+    for start, stop, slab in _sample_slabs(p, grid, tube.cells):
+        tube.values[tube.offsets[start]:tube.offsets[stop]] = slab
+    return tube
 
 
 def local_structure(p: Potential, M: CriticalManifold,
@@ -762,12 +699,11 @@ def local_structure(p: Potential, M: CriticalManifold,
 
     With a direction frame, two components must be the two sides of M
     (`ComponentMap.sides`), or `radius` does not suit M.  The tube grid
-    holds 1/8 byte per cell, its mask's bits, plus 8 per tube cell.  Its
-    sublevel set is labelled slab by slab, each slab formed from the bits,
-    the values and the level: the labeller keeps only the component count
-    and the labels of the cells under the side points, so neither a byte
-    nor a label per cell of the grid is ever held.  The tube grid is freed
-    on return.
+    holds 16 bytes per run plus 8 per tube cell.  Its sublevel set is
+    labelled slab by slab, read through the tube's `slab`: the labeller
+    keeps only the component count and the labels of the cells under the
+    side points, so neither a byte nor a label per cell of the grid is
+    ever held.  The tube grid is freed on return.
     """
     if M.value is None:
         raise ValueError("manifold value unknown; run verify_critical first")
@@ -775,7 +711,7 @@ def local_structure(p: Potential, M: CriticalManifold,
     level = probe_level(grid, M.value)
     keep = (np.empty(0, dtype=np.int64) if frame is None else
             grid.flat_index(np.concatenate(_side_points(M, frame, radius))))
-    cmap = _label(grid.sublevel(level), level, keep)
+    cmap = _label(grid, level, keep)
     if cmap.count == 2 and frame is not None:
         plus, minus = cmap.sides(grid, M, frame, radius)
         if plus == minus:

@@ -316,7 +316,7 @@ def test_criterion_12_agmon_solver(tilted):
     for n in (4096, 8192):
         g = sample_grid(p, [[-2.0, 2.0]], shape=(n,))
         phi = agmon_distance(p, m0, g)
-        x = g.centers(0)
+        x = g.axes[0]
         speed = np.abs(p.gradients(x.reshape(-1, 1))[1][:, 0])
         F = cumulative_trapezoid(speed, x, initial=0.0)
         oracle = np.abs(F - F[np.argmin(np.abs(x))])
@@ -328,7 +328,7 @@ def test_criterion_12_agmon_solver(tilted):
                     f"refinement ratio {order:.2f} (first order)"))
     g = sample_grid(tilted.p, tilted.box, shape=(8192,))
     phi = agmon_distance(tilted.p, tilted.m_right, g)
-    x = g.centers(0)
+    x = g.axes[0]
     sel = (x > tilted.x_saddle + 0.05) & (x < tilted.x_right + 0.3)
     f = tilted.p.values(x.reshape(-1, 1))
     dev = float(np.max(np.abs(phi[sel] - (f[sel] - tilted.m_right.value))))

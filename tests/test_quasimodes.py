@@ -62,7 +62,7 @@ def test_gluing_normalization_and_profile(tilted):
     assert np.all(np.abs(v) <= 1.0)
     assert np.all(np.sign(v[ell != 0.0]) == np.sign(ell[ell != 0.0]))
     # positive toward the declared minimum (the right well)
-    x = tilted.g.centers(0)
+    x = tilted.g.axes[0]
     assert v[np.argmin(np.abs(x - tilted.x_right))] == 1.0
     assert v[np.argmin(np.abs(x - tilted.x_left))] == -1.0
 
@@ -107,7 +107,7 @@ def test_agmon_distance_1d_oracle(tilted):
     for n in (4096, 8192):
         g = sample_grid(tilted.p, tilted.box, shape=(n,))
         phi = agmon_distance(tilted.p, tilted.m_right, g)
-        x = g.centers(0)
+        x = g.axes[0]
         speed = np.abs(tilted.p.gradients(x.reshape(-1, 1))[1][:, 0])
         F = cumulative_trapezoid(speed, x, initial=0.0)
         oracle = np.abs(F - F[np.argmin(np.abs(x - tilted.x_right))])
@@ -119,7 +119,7 @@ def test_agmon_distance_1d_oracle(tilted):
 def test_agmon_equals_f_near_minimum(tilted):
     g = sample_grid(tilted.p, tilted.box, shape=(8192,))
     phi = agmon_distance(tilted.p, tilted.m_right, g)
-    x = g.centers(0)
+    x = g.axes[0]
     sel = (x > tilted.x_saddle + 0.05) & (x < tilted.x_right + 0.3)
     f = tilted.p.values(x.reshape(-1, 1))
     f_m = tilted.m_right.value

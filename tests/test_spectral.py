@@ -64,7 +64,7 @@ def test_harmonic_radial_even_levels():
 def test_gibbs_is_discrete_near_kernel(tilted):
     h = 0.1
     W = assemble_witten(tilted.p, tilted.box, (4096,), h)
-    x = W.grid.centers(0)
+    x = W.grid.axes[0]
     f = tilted.p.values(x.reshape(-1, 1))
     g = np.exp(-(f - f.min()) / h)
     g /= np.linalg.norm(g)

@@ -186,7 +186,7 @@ def test_grid_geometry(box, shape):
     beyond = np.array([[lo - 1.0 for lo, _ in box], [hi for _, hi in box]])
     assert np.array_equal(grid.lookup(ranks, beyond, -1), [-1, -1])
     for a in range(d):
-        edges, centers = grid.edges(a), grid.centers(a)
+        edges, centers = grid.edges(a), grid.axes[a]
         assert not centers.flags.writeable     # shared by every caller
         assert edges.size == shape[a] + 1
         assert edges[0] == box[a][0]
@@ -205,7 +205,7 @@ def test_grid_geometry(box, shape):
     assert np.array_equal(W.grid.box, g.box)
     assert np.array_equal(W.grid.spacings, g.spacings)
     for a in range(d):
-        assert np.array_equal(W.grid.centers(a), g.centers(a))
+        assert np.array_equal(W.grid.axes[a], g.axes[a])
         assert np.array_equal(W.grid.edges(a), g.edges(a))
     assert np.array_equal(W.grid.points(), g.points())
     assert W.n_cells == g.values.size
@@ -228,8 +228,8 @@ def test_grid_shape_normalised():
 
 def kdtree_tube_mask(grid, nodes, radius):
     """Reference tube mask: nearest-node distance of every cell center."""
-    axes = [grid.centers(a) for a in range(grid.dim)]
-    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+    points = np.stack([g.ravel() for g in np.meshgrid(*grid.axes,
+                                                      indexing="ij")],
                       axis=-1)
     dist, _ = cKDTree(nodes).query(points)
     return (dist < radius).reshape(grid.shape)
@@ -257,11 +257,27 @@ def reference_tube_mask(nodes, axes, radius):
     return mask
 
 
-def unpacked(bits, shape):
-    """A mask packed one bit per cell (`np.packbits` of its C-order cells)
-    as a bool grid of shape `shape`."""
-    return np.unpackbits(bits, count=math.prod(shape)).view(bool).reshape(
-        shape)
+def runs_mask(first, last, shape):
+    """The bool grid of shape `shape` whose C-order cells the flat runs
+    [first, last) cover."""
+    mask = np.zeros(math.prod(shape), dtype=bool)
+    for lo, hi in zip(first.tolist(), last.tolist()):
+        mask[lo:hi] = True
+    return mask.reshape(shape)
+
+
+def tube_mask(tube):
+    """A tube grid's cells as a bool grid."""
+    return runs_mask(tube.first, tube.last, tube.shape)
+
+
+def assert_runs_well_formed(first, last, shape):
+    """Runs are non-empty, in increasing order, disjoint and not touching,
+    and inside the grid."""
+    assert first.dtype == last.dtype == np.int64
+    assert np.all(first < last)
+    assert np.all(last[:-1] < first[1:])
+    assert first.size == 0 or (first[0] >= 0 and last[-1] <= math.prod(shape))
 
 
 def plane_offsets(mask):
@@ -275,7 +291,7 @@ def densify(tube):
     """The tube grid as a full grid: its values on the tube cells, +inf on
     the others."""
     values = np.full(tube.shape, np.inf)
-    values[tube.mask[:]] = tube.values
+    values[tube_mask(tube)] = tube.values
     return GridSampling(tube.box, tube.shape, values)
 
 
@@ -283,14 +299,15 @@ def assert_tube_grid_exact(p, M, radius, resolution=None):
     """Check the tube grid against the references; returns the grid and
     local_structure's component count on it."""
     g = sublevel._tube_grid(p, M, radius, resolution)
-    mask = g.mask[:]
+    assert_runs_well_formed(g.first, g.last, g.shape)
+    mask = tube_mask(g)
     expected = kdtree_tube_mask(g, M.nodes, radius)
     assert np.array_equal(mask, expected)
-    axes = [g.centers(a) for a in range(g.dim)]
-    assert np.array_equal(mask, reference_tube_mask(M.nodes, axes, radius))
+    assert np.array_equal(mask, reference_tube_mask(M.nodes, g.axes, radius))
     assert np.count_nonzero(mask) > 0
     # tube sampling: the full grid's values on the tube cells in C order,
-    # plane i's at offsets[i]:offsets[i + 1]; slabs read +inf off the tube
+    # plane i's at offsets[i]:offsets[i + 1]; slabs read the runs' cells,
+    # and f there, +inf off the tube
     full = sample_grid(p, g.box, g.shape)
     assert g.values.shape == (np.count_nonzero(mask),)
     assert np.array_equal(g.values, full.values[mask])
@@ -298,6 +315,7 @@ def assert_tube_grid_exact(p, M, radius, resolution=None):
     dense = densify(g)
     for start, stop in [(0, g.shape[0]), (0, 1), (1, g.shape[0] // 2 + 1),
                         (g.shape[0] - 1, g.shape[0])]:
+        assert np.array_equal(g.cells(start, stop), mask[start:stop])
         assert np.array_equal(g.slab(start, stop), dense.values[start:stop])
     local = local_structure(p, M, None, radius=radius, resolution=resolution)
     return g, local.n_components
@@ -336,8 +354,8 @@ def test_tube_mask_node_batches(batch, monkeypatch):
     axes = sublevel.Grid(box, (48, 40, 36)).axes
     expected = reference_tube_mask(M.nodes, axes, 0.3)
     monkeypatch.setattr(sublevel, "_RUN_BATCH", batch)
-    bits, _ = sublevel._tube_mask(M.nodes, axes, 0.3)
-    assert np.array_equal(unpacked(bits, expected.shape), expected)
+    first, last = sublevel._tube_mask(M.nodes, axes, 0.3)
+    assert np.array_equal(runs_mask(first, last, expected.shape), expected)
 
 
 @st.composite
@@ -351,7 +369,7 @@ def tube_cases(draw, dim):
         n = draw(st.integers(2, max_cells))
         lo = draw(st.floats(-3.0, 3.0))
         width = draw(st.floats(0.05, 4.0))
-        axes.append(sublevel.Grid([[lo, lo + width]], n).centers(0))
+        axes.append(sublevel.Grid([[lo, lo + width]], n).axes[0])
     nodes = []
     for _ in range(draw(st.integers(1, 6))):
         x = []
@@ -381,48 +399,52 @@ def tube_cases(draw, dim):
 @given(data=st.data())
 def test_tube_mask_matches_box_stamping(dim, data):
     nodes, axes, radius = data.draw(tube_cases(dim))
-    # packed a byte or a few at a time, or in the module's chunks
-    chunk = data.draw(st.sampled_from([8, 24, sublevel._PACK_CELLS]))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sublevel, "_PACK_CELLS", chunk)
-        bits, offsets = sublevel._tube_mask(nodes, axes, radius)
-    assert bits.dtype == np.uint8
+    first, last = sublevel._tube_mask(nodes, axes, radius)
     expected = reference_tube_mask(nodes, axes, radius)
-    assert np.array_equal(unpacked(bits, expected.shape), expected)
-    assert np.array_equal(offsets, plane_offsets(expected))
+    assert_runs_well_formed(first, last, expected.shape)
+    assert np.array_equal(runs_mask(first, last, expected.shape), expected)
+    tube = sublevel.TubeSampling([[0.0, 1.0]] * dim, expected.shape, first,
+                                 last, np.zeros(np.count_nonzero(expected)))
+    assert np.array_equal(tube.offsets, plane_offsets(expected))
 
 
 @settings(max_examples=200, deadline=None)
-@given(shape=st.integers(2, 3).flatmap(
-           lambda d: st.tuples(*[st.integers(2, 13)] * d)).filter(
-           lambda shape: math.prod(shape[1:]) % 8),
+@given(shape=st.lists(st.integers(2, 13), min_size=1, max_size=3).map(tuple),
        density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
-       chunk=st.sampled_from([8, 16, 40, 1 << 18]))
-def test_packed_tube_slabs_match_byte_mask(shape, density, seed, chunk):
-    # planes that do not fill whole bytes, so slabs start mid-byte: the
-    # bits packed from a random mask's runs, and every slab read from
-    # them, equal the byte mask's
+       planes=st.integers(1, 4))
+def test_tube_runs_read_as_byte_mask(shape, density, seed, planes):
+    # a tube grid built from a random mask's runs: its offsets, and every
+    # slab of cells and of f read from the runs, equal the byte mask's;
+    # labelled `planes` planes at a time, its sublevel set has the
+    # components of the byte mask's
     rng = np.random.default_rng(seed)
     mask = rng.random(shape) < density
     values = rng.standard_normal(shape)
-    level = float(rng.standard_normal())
+    # a level of some cell's value: that cell is not below it
+    level = float(rng.choice([rng.standard_normal(),
+                              rng.choice(values.ravel())]))
     flat = np.concatenate([[False], mask.ravel(), [False]])
     ends = np.flatnonzero(flat[1:] != flat[:-1])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sublevel, "_PACK_CELLS", chunk)
-        bits, offsets = sublevel._pack_runs(ends[::2], ends[1::2], shape)
-    assert np.array_equal(bits, np.packbits(mask))
-    assert np.array_equal(offsets, plane_offsets(mask))
-    tube = sublevel.TubeSampling([[0.0, 1.0]] * len(shape), shape, bits,
-                                 values[mask], offsets)
+    tube = sublevel.TubeSampling([[0.0, 1.0]] * len(shape), shape, ends[::2],
+                                 ends[1::2], values[mask])
+    assert np.array_equal(tube.offsets, plane_offsets(mask))
     dense = np.where(mask, values, np.inf)
-    below = mask & (values < level)
     for start in range(shape[0]):
         for stop in range(start + 1, shape[0] + 1):
-            assert np.array_equal(tube.mask[start:stop], mask[start:stop])
+            assert np.array_equal(tube.cells(start, stop), mask[start:stop])
             assert np.array_equal(tube.slab(start, stop), dense[start:stop])
-            assert np.array_equal(tube.sublevel(level)[start:stop],
-                                  below[start:stop])
+    structure = ndimage.generate_binary_structure(len(shape), 1)
+    want, count = ndimage.label(mask & (values < level), structure)
+    want -= 1
+    keep = rng.integers(-1, mask.size, 10)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sublevel, "_LABEL_SLAB", planes * math.prod(shape[1:]))
+        kept = sublevel._label(tube, level, keep)
+    assert kept.labels is None and kept.count == count
+    assert [kept.kept[c] for c in keep.tolist()] == \
+        np.where(keep >= 0, want.ravel()[keep], -1).tolist()
+    whole = sublevel._label(tube, level)
+    assert np.array_equal(whole.labels, want) and whole.count == count
 
 
 def test_masked_sampling_rejects_non_finite_values():
@@ -432,7 +454,7 @@ def test_masked_sampling_rejects_non_finite_values():
     M = manifold_point([0.0, 0.0], name="saddle")
     assert verify_critical(p, M).ok
     g = sublevel._tube_grid(p, M, 0.5, 64)
-    assert g.values.size == np.count_nonzero(g.mask[:]) > 0
+    assert g.values.size == np.count_nonzero(tube_mask(g)) > 0
     assert np.all(np.isfinite(g.values))
     with pytest.raises(ValueError, match="non-finite potential values"):
         local_structure(p, M, None, radius=3.5, resolution=64)
@@ -490,8 +512,8 @@ def test_tube_grid_peak_memory(expression):
 @pytest.mark.parametrize("expression", [TWISTED, UNTWISTED],
                          ids=["twisted", "untwisted"])
 def test_tube_grid_labelling_peak_memory(expression):
-    # 1/8 B/cell of mask bits plus 8 B per tube cell (about a third of the
-    # cells); the sublevel set is labelled one slab at a time
+    # 16 B per run plus 8 B per tube cell (about a third of the cells);
+    # the sublevel set is labelled one slab at a time
     # (test_tube_grid_labelled_without_a_label_grid)
     p = parse_potential(expression, 3)
     M = unit_circle(256)
@@ -503,10 +525,11 @@ def test_tube_grid_labelling_peak_memory(expression):
 
 @pytest.mark.parametrize("expression", [TWISTED, UNTWISTED],
                          ids=["twisted", "untwisted"])
-def test_tube_grid_holds_its_mask_one_bit_per_cell(expression, monkeypatch):
-    # the sampled tube grid holds its mask's bits and the values of its
-    # tube cells, and no pass over it (sampling, probing, labelling) adds
-    # more than a sampling slab's scratch; a byte mask would hold 1 B/cell
+def test_tube_grid_holds_its_cells_as_runs(expression, monkeypatch):
+    # the sampled tube grid holds its runs, its plane offsets and the
+    # values of its tube cells, and no pass over it (sampling, probing,
+    # labelling) adds more than a sampling slab's scratch; a byte mask
+    # would hold 1 B/cell
     p = parse_potential(expression, 3)
     M = unit_circle(256)
     verify_critical(p, M)
@@ -516,14 +539,17 @@ def test_tube_grid_holds_its_mask_one_bit_per_cell(expression, monkeypatch):
 
     def traced_tube_grid(*args):
         tube = tube_grid(*args)
-        tubes.append((tube.values.size, tracemalloc.get_traced_memory()[0]))
+        tubes.append((tube.values.size, tube.first.size, tube.offsets.nbytes,
+                      tracemalloc.get_traced_memory()[0]))
         return tube
     monkeypatch.setattr(sublevel, "_tube_grid", traced_tube_grid)
     with traced_memory() as mem:
         local_structure(p, M, frame, radius=0.3, resolution=160)
-    [(tube_cells, held)] = tubes
+    [(tube_cells, runs, offsets, held)] = tubes
     cells = 160**3
-    assert held - 8 * tube_cells <= cells / 8 + 2**16
+    # with 8 KiB for the interpreter's own small allocations (4.5 KB
+    # measured)
+    assert held - 8 * tube_cells <= 16 * runs + offsets + 2**13
     assert mem.peak - 8 * tube_cells <= cells / 8 + 64 * sublevel._SAMPLE_SLAB
 
 
@@ -539,7 +565,7 @@ def test_local_structure_matches_components_on_tube_grid(expression, count):
     tube = sublevel._tube_grid(p, M, radius, resolution)
     g = densify(tube)
     assert np.array_equal(tube.values, sample_grid(
-        p, g.box, g.shape).values[tube.mask[:]])
+        p, g.box, g.shape).values[tube_mask(tube)])
     level = probe_level(tube, M.value)
     assert level == reference_probe_level(g, M.value)
     cmap = components(g, level)
@@ -555,8 +581,8 @@ def test_local_structure_matches_components_on_tube_grid(expression, count):
 @pytest.mark.parametrize("planes", [1, 7])
 def test_local_structure_slab_labels_match_whole_grid(expression, count,
                                                       planes, monkeypatch):
-    # the 96^3 tube fits in one labelling slab; labelled a few planes at a
-    # time it keeps the same count and the same sides
+    # the default slab splits the 96^3 tube; labelled in those slabs, and a
+    # few planes at a time, it keeps the whole grid's count and sides
     p = parse_potential(expression, 3)
     M = unit_circle(128)
     verify_critical(p, M)
@@ -565,19 +591,17 @@ def test_local_structure_slab_labels_match_whole_grid(expression, count,
     radius, resolution = 0.3, 96
     tube = sublevel._tube_grid(p, M, radius, resolution)
     grid = Grid(tube.box, tube.shape)
-    inside = tube.mask[:]
     level = probe_level(tube, M.value)
-    inside[inside] = tube.values < level
-    assert inside.size <= sublevel._LABEL_SLAB
-    whole = sublevel._label(inside, level)
+    assert len(list(sublevel._slabs(tube.shape, sublevel._LABEL_SLAB))) > 1
+    whole = sublevel._label(tube, level)
+    local = local_structure(p, M, frame, radius=radius, resolution=resolution)
+    assert local.n_components == count
     monkeypatch.setattr(sublevel, "_LABEL_SLAB", planes * 96 * 96)
     keep = ([] if frame is None else grid.flat_index(
         np.concatenate(sublevel._side_points(M, frame, radius))))
-    slabbed = sublevel._label(inside, level, keep)
+    slabbed = sublevel._label(tube, level, keep)
     assert slabbed.labels is None
     assert slabbed.count == whole.count == count
-    local = local_structure(p, M, frame, radius=radius, resolution=resolution)
-    assert local.n_components == count
     if frame is not None:
         sides = slabbed.sides(grid, M, frame, radius)
         assert sides == whole.sides(grid, M, frame, radius)
@@ -586,7 +610,7 @@ def test_local_structure_slab_labels_match_whole_grid(expression, count,
 
 def test_tube_grid_labelled_without_a_label_grid(monkeypatch):
     # an int32 label grid of the 160^3 tube would take 4 B/cell; the
-    # labeller holds one 2**20-cell slab of ids at a time
+    # labeller holds one 2**19-cell slab of ids at a time
     p = parse_potential(UNTWISTED, 3)
     M = unit_circle(256)
     verify_critical(p, M)
@@ -605,6 +629,11 @@ def test_tube_grid_labelled_without_a_label_grid(monkeypatch):
     assert peaks[0] < 4 * 160**3
 
 
+def mask_grid(mask):
+    """A grid whose cells below 0 are those `mask` marks."""
+    return unit_box_grid(np.where(mask, -1.0, 1.0))
+
+
 @pytest.mark.parametrize("dim,extent", [(1, 300), (2, 40), (3, 12)])
 def test_slab_labels_match_ndimage(dim, extent, monkeypatch):
     # random masks labelled one to three planes at a time: the whole
@@ -618,11 +647,12 @@ def test_slab_labels_match_ndimage(dim, extent, monkeypatch):
                             math.prod(shape[1:]) * int(rng.integers(1, 4)))
         want, count = ndimage.label(mask, structure)
         want -= 1
-        cmap = sublevel._label(mask, 0.0)
+        g = mask_grid(mask)
+        cmap = sublevel._label(g, 0.0)
         assert np.array_equal(cmap.labels, want)
         assert cmap.count == count
         keep = rng.integers(-1, mask.size, 20)
-        kept = sublevel._label(mask, 0.0, keep)
+        kept = sublevel._label(g, 0.0, keep)
         assert kept.labels is None and kept.count == count
         assert [kept.kept[c] for c in keep.tolist()] == \
             np.where(keep >= 0, want.ravel()[keep], -1).tolist()
@@ -638,10 +668,10 @@ def test_slab_labels_u_joined_in_last_slab(monkeypatch):
     want = np.where(mask, 0, -1)
     want[1:3, 2] = 1
     monkeypatch.setattr(sublevel, "_LABEL_SLAB", 5)
-    cmap = sublevel._label(mask, 0.0)
+    cmap = sublevel._label(mask_grid(mask), 0.0)
     assert cmap.count == 2
     assert np.array_equal(cmap.labels, want)
-    kept = sublevel._label(mask, 0.0, [4, 12, 29, 1, -1])
+    kept = sublevel._label(mask_grid(mask), 0.0, [4, 12, 29, 1, -1])
     assert kept.count == 2
     assert kept.kept == {4: 0, 12: 1, 29: 0, 1: -1, -1: -1}
 
@@ -689,9 +719,9 @@ def test_tube_mask_boundary_cells(radius):
                   math.sqrt(math.nextafter(t, 0.0) - a * a)])
     d2 = a * a + b * b
     assert d2[0] == t and d2[1] == math.nextafter(t, 0.0)
-    bits, _ = sublevel._tube_mask(np.zeros((1, 2)), [np.array([a]), b],
-                                  radius)
-    mask = unpacked(bits, (1, 2))
+    first, last = sublevel._tube_mask(np.zeros((1, 2)), [np.array([a]), b],
+                                      radius)
+    mask = runs_mask(first, last, (1, 2))
     assert mask.tolist() == [[False, True]]
     assert np.array_equal(mask[0], np.sqrt(d2) < radius)
 
@@ -776,7 +806,7 @@ def test_reference_equivalence_3d_tube(slab_cells):
     assert tube.shape == (96, 96, 96)
     g = densify(tube)
     assert np.array_equal(tube.values, sample_grid(
-        p, g.box, g.shape).values[tube.mask[:]])
+        p, g.box, g.shape).values[tube_mask(tube)])
     assert probe_level(tube, M.value) == reference_probe_level(g, M.value)
     assert assert_matches_reference(g, M.value).count == 2
 
