@@ -162,8 +162,8 @@ def radial_predict(p: Potential, d, r_m, s_m, barrier) -> KramersPrediction:
     if not p.radial:
         raise ValueError("radial_predict needs a rotation-invariant potential")
     profile = p.profile()
-    F2_s = float(profile.eval2(s_m)[2][0, 0])
-    F2_r = float(profile.eval2(r_m)[2][0, 0])
+    F2_s, F2_r = (float(H[0, 0])
+                  for H in profile.hessians([[s_m], [r_m]])[2])
     if r_m == 0.0:
         if F2_r <= 0:
             raise ValueError("0 is not a minimum of the profile")

@@ -204,17 +204,17 @@ def plateau_feasible_tau(rec: SaddleRecord):
     return 0.5 * np.sqrt(2.0 * mu_min) * rec.radius
 
 
-def build_gluing(rec: SaddleRecord, minimum_component, g: GridSampling, h,
-                 tau=None) -> SaddleGluing:
-    """Oriented gluing profile for one (saddle, minimum) pair.
+def build_gluing(rec: SaddleRecord, minimum_component, g: GridSampling,
+                 h) -> SaddleGluing:
+    """Oriented gluing profile for one (saddle, minimum) pair, of width
+    `rec.tau` (a third of the plateau-feasible maximum when None).
 
     `minimum_component` is the global component id of E(m) at the saddle's
     level; the classification's sides (`b_plus`, `b_minus`) fix the sign
     of ell0 so that it is positive toward the minimum.
     """
     tau_max = plateau_feasible_tau(rec)
-    if tau is None:
-        tau = tau_max / 3.0
+    tau = tau_max / 3.0 if rec.tau is None else rec.tau
     if tau > tau_max:
         raise ValueError(f"tau = {tau:.4g} exceeds the plateau-feasible "
                          f"maximum {tau_max:.4g} for saddle {rec.name}")
@@ -310,8 +310,7 @@ def quasimode_bundle(minima, L: LabelingResult, records, g: GridSampling, h):
     psis = []
     for m in minima:
         lab = L.minima[m.name]
-        gluings = {s: build_gluing(by_name[s], lab.component, g, h,
-                                   tau=by_name[s].tau)
+        gluings = {s: build_gluing(by_name[s], lab.component, g, h)
                    for s in lab.saddles if s != FICTIVE_SADDLE}
         psis.append(build_psi(m, L, gluings, g, h, minima))
     return psis

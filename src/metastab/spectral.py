@@ -4,8 +4,9 @@ The operator -h^2 Lap + |grad f|^2 - h Lap f is assembled as A^T A where A
 is the discrete twisted gradient (h * forward difference + grad f averaged
 to staggered faces), with homogeneous Dirichlet walls.  The square
 structure keeps the exponentially small eigenvalues at relative accuracy
-instead of losing them to cancellation.  A radial finite-volume reduction
-handles rotation-invariant potentials in any dimension.
+instead of losing them to cancellation.  Every factor is one
+`WittenOperator` on its `Grid`; the radial sector of a rotation-invariant
+potential, in any dimension, is its 1D profile's factor, weighted.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .sublevel import Grid
 __all__ = [
     "WittenOperator",
     "WittenPieces",
-    "DiscreteWitten",
-    "RadialWitten",
     "assemble_witten",
     "assemble_radial",
     "EigenResult",
@@ -62,29 +61,27 @@ class GridResolutionError(ValueError):
     pass
 
 
-def _diff_avg(n, delta):
-    """Forward difference and average from n cells to n+1 faces (Dirichlet)."""
+def _diff(n, delta):
+    """Forward difference from n cells to n+1 faces (Dirichlet)."""
     rows = np.concatenate([np.arange(n), np.arange(1, n + 1)])
     cols = np.concatenate([np.arange(n), np.arange(n)])
-    d_vals = np.concatenate([np.full(n, 1.0 / delta), np.full(n, -1.0 / delta)])
-    a_vals = np.full(2 * n, 0.5)
-    D = sparse.csr_matrix((d_vals, (rows, cols)), shape=(n + 1, n))
-    Avg = sparse.csr_matrix((a_vals, (rows, cols)), shape=(n + 1, n))
-    return D, Avg
+    vals = np.concatenate([np.full(n, 1.0 / delta), np.full(n, -1.0 / delta)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n + 1, n))
 
 
+@dataclass(eq=False)
 class WittenOperator:
-    """The Witten Laplacian A^T A held as its sparse factor.  Subclasses
-    supply `A` (faces x cells); everything else is shared."""
+    """The Witten Laplacian A^T A held as its sparse factor A (faces x
+    cells) on the cells of `grid`, in C order; `pieces`, where set, are
+    what A was built from, for other h of the same grid."""
+
+    A: sparse.csr_matrix
+    grid: Grid
+    pieces: WittenPieces | None = None
 
     @property
     def n_cells(self):
         return self.A.shape[1]
-
-    @property
-    def cell_shape(self):
-        """The cells as an array of this shape in C order: a chain here."""
-        return (self.n_cells,)
 
     def gram(self):
         """A^T A in CSC form, built afresh on each call."""
@@ -110,7 +107,7 @@ class WittenPieces:
     D: sparse.csr_matrix          # faces x cells
     ga: np.ndarray                # Gamma Avg on D's pattern, like D.data
 
-    def operator(self, h) -> DiscreteWitten:
+    def operator(self, h) -> WittenOperator:
         """The factored operator with A(h) = h D + Gamma Avg; the same, bit
         for bit, on every call with the same h."""
         D = self.D
@@ -120,22 +117,7 @@ class WittenPieces:
             # an exact cancellation, which a sparse sum would not store
             A = A.copy()
             A.eliminate_zeros()
-        return DiscreteWitten(A=A, pieces=self)
-
-
-@dataclass
-class DiscreteWitten(WittenOperator):
-    A: sparse.csr_matrix          # faces x cells twisted gradient factor
-    pieces: WittenPieces          # what A is built from, for other h
-
-    @property
-    def grid(self):
-        """The cells, in C order."""
-        return self.pieces.grid
-
-    @property
-    def cell_shape(self):
-        return self.grid.shape
+        return WittenOperator(A=A, grid=self.grid, pieces=self)
 
 
 def _check_resolution(spacings, h, strict):
@@ -151,7 +133,7 @@ def _check_resolution(spacings, h, strict):
 def _witten_pieces(p: Potential, grid: Grid) -> WittenPieces:
     D_blocks, gamma = [], []
     for a in range(grid.dim):
-        D1, _ = _diff_avg(grid.shape[a], grid.spacings[a])
+        D1 = _diff(grid.shape[a], grid.spacings[a])
         Dk = None
         for b, n_b in enumerate(grid.shape):
             db = D1 if b == a else sparse.identity(n_b, format="csr")
@@ -167,7 +149,7 @@ def _witten_pieces(p: Potential, grid: Grid) -> WittenPieces:
 
 
 def assemble_witten(p: Potential, box, shape, h, strict=False,
-                    pieces=None) -> DiscreteWitten:
+                    pieces=None) -> WittenOperator:
     """Factored Witten Laplacian on a Dirichlet box.
 
     grad f is evaluated exactly at staggered face midpoints, one family of
@@ -186,21 +168,15 @@ def assemble_witten(p: Potential, box, shape, h, strict=False,
     return pieces.operator(h)
 
 
-@dataclass
-class RadialWitten(WittenOperator):
-    """Radial sector of the Witten Laplacian for a rotation-invariant f.
+def assemble_radial(p: Potential, d, R, n, h) -> WittenOperator:
+    """Radial sector of the Witten Laplacian for a rotation-invariant f,
+    on n cells of (0, R]; warns when the cells are too coarse for h.
 
-    Finite volumes on (0, R] with weight r^{d-1}: Neumann at 0 (the zero
-    face weight), Dirichlet at R.  Angular sectors only add nonnegative
-    centrifugal terms, so the smallest eigenvalues live here.
+    Finite volumes with weight r^{d-1}: Neumann at 0 (the zero face
+    weight), Dirichlet at R.  Angular sectors only add nonnegative
+    centrifugal terms, so the smallest eigenvalues live here.  The factor
+    is the 1D profile's, symmetrized in y = r^{(d-1)/2} u.
     """
-
-    A: sparse.csr_matrix          # symmetrized factor in y = r^{(d-1)/2} u
-
-
-def assemble_radial(p: Potential, d, R, n, h) -> RadialWitten:
-    """Radial operator on n cells of (0, R]; warns when the cells are too
-    coarse for h."""
     if d < 2:
         raise ValueError("the radial reduction needs ambient dimension >= 2")
     profile = p.profile() if p.radial else p
@@ -208,14 +184,10 @@ def assemble_radial(p: Potential, d, R, n, h) -> RadialWitten:
         raise ValueError("need a 1D profile or a radial potential")
     grid = Grid([[0.0, R]], n)
     _check_resolution(grid.spacings, h, strict=False)
-    r_cells, r_faces = grid.axes[0], grid.edges(0)
-    D1, Avg1 = _diff_avg(n, grid.spacings[0])
-    _, grads = profile.gradients(grid.points(face_axis=0))
-    B = h * D1 + sparse.diags(grads[:, 0]) @ Avg1
-    w_face = sparse.diags(r_faces ** ((d - 1) / 2.0))
-    w_cell_inv = sparse.diags(r_cells ** (-(d - 1) / 2.0))
-    A = (w_face @ B @ w_cell_inv).tocsr()
-    return RadialWitten(A=A)
+    B = _witten_pieces(profile, grid).operator(h).A
+    w_face = sparse.diags(grid.edges(0) ** ((d - 1) / 2.0))
+    w_cell_inv = sparse.diags(grid.axes[0] ** (-(d - 1) / 2.0))
+    return WittenOperator(A=(w_face @ B @ w_cell_inv).tocsr(), grid=grid)
 
 
 @dataclass
@@ -418,12 +390,12 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
         raise ValueError(f"k = {k} must be below the grid size {n}")
     if ordering is not None and not _is_permutation(ordering, n):
         raise ValueError(f"the ordering must permute all {n} cells")
-    first = _eliminated_cells(op.cell_shape)
+    first = _eliminated_cells(op.grid.shape)
     m = np.count_nonzero(first)
     if ordering is None and m:
         # the first factor of a 1D or 2D grid; later ones reuse its
         # ordering, and a 3D factor is not covered
-        need = (_FACTOR_CELL_BYTES_1D * (n - m) if len(op.cell_shape) == 1
+        need = (_FACTOR_CELL_BYTES_1D * (n - m) if op.grid.dim == 1
                 else _FACTOR_CELL_BYTES * (n - m) * math.log(n - m))
         have = sublevel._physical_memory()
         if have is not None and need > have:

@@ -91,9 +91,9 @@ def test_file_formats_only_in_cli(name):
     assert not formats, f"metastab.{name} imports {formats}"
 
 
-def test_manifolds_built_by_two_constructors():
-    # a sphere is a parametrization: only `manifold_point` and
-    # `manifold_parametrized` build a CriticalManifold
+def callers_of(cls):
+    """`module.name` of the top-level statement around each call of `cls`
+    in the package."""
     callers = []
     for name in MODULES:
         tree = ast.parse((pathlib.Path(metastab.__path__[0])
@@ -102,11 +102,23 @@ def test_manifolds_built_by_two_constructors():
             callers += [f"{name}.{getattr(stmt, 'name', '<module>')}"
                         for node in ast.walk(stmt)
                         if isinstance(node, ast.Call)
-                        and "CriticalManifold" in (
-                            getattr(node.func, "id", None),
-                            getattr(node.func, "attr", None))]
-    assert sorted(callers) == ["manifolds.manifold_parametrized",
-                               "manifolds.manifold_point"]
+                        and cls in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))]
+    return sorted(callers)
+
+
+def test_manifolds_built_by_two_constructors():
+    # a sphere is a parametrization: only `manifold_point` and
+    # `manifold_parametrized` build a CriticalManifold
+    assert callers_of("CriticalManifold") == [
+        "manifolds.manifold_parametrized", "manifolds.manifold_point"]
+
+
+def test_witten_operators_built_by_two_builders():
+    # every factor is one WittenOperator: `WittenPieces.operator` builds
+    # each grid's, and `assemble_radial` weights its profile's
+    assert callers_of("WittenOperator") == [
+        "spectral.WittenPieces", "spectral.assemble_radial"]
 
 
 @pytest.mark.parametrize("name", ["spectral", "quasimodes"])

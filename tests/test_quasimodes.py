@@ -51,8 +51,7 @@ def test_plateau_feasible_tau(tilted):
 def test_gluing_normalization_and_profile(tilted):
     lab = tilted.labeling.minima["right"]
     h = 0.01
-    glu = build_gluing(tilted.record, lab.component, tilted.g, h,
-                       tau=0.45)
+    glu = build_gluing(tilted.record, lab.component, tilted.g, h)
     # tau >> sqrt(h): the cutoff costs only e^{-tau^2/2h}
     assert glu.C == pytest.approx(math.sqrt(math.pi * h / 2.0), rel=1e-3)
     v = glu.v()
@@ -70,9 +69,9 @@ def test_gluing_normalization_and_profile(tilted):
 def test_gluing_validation(tilted):
     lab = tilted.labeling.minima["right"]
     tau_max = plateau_feasible_tau(tilted.record)
+    wide = dataclasses.replace(tilted.record, tau=1.01 * tau_max)
     with pytest.raises(ValueError, match="plateau"):
-        build_gluing(tilted.record, lab.component, tilted.g, 0.1,
-                     tau=1.01 * tau_max)
+        build_gluing(wide, lab.component, tilted.g, 0.1)
     with pytest.raises(ValueError, match="border"):
         build_gluing(tilted.record, 999, tilted.g, 0.1)
 
@@ -138,8 +137,7 @@ def test_global_minimum_is_pure_gibbs(tilted):
 
 def test_misoriented_gluing_leaks(tilted):
     lab = tilted.labeling.minima["right"]
-    glu = build_gluing(tilted.record, lab.component, tilted.g, 0.1,
-                       tau=0.45)
+    glu = build_gluing(tilted.record, lab.component, tilted.g, 0.1)
     glu = dataclasses.replace(glu, ell0=-glu.ell0)
     with pytest.raises(ValueError, match="leak"):
         build_psi(tilted.m_right, tilted.labeling,
@@ -154,7 +152,7 @@ def test_missing_gluing_rejected(tilted):
 
 def quasimode(t, h):
     lab = t.labeling.minima["right"]
-    glu = build_gluing(t.record, lab.component, t.g, h, tau=0.45)
+    glu = build_gluing(t.record, lab.component, t.g, h)
     return build_psi(t.m_right, t.labeling, {"saddle": glu}, t.g, h,
                      other_minima=t.minima)
 
@@ -185,7 +183,7 @@ def test_rayleigh_grid_mismatch(tilted):
 
 def interaction_setup(t, h=0.1, k=2):
     lab = t.labeling.minima["right"]
-    glu = build_gluing(t.record, lab.component, t.g, h, tau=0.45)
+    glu = build_gluing(t.record, lab.component, t.g, h)
     psis = [build_psi(m, t.labeling, {"saddle": glu}, t.g, h,
                       other_minima=t.minima) for m in t.minima]
     W = assemble_witten(t.p, t.box, t.g.shape, h)

@@ -253,6 +253,14 @@ def test_3d_harmonic_matches_sums_of_1d_values():
     assert np.all(gaps <= res.floor)
 
 
+def diff_avg(n, delta):
+    """Forward difference and average from n cells to n+1 faces
+    (Dirichlet)."""
+    D = sparse.diags([1.0 / delta, -1.0 / delta], [0, -1], shape=(n + 1, n))
+    Avg = sparse.diags([0.5, 0.5], [0, -1], shape=(n + 1, n))
+    return D.tocsr(), Avg.tocsr()
+
+
 def per_h_assembly(p, box, shape, h):
     """The twisted gradient built from scratch for one h: Kronecker
     difference and average blocks per axis, grad f at that axis's faces,
@@ -260,7 +268,7 @@ def per_h_assembly(p, box, shape, h):
     grid = Grid(box, shape)
     blocks = []
     for a in range(grid.dim):
-        D1, Avg1 = spectral._diff_avg(grid.shape[a], grid.spacings[a])
+        D1, Avg1 = diff_avg(grid.shape[a], grid.spacings[a])
         Dk, Ak = None, None
         for b, n_b in enumerate(grid.shape):
             eye = sparse.identity(n_b, format="csr")
@@ -271,6 +279,17 @@ def per_h_assembly(p, box, shape, h):
         _, grads = p.gradients(grid.points(face_axis=a))
         blocks.append((h * Dk + sparse.diags(grads[:, a]) @ Ak).tocsr())
     return sparse.vstack(blocks, format="csr")
+
+
+def assert_same_csr(got, want):
+    """The same matrix, bit for bit, once each row's entries are sorted by
+    column."""
+    got, want = got.sorted_indices(), want.sorted_indices()
+    for got_a, want_a in ((got.data, want.data),
+                          (got.indices, want.indices),
+                          (got.indptr, want.indptr)):
+        assert got_a.dtype == want_a.dtype
+        assert np.array_equal(got_a, want_a)
 
 
 @pytest.mark.parametrize("expression,box,shape", [
@@ -287,15 +306,33 @@ def test_shared_pieces_match_per_h_assembly(expression, box, shape):
             warnings.simplefilter("ignore")   # coarse 3D grid
             W = assemble_witten(p, box, shape, h, pieces=pieces)
         # the two store each row's entries in opposite column orders
-        got = W.A.sorted_indices()
-        want = per_h_assembly(p, box, shape, h).sorted_indices()
-        for got_a, want_a in ((got.data, want.data),
-                              (got.indices, want.indices),
-                              (got.indptr, want.indptr)):
-            assert got_a.dtype == want_a.dtype
-            assert np.array_equal(got_a, want_a)
+        assert_same_csr(W.A, per_h_assembly(p, box, shape, h))
         assert np.shares_memory(W.A.indices, W.pieces.D.indices)
         pieces = W.pieces
+
+
+def radial_reference(p, d, R, n, h):
+    """The radial factor as it was assembled by its own formula:
+    W_f (h D1 + diag(F') Avg1) W_c^-1, with F' the profile's derivative
+    at the faces and W_f, W_c the weights r^{(d-1)/2} of faces and
+    cells."""
+    grid = Grid([[0.0, R]], n)
+    D1, Avg1 = diff_avg(n, grid.spacings[0])
+    _, grads = p.profile().gradients(grid.points(face_axis=0))
+    B = h * D1 + sparse.diags(grads[:, 0]) @ Avg1
+    w_face = sparse.diags(grid.edges(0) ** ((d - 1) / 2.0))
+    w_cell_inv = sparse.diags(grid.axes[0] ** (-(d - 1) / 2.0))
+    return (w_face @ B @ w_cell_inv).tocsr()
+
+
+@pytest.mark.parametrize("d,h", [(2, 0.05), (2, 0.01), (3, 0.3), (3, 0.1)])
+def test_radial_factor_is_the_weighted_profile_factor(d, h):
+    p = parse_potential("r^6/6 - r^4/2 + 0.35*r^2" if d == 2 else "r^2/2",
+                        d)
+    R, n = (2.2, 8192) if d == 2 else (6.0, 2048)
+    W = assemble_radial(p, d, R, n, h)
+    assert W.grid.shape == (n,) and W.pieces is None
+    assert_same_csr(W.A, radial_reference(p, d, R, n, h))
 
 
 def test_pieces_rejected_for_another_grid_or_potential():
