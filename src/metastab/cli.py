@@ -306,9 +306,9 @@ class Pipeline:
     def label(self):
         if self.saddle_records is None:
             self.classify()
-        g = self.sampling
-        self.labeling = run_labeling(g, self.minima, self.saddle_records)
-        gen = check_generic(g, self.labeling, self.minima)
+        self.labeling = run_labeling(self.sampling, self.minima,
+                                     self.saddle_records)
+        gen = check_generic(self.labeling)
         text = (f"# manifest {self.hash}\n" + self.labeling.report()
                 + "\n" + gen.summary() + "\n")
         with open(self._out("labeling.txt"), "w") as fh:

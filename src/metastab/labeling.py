@@ -66,14 +66,16 @@ class MinimumLabel:
     saddles: tuple                # names in j(m); (FICTIVE_SADDLE,) at top
     level: int                    # 0 = fictive top level
     component: int                # component label within the level map
+    tied: tuple = ()              # other minima of E(m) at f(m) (`_tied`)
 
 
 @dataclass
 class LabelingResult:
     minima: dict                  # name -> MinimumLabel
     global_min: str
-    levels: list                  # (sigma, [saddle names]) in processing order
     level_maps: list              # ComponentMap per level (None for level 0)
+    sides: dict                   # saddle name -> (plus, minus) component ids
+                                  # in its level's map
     warnings: list = field(default_factory=list)
 
     def ordered_by_depth(self):
@@ -93,13 +95,19 @@ class LabelingResult:
         return "\n".join(lines)
 
 
+def _tied(low, high):
+    """Whether the value `high` >= `low` equals `low` up to
+    SIGMA_CLUSTER_RTOL, relative to |low| or 1, whichever is larger."""
+    return high - low <= SIGMA_CLUSTER_RTOL * max(1.0, abs(low))
+
+
 def _cluster_levels(saddles):
-    """Group separating values equal up to SIGMA_CLUSTER_RTOL, descending."""
+    """Group separating values tied with the cluster's first, descending."""
     order = sorted(range(len(saddles)), key=lambda i: -saddles[i].value)
     levels = []
     for i in order:
         v = saddles[i].value
-        if levels and levels[-1][0] - v <= SIGMA_CLUSTER_RTOL * max(1.0, abs(v)):
+        if levels and _tied(v, levels[-1][0]):
             levels[-1][1].append(i)
         else:
             levels.append((v, [i]))
@@ -114,7 +122,8 @@ def run_labeling(g: GridSampling, minima, saddles) -> LabelingResult:
     entries.  Records classified non-separating are skipped with a
     warning; every minimum must be reached by some level, and each saddle's
     two sides (`ComponentMap.sides`) must be distinct components at its
-    level.
+    level.  The result keeps those sides and, per minimum, the minima of
+    its component tied with it.
     """
     minima = list(minima)
     for m in minima:
@@ -136,29 +145,28 @@ def run_labeling(g: GridSampling, minima, saddles) -> LabelingResult:
     # fictive top level: the whole space labels the global minimum
     order = np.lexsort((np.arange(len(minima)), fvals))
     g0 = int(order[0])
-    if len(minima) > 1:
-        f1 = fvals[order[1]]
-        if abs(f1 - fvals[g0]) <= SIGMA_CLUSTER_RTOL * max(1.0, abs(f1)):
-            warnings.append(
-                "global minimum value tied between "
-                f"{minima[g0].name} and {minima[int(order[1])].name}; "
-                "declaration order used")
+    tied = tuple(m.name for k, m in enumerate(minima)
+                 if k != g0 and _tied(fvals[g0], fvals[k]))
+    if tied:
+        warnings.append(
+            "global minimum value tied between "
+            f"{minima[g0].name} and {minima[int(order[1])].name}; "
+            "declaration order used")
     labels = {minima[g0].name: MinimumLabel(
         name=minima[g0].name, value=float(fvals[g0]), sigma=np.inf,
-        depth=np.inf, saddles=(FICTIVE_SADDLE,), level=0, component=0)}
+        depth=np.inf, saddles=(FICTIVE_SADDLE,), level=0, component=0,
+        tied=tied)}
 
-    levels = _cluster_levels(active)
-    level_names = [(np.inf, [FICTIVE_SADDLE])]
     level_maps = [None]
-    for li, (sigma, idx) in enumerate(levels, start=1):
+    sides = {}
+    for li, (sigma, idx) in enumerate(_cluster_levels(active), start=1):
         cmap = components(g, probe_level(g, sigma))
         level_maps.append(cmap)
-        level_names.append((float(sigma), [active[i].name for i in idx]))
         min_lab = cmap.label_at(g, reps)
         occupied = {int(v) for v in min_lab if v >= 0}
         labeled_components = {int(min_lab[k]) for k, m in enumerate(minima)
                               if m.name in labels and min_lab[k] >= 0}
-        sides = {}
+        names = [active[i].name for i in idx]
         for i in idx:
             rec = active[i]
             a, b = sides[rec.name] = cmap.sides(g, rec.manifold, rec.frame,
@@ -175,16 +183,14 @@ def run_labeling(g: GridSampling, minima, saddles) -> LabelingResult:
                 "containing an unlabeled minimum; classification inconsistent")
         for comp in new_components:
             inside = [k for k in range(len(minima)) if int(min_lab[k]) == comp]
-            vals = fvals[inside]
-            best = inside[int(np.lexsort((inside, vals))[0])]
-            if len(inside) > 1:
-                v2 = np.sort(vals)
-                if abs(v2[1] - v2[0]) <= SIGMA_CLUSTER_RTOL * max(1.0, abs(v2[0])):
-                    warnings.append(
-                        f"tied minimum values inside component {comp} at "
-                        f"level {sigma:.9g}; declaration order used")
-            j = tuple(name for name, (a, b) in sides.items()
-                      if comp in (a, b))
+            best = inside[int(np.lexsort((inside, fvals[inside]))[0])]
+            tied = tuple(minima[k].name for k in inside
+                         if k != best and _tied(fvals[best], fvals[k]))
+            if tied:
+                warnings.append(
+                    f"tied minimum values inside component {comp} at "
+                    f"level {sigma:.9g}; declaration order used")
+            j = tuple(name for name in names if comp in sides[name])
             if not j:
                 raise LabelingError(
                     f"minimum {minima[best].name} becomes its own component "
@@ -193,10 +199,10 @@ def run_labeling(g: GridSampling, minima, saddles) -> LabelingResult:
             labels[minima[best].name] = MinimumLabel(
                 name=minima[best].name, value=float(fvals[best]),
                 sigma=float(sigma), depth=float(sigma - fvals[best]),
-                saddles=j, level=li, component=comp)
+                saddles=j, level=li, component=comp, tied=tied)
         # every saddle side must border a component that holds some minimum
-        for name, (a, b) in sides.items():
-            for side in (a, b):
+        for name in names:
+            for side in sides[name]:
                 if side not in occupied:
                     raise LabelingError(
                         f"saddle {name} borders a component at level "
@@ -209,7 +215,7 @@ def run_labeling(g: GridSampling, minima, saddles) -> LabelingResult:
             "minima never labeled: " + ", ".join(missing) +
             " (a separating saddle declaration is likely missing)")
     return LabelingResult(minima=labels, global_min=minima[g0].name,
-                          levels=level_names, level_maps=level_maps,
+                          level_maps=level_maps, sides=sides,
                           warnings=warnings)
 
 
@@ -223,31 +229,11 @@ class GenericityReport:
         return "\n".join([status] + [f"  - {m}" for m in self.messages])
 
 
-def check_generic(g: GridSampling, result: LabelingResult,
-                  minima) -> GenericityReport:
-    """Uniqueness of the deepest minimum per component and disjointness of
-    the saddle sets j(m).  Values equal up to SIGMA_CLUSTER_RTOL count as
-    the same."""
-    messages = []
-    reps = np.array([m.nodes[0] for m in minima])
-    names = [m.name for m in minima]
-    fvals = np.array([m.value for m in minima])
-
-    for L in result.minima.values():
-        if L.level == 0:
-            others = [k for k in range(len(minima)) if names[k] != L.name]
-        else:
-            cmap = result.level_maps[L.level]
-            lab = cmap.label_at(g, reps)
-            others = [k for k in range(len(minima))
-                      if names[k] != L.name and int(lab[k]) == L.component]
-        offenders = [names[k] for k in others
-                     if fvals[k] - L.value
-                     <= SIGMA_CLUSTER_RTOL * max(1.0, abs(L.value))]
-        if offenders:
-            messages.append(
-                f"component E({L.name}) contains minima at the same value: "
-                + ", ".join(offenders))
+def check_generic(result: LabelingResult) -> GenericityReport:
+    """Uniqueness of the deepest minimum per component (the labeling's
+    `tied` minima) and disjointness of the saddle sets j(m)."""
+    messages = [f"component E({L.name}) contains minima at the same value: "
+                + ", ".join(L.tied) for L in result.minima.values() if L.tied]
 
     seen = {}
     for L in result.minima.values():

@@ -204,13 +204,14 @@ def plateau_feasible_tau(rec: SaddleRecord):
     return 0.5 * np.sqrt(2.0 * mu_min) * rec.radius
 
 
-def build_gluing(rec: SaddleRecord, minimum_component, g: GridSampling,
-                 h) -> SaddleGluing:
+def build_gluing(rec: SaddleRecord, sides, minimum_component,
+                 g: GridSampling, h) -> SaddleGluing:
     """Oriented gluing profile for one (saddle, minimum) pair, of width
     `rec.tau` (a third of the plateau-feasible maximum when None).
 
-    `minimum_component` is the global component id of E(m) at the saddle's
-    level; the classification's sides (`b_plus`, `b_minus`) fix the sign
+    `minimum_component` is the component id of E(m) at the saddle's level,
+    and `sides` the saddle's (plus, minus) ids in the same level map, as
+    the labeling records them (`LabelingResult.sides`); they fix the sign
     of ell0 so that it is positive toward the minimum.
     """
     tau_max = plateau_feasible_tau(rec)
@@ -218,16 +219,13 @@ def build_gluing(rec: SaddleRecord, minimum_component, g: GridSampling,
     if tau > tau_max:
         raise ValueError(f"tau = {tau:.4g} exceeds the plateau-feasible "
                          f"maximum {tau_max:.4g} for saddle {rec.name}")
-    cls = rec.classification
-    if cls is None or cls.b_plus is None:
-        raise ValueError(f"saddle {rec.name} lacks side classification")
-    if minimum_component not in (cls.b_plus, cls.b_minus):
+    if minimum_component not in sides:
         raise ValueError(
             f"saddle {rec.name} does not border component "
             f"{minimum_component}")
     pts = g.points()
     ell0 = _signed_quadratic_ell0(rec, pts)
-    if minimum_component != cls.b_plus:
+    if minimum_component != sides[0]:
         ell0 = -ell0
     s_grid = np.linspace(0.0, 2.0 * tau, 4097)
     integrand = zeta(s_grid / tau) * np.exp(-s_grid**2 / (2.0 * h))
@@ -310,7 +308,8 @@ def quasimode_bundle(minima, L: LabelingResult, records, g: GridSampling, h):
     psis = []
     for m in minima:
         lab = L.minima[m.name]
-        gluings = {s: build_gluing(by_name[s], lab.component, g, h)
+        gluings = {s: build_gluing(by_name[s], L.sides[s], lab.component,
+                                   g, h)
                    for s in lab.saddles if s != FICTIVE_SADDLE}
         psis.append(build_psi(m, L, gluings, g, h, minima))
     return psis

@@ -55,6 +55,12 @@ _FACTOR_CELL_BYTES = 161
 # at 2^18 cells (131 072 factored) and 617-628 at 2^20 (524 288 factored),
 # for x^4/4 - x^2/2 + x/10 at h = 0.2 and k = 5
 _FACTOR_CELL_BYTES_1D = 630
+# the same per (factored cells)^{4/3} on a 3D grid, which factors every
+# cell, for (x1^2 + x2^2 + x3^2)/2 on [-3, 3]^3 at h = 0.5 and k = 5: 571
+# at 24^3 (13 824 cells, L+U 4.06 M) and 462 at 32^3 (32 768 cells, L+U
+# 15.73 M); 513, 526 and 454 at 16^3, 20^3 and 28^3.  The larger, rounded
+# up, so no measured growth exceeds its projection
+_FACTOR_CELL_BYTES_3D = 580
 
 
 class GridResolutionError(ValueError):
@@ -363,9 +369,9 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
 
     Memory.  The first factorization of a 2D grid is projected to grow
     the process by `_FACTOR_CELL_BYTES` n ln n bytes for its n factored
-    cells, and that of a 1D grid by `_FACTOR_CELL_BYTES_1D` n bytes; a
-    projection above physical memory raises
-    ValueError before anything is built (a 3D grid is not projected).
+    cells, that of a 1D grid by `_FACTOR_CELL_BYTES_1D` n bytes and that
+    of a 3D grid by `_FACTOR_CELL_BYTES_3D` n^{4/3} bytes; a projection
+    above physical memory raises ValueError before anything is built.
     Freed heap is handed back to the OS, where the C library has glibc's
     malloc_trim, at three phase boundaries: before the factorization,
     before the Lanczos phase and before the residual check builds G
@@ -392,18 +398,17 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
         raise ValueError(f"the ordering must permute all {n} cells")
     first = _eliminated_cells(op.grid.shape)
     m = np.count_nonzero(first)
-    if ordering is None and m:
-        # the first factor of a 1D or 2D grid; later ones reuse its
-        # ordering, and a 3D factor is not covered
-        need = (_FACTOR_CELL_BYTES_1D * (n - m) if op.grid.dim == 1
-                else _FACTOR_CELL_BYTES * (n - m) * math.log(n - m))
-        have = sublevel._physical_memory()
-        if have is not None and need > have:
-            raise ValueError(
-                f"the shift-invert factor of {n - m} cells needs about "
-                f"{need:.3g} bytes, more than the {have:.3g} bytes of "
-                f"physical memory; lower the resolution (`resolution`, or "
-                f"`--grid` on the command line)")
+    if ordering is None:
+        # the first factor; later ones reuse its ordering
+        factored = n - m
+        if op.grid.dim == 1:
+            need = _FACTOR_CELL_BYTES_1D * factored
+        elif op.grid.dim == 2:
+            need = _FACTOR_CELL_BYTES * factored * math.log(factored)
+        else:
+            need = _FACTOR_CELL_BYTES_3D * factored ** (4 / 3)
+        sublevel._refuse_beyond_memory(
+            f"the shift-invert factor of {factored} cells", need)
     G = op.gram()
     # max absolute row sum, a bound on the 2-norm
     norm = float(np.max(np.abs(G).sum(axis=1)))

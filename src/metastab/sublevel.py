@@ -136,14 +136,9 @@ class Grid:
                 f"has dimension {d}; give one entry, or one per dimension")
         if any(s < 2 for s in shape):
             raise ValueError("resolutions must be >= 2")
-        need = _CELL_BYTES * math.prod(shape)
-        have = _physical_memory()
-        if have is not None and need > have:
-            raise ValueError(
-                f"grid of shape {shape} needs about {need:.3g} bytes "
-                f"({_CELL_BYTES} per cell), more than the {have:.3g} bytes "
-                f"of physical memory; lower the resolution (`resolution`, "
-                f"or `--grid` on the command line)")
+        _refuse_beyond_memory(f"grid of shape {shape}",
+                              _CELL_BYTES * math.prod(shape),
+                              f" ({_CELL_BYTES} per cell)")
         self.shape = shape
 
     @property
@@ -203,10 +198,10 @@ class Grid:
     def lookup(self, array, points, outside):
         """`array`, shaped like the grid, read at the cells holding
         `points`; `outside` for points out of the box."""
-        idx = self.index_of(points)
-        ok = np.all(idx >= 0, axis=1)
-        out = np.full(idx.shape[0], outside, dtype=array.dtype)
-        out[ok] = array[tuple(idx[ok].T)]
+        flat = self.flat_index(points)
+        ok = flat >= 0
+        out = np.full(flat.shape, outside, dtype=array.dtype)
+        out[ok] = array.reshape(-1)[flat[ok]]
         return out
 
 
@@ -284,6 +279,17 @@ def _physical_memory():
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _refuse_beyond_memory(subject, need, detail=""):
+    """Raise ValueError when the `need` bytes of `subject` exceed physical
+    memory; `detail` follows the byte count in the message."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"{subject} needs about {need:.3g} bytes{detail}, more than the "
+            f"{have:.3g} bytes of physical memory; lower the resolution "
+            f"(`resolution`, or `--grid` on the command line)")
 
 
 def sample_grid(p: Potential, box, shape=None) -> GridSampling:
@@ -729,8 +735,6 @@ class SeparatingClassification:
     status: str               # "not_locally_separating" |
                               # "locally_separating_not_separating" |
                               # "separating"
-    b_plus: int | None = None   # global component ids in X_sigma
-    b_minus: int | None = None
 
     @property
     def separating(self):
@@ -743,7 +747,9 @@ def classify_separating(p: Potential, M: CriticalManifold,
     """Full Def-style classification of an index-1 manifold.
 
     Locally separating iff the tube splits in two; separating iff the two
-    local sides extend to distinct global components of {f < f(M)}.
+    local sides extend to distinct global components of {f < f(M)}.  Only
+    the status is kept: the labeling (`run_labeling`) records the sides'
+    component ids in the map of the saddle's level.
     """
     n_local = local_structure(p, M, frame, radius,
                               resolution=resolution).n_components
@@ -753,6 +759,7 @@ def classify_separating(p: Potential, M: CriticalManifold,
         raise ValueError("two local components but no direction frame; "
                          "cannot match sides to global components")
     cmap = components(g, probe_level(g, M.value))
-    bp, bm = cmap.sides(g, M, frame, radius)
-    status = "separating" if bp != bm else "locally_separating_not_separating"
-    return SeparatingClassification(status=status, b_plus=bp, b_minus=bm)
+    plus, minus = cmap.sides(g, M, frame, radius)
+    return SeparatingClassification(
+        status="separating" if plus != minus
+        else "locally_separating_not_separating")

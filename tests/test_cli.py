@@ -500,8 +500,10 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_skips_scipy_spatial():
-    # about 0.1 s at start-up; only a saddle with more than one node, or
-    # the Agmon distance, needs it
+    # about 0.1 s at start-up; only a saddle with more than one node, a
+    # node distance over more than 2^16 node pairs (`node_distance`, read
+    # by the default saddle radius and the quasimode cutoff) or the Agmon
+    # distance needs it
     assert modules_after("import metastab.cli", "scipy.spatial") == "[]"
 
 

@@ -1,7 +1,8 @@
 """The package's export lists name only what exists, its functions read
 every parameter they take, only its front end touches file formats, two
 constructors build every manifold, no dense eigensolver reads the small
-spectrum, and one function labels components."""
+spectrum, one function labels components, and only the labeling asks a
+component map for a saddle's sides outside `sublevel`."""
 
 import ast
 import importlib
@@ -156,3 +157,11 @@ def test_one_labeller():
                         and getattr(node.func, "attr", None) == "label"
                         and getattr(node.func.value, "id", None) == "ndimage"]
     assert callers == ["sublevel._label"]
+
+
+def test_saddle_sides_owned_by_the_labeling():
+    # `sublevel` decides a saddle's sides, and the labeling records them
+    # (`LabelingResult.sides`) for every later reader; a `.sides(` call
+    # anywhere else would decide them again, in a map of its own
+    modules = {caller.split(".")[0] for caller in callers_of("sides")}
+    assert modules <= {"sublevel", "labeling"}, callers_of("sides")

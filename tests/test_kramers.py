@@ -138,7 +138,7 @@ def hand_labeling(name, value, sigma, saddles):
                        depth=sigma - value, saddles=saddles, level=1,
                        component=0)
     return LabelingResult(minima={name: lab}, global_min="elsewhere",
-                          levels=[], level_maps=[])
+                          level_maps=[], sides={})
 
 
 def blow_up_pair():

@@ -163,17 +163,16 @@ def test_three_minima_equal_saddles_cluster(three_minima):
     lab = three_minima.labeling
     assert lab.global_min == "center"
     # both saddles share one level; each outer minimum pairs with its own
-    assert len(lab.levels) == 2
+    assert len(lab.level_maps) == 2
     assert lab.minima["outer_left"].saddles == ("saddle_left",)
     assert lab.minima["outer_right"].saddles == ("saddle_right",)
     assert lab.minima["outer_left"].level == lab.minima["outer_right"].level
 
 
 def test_genericity_holds_on_fixtures(tilted, three_minima):
-    rep = check_generic(tilted.g, tilted.labeling, tilted.minima)
+    rep = check_generic(tilted.labeling)
     assert rep.ok, rep.summary()
-    rep = check_generic(three_minima.g, three_minima.labeling,
-                        three_minima.minima)
+    rep = check_generic(three_minima.labeling)
     assert rep.ok, rep.summary()
 
 
@@ -224,5 +223,26 @@ def test_equal_depth_minima_flagged():
     rec = make_record(p, top, radius=0.5, g=g)
     result = run_labeling(g, mins, [rec])
     assert result.warnings    # global-minimum tie broken by declaration order
-    rep = check_generic(g, result, mins)
+    rep = check_generic(result)
     assert not rep.ok
+    assert rep.messages == [
+        "component E(a) contains minima at the same value: b"]
+
+
+def test_shared_saddle_flagged():
+    # minima at -2, 0 and 2, the outer two at one value, and saddles at +-1
+    # at one level: the center's j(m) holds both saddles, the right's one
+    p = parse_potential("x1^6/6 - 5*x1^4/4 + 2*x1^2", 1)
+    g = sample_grid(p, [[-3.0, 3.0]])
+    mins = [manifold_point([x], name=name)
+            for x, name in ((-2.0, "left"), (0.0, "center"), (2.0, "right"))]
+    saddles = [manifold_point([x], name=name)
+               for x, name in ((-1.0, "s_left"), (1.0, "s_right"))]
+    for M in mins + saddles:
+        verify_critical(p, M)
+    records = [make_record(p, M, radius=0.5, g=g) for M in saddles]
+    result = run_labeling(g, mins, records)
+    rep = check_generic(result)
+    assert rep.messages == [
+        "component E(left) contains minima at the same value: right",
+        "saddle s_right appears in both j(center) and j(right)"]

@@ -51,7 +51,8 @@ def test_plateau_feasible_tau(tilted):
 def test_gluing_normalization_and_profile(tilted):
     lab = tilted.labeling.minima["right"]
     h = 0.01
-    glu = build_gluing(tilted.record, lab.component, tilted.g, h)
+    glu = build_gluing(tilted.record, tilted.labeling.sides["saddle"],
+                       lab.component, tilted.g, h)
     # tau >> sqrt(h): the cutoff costs only e^{-tau^2/2h}
     assert glu.C == pytest.approx(math.sqrt(math.pi * h / 2.0), rel=1e-3)
     v = glu.v()
@@ -71,9 +72,24 @@ def test_gluing_validation(tilted):
     tau_max = plateau_feasible_tau(tilted.record)
     wide = dataclasses.replace(tilted.record, tau=1.01 * tau_max)
     with pytest.raises(ValueError, match="plateau"):
-        build_gluing(wide, lab.component, tilted.g, 0.1)
+        build_gluing(wide, tilted.labeling.sides["saddle"], lab.component,
+                     tilted.g, 0.1)
     with pytest.raises(ValueError, match="border"):
-        build_gluing(tilted.record, 999, tilted.g, 0.1)
+        build_gluing(tilted.record, tilted.labeling.sides["saddle"], 999,
+                     tilted.g, 0.1)
+
+
+def test_outer_gluings_point_to_their_minimum(three_minima):
+    # two saddles at one level: each outer minimum's gluing is +1 at that
+    # minimum and -1 at the center
+    t = three_minima
+    x = t.g.axes[0]
+    for rec, m in zip(t.records, (t.m_left, t.m_right)):
+        lab = t.labeling.minima[m.name]
+        v = build_gluing(rec, t.labeling.sides[rec.name], lab.component,
+                         t.g, 0.1).v()
+        assert v[np.argmin(np.abs(x - m.nodes[0, 0]))] == 1.0
+        assert v[np.argmin(np.abs(x))] == -1.0
 
 
 def nearest_node_ell0(rec, pts):
@@ -137,7 +153,8 @@ def test_global_minimum_is_pure_gibbs(tilted):
 
 def test_misoriented_gluing_leaks(tilted):
     lab = tilted.labeling.minima["right"]
-    glu = build_gluing(tilted.record, lab.component, tilted.g, 0.1)
+    glu = build_gluing(tilted.record, tilted.labeling.sides["saddle"],
+                       lab.component, tilted.g, 0.1)
     glu = dataclasses.replace(glu, ell0=-glu.ell0)
     with pytest.raises(ValueError, match="leak"):
         build_psi(tilted.m_right, tilted.labeling,
@@ -152,7 +169,8 @@ def test_missing_gluing_rejected(tilted):
 
 def quasimode(t, h):
     lab = t.labeling.minima["right"]
-    glu = build_gluing(t.record, lab.component, t.g, h)
+    glu = build_gluing(t.record, t.labeling.sides["saddle"], lab.component,
+                       t.g, h)
     return build_psi(t.m_right, t.labeling, {"saddle": glu}, t.g, h,
                      other_minima=t.minima)
 
@@ -183,7 +201,8 @@ def test_rayleigh_grid_mismatch(tilted):
 
 def interaction_setup(t, h=0.1, k=2):
     lab = t.labeling.minima["right"]
-    glu = build_gluing(t.record, lab.component, t.g, h)
+    glu = build_gluing(t.record, t.labeling.sides["saddle"], lab.component,
+                       t.g, h)
     psis = [build_psi(m, t.labeling, {"saddle": glu}, t.g, h,
                       other_minima=t.minima) for m in t.minima]
     W = assemble_witten(t.p, t.box, t.g.shape, h)

@@ -463,6 +463,28 @@ def test_first_1d_factor_projected_per_cell(monkeypatch):
         smallest_eigs(W, 3)
 
 
+def test_first_3d_factor_projected_before_any_factor(monkeypatch):
+    # a 3D grid factors every cell, its fill growing like n^{4/3}: the
+    # 1728 cells of 12^3 are projected at 580 B per cell^{4/3}, 12.0 MB,
+    # and refused before SuperLU sees them
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # coarse 3D grid
+        W = assemble_witten(parse_potential("(x1^2 + x2^2 + x3^2)/2", 3),
+                            [[-3.0, 3.0]] * 3, 12, 0.5)
+    factored = []
+    real = spectral.splu
+    monkeypatch.setattr(spectral, "splu", lambda matrix, **kwargs: (
+        factored.append(matrix.shape[0]) or real(matrix, **kwargs)))
+    monkeypatch.setattr(sublevel, "_physical_memory", lambda: 12_000_000)
+    with pytest.raises(ValueError, match="factor of 1728 cells needs about "
+                       r"1\.2e\+07 bytes"):
+        smallest_eigs(W, 3)
+    assert factored == []
+    monkeypatch.setattr(sublevel, "_physical_memory", lambda: 13_000_000)
+    assert smallest_eigs(W, 3).values.size == 3
+    assert factored == [1728]
+
+
 def recorded(name, function, calls):
     def wrapper(*args, **kwargs):
         calls.append(name)

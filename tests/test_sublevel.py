@@ -114,7 +114,6 @@ def test_classify_lower_saddle_separating():
     frame = negative_direction_field(p, s_low)
     cls = classify_separating(p, s_low, frame, g, radius=0.25)
     assert cls.status == "separating"
-    assert cls.b_plus != cls.b_minus
 
 
 def test_classify_higher_saddle_locally_separating_only():
@@ -122,7 +121,6 @@ def test_classify_higher_saddle_locally_separating_only():
     frame = negative_direction_field(p, s_high)
     cls = classify_separating(p, s_high, frame, g, radius=0.25)
     assert cls.status == "locally_separating_not_separating"
-    assert cls.b_plus == cls.b_minus
     assert not cls.separating
 
 
