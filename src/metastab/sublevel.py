@@ -16,32 +16,34 @@ the tube is held as the merged runs.  That costs about (number of nodes)
 x (rows per node box), and never forms a full-grid coordinate or
 distance array; f is then evaluated on the tube cells only.
 
-Grid passes that need temporaries (sampling, `probe_level`, labelling)
-stream over slabs of consecutive axis-0 planes: at most 2**18 cells per
-slab for sampling, 2**15 for `probe_level` and 2**19 for labelling a
-tube (or one plane, if a plane is larger).  Each reads the grid through
-`slab(start, stop)`, f on those planes.  Their scratch memory is
-therefore bounded by the slab, not the grid, and results do not depend on
-the slab size: sampling and `probe_level` do the same arithmetic cell for
-cell, and the labeller (`_label`) merges the ids that meet across slab
-faces and numbers the components as one `ndimage.label` call on the whole
-grid would.  `probe_level`'s slab is small enough that its few
+Grid passes that need temporaries stream over the grid in pieces.
+Sampling and `probe_level` read slabs of consecutive axis-0 planes, at
+most 2**18 cells per slab for sampling and 2**15 for `probe_level` (or
+one plane, if a plane is larger), through `slab(start, stop)`, f on
+those planes.  The labeller (`_label`) reads the flat values of f, at
+most 2**19 at a time, as runs of cells below the level along the last
+axis, and joins the runs that overlap across a lower axis.  Their
+scratch memory is therefore bounded by the slab or the chunk and the
+runs, not the grid, and results do not depend on the slab or chunk size:
+sampling and `probe_level` do the same arithmetic cell for cell, and the
+labeller numbers the components as one `ndimage.label` call on the
+whole grid would.  `probe_level`'s slab is small enough that its few
 temporaries stay in a core's cache; it converts each plane once, and
 reduces its band of level-crossing cells axis by axis, without a per-cell
-maximum over the axes.  Beyond the slabs, `components` on a full grid
-holds the float64 values, the boolean sublevel set and one int32 label
-grid: about 13 bytes per cell.  A grid shape whose cells would need more
-than the machine's physical memory at that rate is refused before
-anything is allocated.
+maximum over the axes.  A component map holds the runs of the sublevel
+set and a component id per run (20 bytes per run); its int32 label grid
+is built only when read, by the readers of whole full-grid components
+(`sde`, `quasimodes`).  `components` on a full grid is budgeted at about
+13 bytes per cell (`_CELL_BYTES`: the float64 values, the label grid and
+a byte for the runs), and a grid shape whose cells would need more than
+the machine's physical memory at that rate is refused before anything
+is allocated.
 A tube grid (`TubeSampling`) keeps f on the tube cells only: its flat
 runs, 16 bytes per run, and the float64 values of the tube cells, 8
-bytes per tube cell.  Every pass over it (sampling, `probe_level`,
-labelling) expands only the planes of its own slab from the runs, so no
-tube grid ever holds a byte per cell.  `local_structure` labels its
-sublevel set slab by slab, +inf off the tube, keeping only the component
-count and the labels of the cells under the side points: a tube grid
-never holds a label grid either.  It lives only while `local_structure`
-runs.
+bytes per tube cell.  Sampling and `probe_level` expand only the planes
+of their own slab from the runs, and the labeller reads the tube's runs
+and values as they are, so no tube grid ever holds a byte or a label per
+cell.  It lives only while `local_structure` runs.
 
 `ComponentMap.sides` is the one rule that matches the two sides of an
 index-1 manifold to components: `local_structure`, `classify_separating`
@@ -56,7 +58,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .manifolds import CriticalManifold, SaddleFrame
 from .potential import Potential
@@ -92,19 +93,21 @@ LEVEL_EPS_REL = 1e-6
 
 DEFAULT_RESOLUTION = {1: 4096, 2: 1024, 3: 160}
 
-# cells per axis-0 slab of the streamed grid passes; a `probe_level` slab
-# of float64 is 256 KiB, so its temporaries fit in cache.  Labelling
-# slabs of 2**18, 2**19 and 2**20 cells all label the twisted 320^3 tube
-# in 0.24-0.25 s; 2**19 (4 MiB of float64 f) holds half the scratch of
-# 2**20, which set `tube_3d`'s peak
+# cells per axis-0 slab of sampling and `probe_level`, and values per
+# chunk of the labeller; a `probe_level` slab of float64 is 256 KiB, so
+# its temporaries fit in cache.  Chunks of 2**16 to 2**21 values all label
+# the twisted 320^3 tube (10.9 M tube cells, 58 836 runs below its level)
+# in 0.028-0.031 s, with the same 12.2 MB traced peak: the runs, not the
+# chunk, set it
 _SAMPLE_SLAB = 1 << 18
 _PROBE_SLAB = 1 << 15
 _LABEL_SLAB = 1 << 19
 # padded window rows per batch of nodes in the tube-mask run search
 _RUN_BATCH = 1 << 18
-# bytes per cell of `components` on a full grid: float64 values, the bool
-# sublevel set and its int32 labels (a tube grid holds 16 B per run plus
-# 8 per tube cell; it never holds a label grid)
+# bytes per cell of `components` on a full grid: float64 values, its
+# int32 labels and a byte for the runs of its sublevel set (20 B per run;
+# a smooth f has a few runs per row).  A tube grid holds 16 B per run
+# plus 8 per tube cell, and never a label grid
 _CELL_BYTES = 8 + 1 + 4
 
 
@@ -214,6 +217,12 @@ class GridSampling(Grid):
     # the benchmark tracer reads it from `sample_grid`'s results
     mask = None
 
+    @property
+    def runs(self):
+        """Its cells as flat C-order runs [first, last): the one run
+        [0, N)."""
+        return np.zeros(1, dtype=np.int64), np.array([self.values.size])
+
     def slab(self, start, stop):
         """f on the axis-0 planes start..stop-1: a view of the values."""
         return self.values[start:stop]
@@ -244,6 +253,11 @@ class TubeSampling(Grid):
         covered = np.concatenate([[0], np.cumsum(self.last - self.first)])
         beyond = np.concatenate([[0], self.last])[k] - edges
         self.offsets = covered[k] - np.maximum(beyond, 0)
+
+    @property
+    def runs(self):
+        """Its cells as flat C-order runs [first, last)."""
+        return self.first, self.last
 
     def cells(self, start, stop):
         """The tube cells of the axis-0 planes start..stop-1, as bools."""
@@ -326,25 +340,41 @@ def _sample_slabs(p: Potential, grid: Grid, cells=None):
 
 @dataclass
 class ComponentMap:
-    """Face-adjacent component labels of {f < sigma}; label -1 = excluded.
-
-    `labels` is the whole label grid, or None for a map labelled for a few
-    cells only (`_label`'s `keep`): `kept` then maps each of those cells'
-    flat C-order index to its label, and only points in them are read.
+    """Face-adjacent components of {f < sigma} on a grid of shape `shape`,
+    held as runs: the cells below sigma are the flat C-order runs
+    [first, last), each within one row along the last axis, and run i lies
+    in component `component[i]`, 0..count-1.
     """
 
     sigma: float
-    labels: np.ndarray | None  # int32, -1 excluded, 0..count-1 otherwise
+    shape: tuple
+    first: np.ndarray          # int64 run starts, increasing
+    last: np.ndarray           # int64 run ends
+    component: np.ndarray      # int32, one per run
     count: int
-    kept: dict | None = None
+
+    @cached_property
+    def labels(self):
+        """The int32 label grid, -1 excluded: built on first read, for the
+        readers of a whole full-grid component (`sde`, `quasimodes`)."""
+        # in flat order the gaps alternate with the runs
+        ends = np.stack([self.first, self.last], axis=1).ravel()
+        lengths = np.diff(ends, prepend=0, append=math.prod(self.shape))
+        ids = np.full((self.component.size, 2), -1, dtype=np.int32)
+        ids[:, 1] = self.component
+        return np.repeat(np.append(ids, np.int32(-1)),
+                         lengths).reshape(self.shape)
 
     def label_at(self, grid: Grid, points):
         """Component label at given points; -1 if excluded or out of box."""
-        if self.labels is not None:
-            return grid.lookup(self.labels, points, -1)
-        return np.array([self.kept[c] if c >= 0 else -1
-                         for c in grid.flat_index(points).tolist()],
-                        dtype=np.int32)
+        flat = grid.flat_index(points)
+        # the last run starting at or before each cell; index -1 reads the
+        # padding, an empty run [.., 0) of label -1, for a cell before every
+        # run and for an out-of-box point (flat index -1)
+        i = np.searchsorted(self.first, flat, side="right") - 1
+        last = np.append(self.last, 0)
+        label = np.append(self.component, np.int32(-1))
+        return np.where(flat < last[i], label[i], np.int32(-1))
 
     def sides(self, grid: Grid, M: CriticalManifold, frame: SaddleFrame,
               radius):
@@ -356,7 +386,8 @@ class ComponentMap:
         two may be the same component; each caller decides what that means.
         """
         out = []
-        for sign, points in zip("+-", _side_points(M, frame, radius)):
+        offset = 0.5 * radius * frame.nu
+        for sign, points in zip("+-", (M.nodes + offset, M.nodes - offset)):
             lab = self.label_at(grid, points)
             lab = np.unique(lab[lab >= 0])
             if lab.size != 1:
@@ -368,89 +399,98 @@ class ComponentMap:
         return tuple(out)
 
 
-def _side_points(M: CriticalManifold, frame: SaddleFrame, radius):
-    """M.nodes + (radius/2) nu and M.nodes - (radius/2) nu: the points
-    `ComponentMap.sides` reads on the two sides of M."""
-    offset = 0.5 * radius * frame.nu
-    return M.nodes + offset, M.nodes - offset
-
-
 def components(g: GridSampling, sigma) -> ComponentMap:
     """Connected components of {cells: f < sigma} under face adjacency."""
     return _label(g, sigma)
 
 
-def _label(g: GridSampling | TubeSampling, sigma,
-           keep=None) -> ComponentMap:
+def _label(g: GridSampling | TubeSampling, sigma) -> ComponentMap:
     """The face-adjacent components of the cells of `g` with f below
-    sigma, `g.slab(start, stop) < sigma` (+inf off a tube is never
-    below), numbered 0, 1, ... by their first cell in C order, as
-    `ndimage.label` numbers them on the whole grid.
+    sigma (a tube's cells only: off the tube is never below), numbered
+    0, 1, ... by their first cell in C order, as `ndimage.label` numbers
+    them on the whole grid.
 
-    Without `keep`, one `ndimage.label` call labels the whole grid and the
-    map holds its int32 label grid.  With `keep`, flat C-order indices of
-    cells (-1 for none), no label grid outlives its slab: the map holds
-    the count and the labels of those cells only.  `g` is then read by
-    axis-0 slabs of at most `_LABEL_SLAB` = 2**19 cells (or one plane),
-    so a tube grid is never expanded whole.  Each slab is labelled on its
-    own, its provisional ids offset past the earlier slabs', and the id
-    pairs that meet across each slab face are merged (`_face_pairs`,
-    `_merge_ids`).
-    A component's first cell is the first cell of its smallest
-    provisional id, so its number is the rank of that id among the
-    groups' smallest ids.
+    The cells below sigma are read as runs along the last axis
+    (`_runs_below`); cells of one run are joined along that axis.  Along
+    each lower axis a, of stride s_a in flat order, the run [first, last)
+    meets the runs that overlap [first - s_a, last - s_a), those of the row
+    one step back along a, unless the run's row is the first along a.
+    Those runs form a block of the sorted runs, found by `searchsorted`,
+    and the joined pairs are merged (`_merge_ids`).  A component's first
+    cell is the first cell of its smallest run, so its number is the rank
+    of that run among the groups' smallest runs.
     """
-    structure = ndimage.generate_binary_structure(g.dim, 1)
-    plane = math.prod(g.shape[1:])
-    whole = keep is None        # then the whole grid is one slab
-    slabs = [(0, g.shape[0])] if whole else _slabs(g.shape, _LABEL_SLAB)
-    keep = np.asarray([] if whole else keep, dtype=np.int64)
-    kept = np.zeros(keep.shape, dtype=np.int64)     # provisional ids
-    n = 0                       # provisional ids so far
-    last = None                 # the previous slab's last plane of ids
-    pairs = []
-    for start, stop in slabs:
-        ids, count = ndimage.label(g.slab(start, stop) < sigma, structure)
-        if whole:               # its ids, 1..count, less one
-            ids -= 1
-            return ComponentMap(sigma=float(sigma), labels=ids, count=count)
-        if n:
-            np.add(ids, n, out=ids, where=ids > 0)
-        if last is not None:
-            pairs.append(_face_pairs(last, ids[:1]))
-        here = (keep >= start * plane) & (keep < stop * plane)
-        kept[here] = ids.reshape(-1)[keep[here] - start * plane]
-        last = ids[-1:].copy()
-        n += count
-    root = _merge_ids(n, pairs)
-    # a root is the smallest id of its group; -1 for id 0, outside
-    number = np.cumsum(root == np.arange(n + 1), dtype=np.int64) - 2
-    at = np.where(keep >= 0, number[root[kept]], -1)
-    return ComponentMap(sigma=float(sigma), labels=None,
-                        count=int(number[-1]) + 1,
-                        kept=dict(zip(keep.tolist(), at.tolist())))
+    first, last = _runs_below(g, sigma)
+    none = np.empty(0, dtype=np.int64)
+    run, other = [none], [none]
+    for axis in range(g.dim - 1):
+        stride = math.prod(g.shape[axis + 1:])
+        lo = np.searchsorted(last, first - stride, side="right")
+        hi = np.searchsorted(first, last - stride)
+        count = np.where(first // stride % g.shape[axis] > 0, hi - lo, 0)
+        owner, step = _spread(count)
+        run.append(owner)
+        other.append(lo[owner] + step)
+    root = _merge_ids(first.size, np.concatenate(run), np.concatenate(other))
+    smallest = root == np.arange(first.size)
+    number = np.cumsum(smallest, dtype=np.int32) - 1
+    return ComponentMap(sigma=float(sigma), shape=g.shape, first=first,
+                        last=last, component=number[root],
+                        count=int(np.count_nonzero(smallest)))
 
 
-def _face_pairs(before, after):
-    """The distinct pairs of ids (a, b), both inside, that meet across a
-    slab face: `before` is the plane before it, `after` the plane after,
-    as a single int64 key a * 2**32 + b each.  Runs of one pair along a
-    row are dropped before the sort."""
-    a, b = before.reshape(-1), after.reshape(-1)
-    both = (a > 0) & (b > 0)
-    a, b = a[both], b[both]
-    new = np.ones(a.size, dtype=bool)
-    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return np.unique((a[new].astype(np.int64) << 32) | b[new])
+def _runs_below(g: GridSampling | TubeSampling, sigma):
+    """The cells of `g` with f below sigma as disjoint flat C-order runs
+    [first, last) in increasing order, each within one row along the last
+    axis.
+
+    The values of f are read flat, one chunk of at most `_LABEL_SLAB`
+    values at a time, so the scratch is bounded by the chunk and the runs.
+    Their runs below sigma are joined across chunk ends, cut where one of
+    `g`'s runs of cells ends (a `GridSampling` is the single run [0, N)),
+    moved from value to cell positions and cut at row ends.
+    """
+    cells_first, cells_last = g.runs
+    values = g.values.reshape(-1)
+    none = np.empty(0, dtype=np.int64)
+    firsts, lasts = [none], [none]
+    for start in range(0, values.size, _LABEL_SLAB):
+        below = values[start:start + _LABEL_SLAB] < sigma
+        ends = np.flatnonzero(np.diff(below, prepend=False, append=False))
+        firsts.append(ends[::2] + start)
+        lasts.append(ends[1::2] + start)
+    first, last = _merge_runs(np.concatenate(firsts), np.concatenate(lasts))
+    # run k of g's cells starts at value position at[k]; a run below that
+    # a run of cells starts inside is cut there: the first run below that
+    # ends after the cut starts before it
+    length = cells_last - cells_first
+    at = np.cumsum(length) - length
+    cuts = at[1:]
+    i = np.searchsorted(last, cuts, side="right")
+    cuts = cuts[np.append(first, values.size)[i] < cuts]
+    first = np.sort(np.concatenate([first, cuts]))
+    last = np.sort(np.concatenate([last, cuts]))
+    shift = (cells_first - at)[np.searchsorted(at, first, side="right") - 1]
+    first, last = first + shift, last + shift
+    n = g.shape[-1]
+    owner, step = _spread((last - 1) // n - first // n + 1)
+    row = first[owner] // n + step
+    return (np.maximum(first[owner], row * n),
+            np.minimum(last[owner], (row + 1) * n))
 
 
-def _merge_ids(n, pairs):
-    """root[i], the smallest of the ids 0..n joined to id i by the keyed
-    pairs (`_face_pairs`), by hooking each pair's roots to the smaller one
-    and compressing the paths until every pair shares its root."""
-    root = np.arange(n + 1)
-    keys = np.concatenate(pairs) if pairs else np.empty(0, dtype=np.int64)
-    a, b = keys >> 32, keys & 0xFFFFFFFF
+def _spread(count):
+    """Item k of owner i for each i and k < count[i], owners in order: the
+    owners, and each item's k."""
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(owner.size) - (np.cumsum(count) - count)[owner]
+
+
+def _merge_ids(n, a, b):
+    """root[i], the smallest of the ids 0..n-1 joined to id i by the pairs
+    (a[k], b[k]), by hooking each pair's roots to the smaller one and
+    compressing the paths until every pair shares its root."""
+    root = np.arange(n)
     while a.size:
         ra, rb = root[a], root[b]
         low = np.minimum(ra, rb)
@@ -705,19 +745,15 @@ def local_structure(p: Potential, M: CriticalManifold,
 
     With a direction frame, two components must be the two sides of M
     (`ComponentMap.sides`), or `radius` does not suit M.  The tube grid
-    holds 16 bytes per run plus 8 per tube cell.  Its sublevel set is
-    labelled slab by slab, read through the tube's `slab`: the labeller
-    keeps only the component count and the labels of the cells under the
-    side points, so neither a byte nor a label per cell of the grid is
-    ever held.  The tube grid is freed on return.
+    holds 16 bytes per run plus 8 per tube cell, and its sublevel set is
+    labelled from the tube's runs and values (`_label`), so neither a byte
+    nor a label per cell of the grid is ever held.  The tube grid is freed
+    on return.
     """
     if M.value is None:
         raise ValueError("manifold value unknown; run verify_critical first")
     grid = _tube_grid(p, M, radius, resolution)
-    level = probe_level(grid, M.value)
-    keep = (np.empty(0, dtype=np.int64) if frame is None else
-            grid.flat_index(np.concatenate(_side_points(M, frame, radius))))
-    cmap = _label(grid, level, keep)
+    cmap = _label(grid, probe_level(grid, M.value))
     if cmap.count == 2 and frame is not None:
         plus, minus = cmap.sides(grid, M, frame, radius)
         if plus == minus:

@@ -508,11 +508,11 @@ def test_cli_import_skips_scipy_spatial():
 
 
 def test_tube_path_import_skips_scipy_sparse():
-    # the tube layer labels and merges with ndimage and numpy alone;
-    # scipy.sparse.csgraph would add about 11 MB of RSS and 0.05-0.09 s
-    # of import to every tube classification
+    # the tube layer labels and merges in numpy alone; scipy.ndimage
+    # would add about 25 MB of RSS and 0.2-0.4 s of import to every tube
+    # classification, and scipy.sparse.csgraph about 11 MB more
     assert modules_after("import metastab.manifolds, metastab.sublevel, "
-                         "metastab.potential", "scipy.sparse") == "[]"
+                         "metastab.potential", "scipy") == "[]"
 
 
 def test_artifacts_independent_of_blas_threads(tmp_path):

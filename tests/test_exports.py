@@ -138,10 +138,10 @@ def test_small_spectrum_only_through_the_factor(name):
 
 
 def test_one_labeller():
-    # `sublevel._label` labels slab by slab and keeps the labels a caller
-    # asks for; an `ndimage.label` call anywhere else would hold a label
-    # grid of the whole input
-    callers = []
+    # `sublevel._label` labels the runs of a tube or a full grid in numpy;
+    # an `ndimage.label` call anywhere would be a second labeller, holding
+    # a label grid of its whole input, and `sublevel` imports no
+    # scipy.ndimage, which every tube classification would load
     for name in MODULES:
         tree = ast.parse((pathlib.Path(metastab.__path__[0])
                           / f"{name}.py").read_text())
@@ -150,13 +150,19 @@ def test_one_labeller():
                     and (node.module or "").startswith("scipy.ndimage")
                     for alias in node.names]
         assert "label" not in imported, f"metastab.{name} imports label"
-        for stmt in tree.body:
-            callers += [f"{name}.{getattr(stmt, 'name', '<module>')}"
-                        for node in ast.walk(stmt)
-                        if isinstance(node, ast.Call)
-                        and getattr(node.func, "attr", None) == "label"
-                        and getattr(node.func.value, "id", None) == "ndimage"]
-    assert callers == ["sublevel._label"]
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "label"
+                 and getattr(node.func.value, "id", None) == "ndimage"]
+        assert not calls, f"metastab.{name} calls ndimage.label: {calls}"
+        if name == "sublevel":
+            modules = [f"{node.module}.{alias.name}"
+                       if isinstance(node, ast.ImportFrom) else alias.name
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       for alias in node.names]
+            assert not [m for m in modules
+                        if m.startswith("scipy.ndimage")], modules
 
 
 def test_saddle_sides_owned_by_the_labeling():

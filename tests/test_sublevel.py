@@ -18,7 +18,7 @@ from metastab.manifolds import (manifold_point, manifold_sphere,
                                 negative_direction_field, verify_critical)
 from metastab.potential import parse_potential
 from metastab.spectral import assemble_witten
-from metastab.sublevel import (ComponentMap, Grid, GridSampling,
+from metastab.sublevel import (Grid, GridSampling, TubeSampling,
                                classify_separating, components,
                                local_structure, probe_level, sample_grid)
 
@@ -285,6 +285,16 @@ def plane_offsets(mask):
     return np.concatenate([[0], np.cumsum(per_plane)])
 
 
+def cell_centres(grid, cells):
+    """The centres of the cells of flat C-order indices `cells`; a point
+    outside the box for -1."""
+    cells = np.asarray(cells)
+    index = np.unravel_index(np.maximum(cells, 0), grid.shape)
+    points = np.stack([ax[i] for ax, i in zip(grid.axes, index)], axis=-1)
+    points[cells < 0] = grid.box[:, 0] - 1.0
+    return points
+
+
 def densify(tube):
     """The tube grid as a full grid: its values on the tube cells, +inf on
     the others."""
@@ -413,7 +423,7 @@ def test_tube_mask_matches_box_stamping(dim, data):
 def test_tube_runs_read_as_byte_mask(shape, density, seed, planes):
     # a tube grid built from a random mask's runs: its offsets, and every
     # slab of cells and of f read from the runs, equal the byte mask's;
-    # labelled `planes` planes at a time, its sublevel set has the
+    # labelled `planes` planes' values at a time, its sublevel set has the
     # components of the byte mask's
     rng = np.random.default_rng(seed)
     mask = rng.random(shape) < density
@@ -437,12 +447,48 @@ def test_tube_runs_read_as_byte_mask(shape, density, seed, planes):
     keep = rng.integers(-1, mask.size, 10)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sublevel, "_LABEL_SLAB", planes * math.prod(shape[1:]))
-        kept = sublevel._label(tube, level, keep)
-    assert kept.labels is None and kept.count == count
-    assert [kept.kept[c] for c in keep.tolist()] == \
-        np.where(keep >= 0, want.ravel()[keep], -1).tolist()
-    whole = sublevel._label(tube, level)
-    assert np.array_equal(whole.labels, want) and whole.count == count
+        cmap = sublevel._label(tube, level)
+    assert cmap.count == count
+    assert np.array_equal(cmap.label_at(tube, cell_centres(tube, keep)),
+                          np.where(keep >= 0, want.ravel()[keep], -1))
+    assert np.array_equal(cmap.labels, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_labels_match_ndimage_on_random_tubes(dim, data):
+    # random tube runs, long enough to cross row ends and some repeated one
+    # plane on, so that they touch across it, with values of which a random
+    # share is below the level: labelled one to three planes' values at a
+    # time, every cell centre reads ndimage.label's label
+    extent = {1: 60, 2: 12, 3: 7}[dim]
+    shape = tuple(data.draw(st.lists(st.integers(2, extent), min_size=dim,
+                                     max_size=dim)))
+    plane = math.prod(shape[1:])
+    mask = np.zeros(math.prod(shape), dtype=bool)
+    for _ in range(data.draw(st.integers(0, 10))):
+        start = data.draw(st.integers(0, mask.size - 1))
+        stop = start + data.draw(st.integers(1, 2 * shape[-1]))
+        for copy in range(data.draw(st.integers(1, 2))):
+            mask[start + copy * plane:stop + copy * plane] = True
+    mask = mask.reshape(shape)
+    values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))
+                                   ).random(shape)
+    level = data.draw(st.floats(0.0, 1.5))
+    flat = np.concatenate([[False], mask.ravel(), [False]])
+    ends = np.flatnonzero(flat[1:] != flat[:-1])
+    tube = TubeSampling([[0.0, 1.0]] * dim, shape, ends[::2], ends[1::2],
+                        values[mask])
+    structure = ndimage.generate_binary_structure(dim, 1)
+    want, count = ndimage.label(mask & (values < level), structure)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sublevel, "_LABEL_SLAB",
+                      data.draw(st.integers(1, 3)) * plane)
+        cmap = sublevel._label(tube, level)
+    assert cmap.count == count
+    assert np.array_equal(cmap.label_at(tube, tube.points()),
+                          want.ravel() - 1)
 
 
 def test_masked_sampling_rejects_non_finite_values():
@@ -579,8 +625,9 @@ def test_local_structure_matches_components_on_tube_grid(expression, count):
 @pytest.mark.parametrize("planes", [1, 7])
 def test_local_structure_slab_labels_match_whole_grid(expression, count,
                                                       planes, monkeypatch):
-    # the default slab splits the 96^3 tube; labelled in those slabs, and a
-    # few planes at a time, it keeps the whole grid's count and sides
+    # labelled one or seven planes' values at a time, the 96^3 tube keeps
+    # the count and side labels that it has in one chunk, and
+    # ndimage.label's labels
     p = parse_potential(expression, 3)
     M = unit_circle(128)
     verify_critical(p, M)
@@ -590,17 +637,22 @@ def test_local_structure_slab_labels_match_whole_grid(expression, count,
     tube = sublevel._tube_grid(p, M, radius, resolution)
     grid = Grid(tube.box, tube.shape)
     level = probe_level(tube, M.value)
-    assert len(list(sublevel._slabs(tube.shape, sublevel._LABEL_SLAB))) > 1
+    assert tube.values.size <= sublevel._LABEL_SLAB
     whole = sublevel._label(tube, level)
+    structure = ndimage.generate_binary_structure(3, 1)
+    want, _ = ndimage.label(densify(tube).values < level, structure)
+    assert np.array_equal(whole.labels, want - 1)
     local = local_structure(p, M, frame, radius=radius, resolution=resolution)
     assert local.n_components == count
     monkeypatch.setattr(sublevel, "_LABEL_SLAB", planes * 96 * 96)
-    keep = ([] if frame is None else grid.flat_index(
-        np.concatenate(sublevel._side_points(M, frame, radius))))
-    slabbed = sublevel._label(tube, level, keep)
-    assert slabbed.labels is None
+    assert tube.values.size > sublevel._LABEL_SLAB
+    slabbed = sublevel._label(tube, level)
     assert slabbed.count == whole.count == count
     if frame is not None:
+        offset = 0.5 * radius * frame.nu
+        points = np.concatenate([M.nodes + offset, M.nodes - offset])
+        assert np.array_equal(slabbed.label_at(grid, points),
+                              whole.label_at(grid, points))
         sides = slabbed.sides(grid, M, frame, radius)
         assert sides == whole.sides(grid, M, frame, radius)
         assert sides[0] != sides[1]
@@ -608,7 +660,7 @@ def test_local_structure_slab_labels_match_whole_grid(expression, count,
 
 def test_tube_grid_labelled_without_a_label_grid(monkeypatch):
     # an int32 label grid of the 160^3 tube would take 4 B/cell; the
-    # labeller holds one 2**19-cell slab of ids at a time
+    # labeller holds one chunk's sublevel bits at a time, and the runs
     p = parse_potential(UNTWISTED, 3)
     M = unit_circle(256)
     verify_critical(p, M)
@@ -635,7 +687,7 @@ def mask_grid(mask):
 @pytest.mark.parametrize("dim,extent", [(1, 300), (2, 40), (3, 12)])
 def test_slab_labels_match_ndimage(dim, extent, monkeypatch):
     # random masks labelled one to three planes at a time: the whole
-    # label grid, and the labels kept for a few cells, are ndimage.label's
+    # label grid, and the labels at a few cells, are ndimage.label's
     rng = np.random.default_rng(dim)
     structure = ndimage.generate_binary_structure(dim, 1)
     for _ in range(100):
@@ -650,10 +702,8 @@ def test_slab_labels_match_ndimage(dim, extent, monkeypatch):
         assert np.array_equal(cmap.labels, want)
         assert cmap.count == count
         keep = rng.integers(-1, mask.size, 20)
-        kept = sublevel._label(g, 0.0, keep)
-        assert kept.labels is None and kept.count == count
-        assert [kept.kept[c] for c in keep.tolist()] == \
-            np.where(keep >= 0, want.ravel()[keep], -1).tolist()
+        assert np.array_equal(cmap.label_at(g, cell_centres(g, keep)),
+                              np.where(keep >= 0, want.ravel()[keep], -1))
 
 
 def test_slab_labels_u_joined_in_last_slab(monkeypatch):
@@ -666,12 +716,12 @@ def test_slab_labels_u_joined_in_last_slab(monkeypatch):
     want = np.where(mask, 0, -1)
     want[1:3, 2] = 1
     monkeypatch.setattr(sublevel, "_LABEL_SLAB", 5)
-    cmap = sublevel._label(mask_grid(mask), 0.0)
+    g = mask_grid(mask)
+    cmap = sublevel._label(g, 0.0)
     assert cmap.count == 2
     assert np.array_equal(cmap.labels, want)
-    kept = sublevel._label(mask_grid(mask), 0.0, [4, 12, 29, 1, -1])
-    assert kept.count == 2
-    assert kept.kept == {4: 0, 12: 1, 29: 0, 1: -1, -1: -1}
+    assert cmap.label_at(g, cell_centres(g, [4, 12, 29, 1, -1])).tolist() \
+        == [0, 1, 0, -1, -1]
 
 
 @pytest.mark.parametrize("expression,box,shape", [
@@ -748,12 +798,11 @@ def reference_probe_level(g, sigma):
 
 
 def reference_components(g, sigma):
-    """components from whole-grid temporaries."""
-    inside = g.values < sigma
+    """components' label grid (-1 excluded) and count, from whole-grid
+    temporaries."""
     structure = ndimage.generate_binary_structure(g.dim, 1)
-    raw, count = ndimage.label(inside, structure=structure)
-    labels = raw.astype(np.int64) - 1
-    return ComponentMap(sigma=float(sigma), labels=labels, count=count)
+    raw, count = ndimage.label(g.values < sigma, structure=structure)
+    return raw - 1, count
 
 
 @pytest.fixture(params=[None, 1, 2900, 30000],
@@ -777,10 +826,10 @@ def assert_matches_reference(g, sigma, level=None):
     if level is None:
         level = probed
     cmap = components(g, level)
-    ref = reference_components(g, level)
+    labels, count = reference_components(g, level)
     assert cmap.labels.dtype == np.int32
-    assert np.array_equal(cmap.labels, ref.labels)
-    assert cmap.count == ref.count
+    assert np.array_equal(cmap.labels, labels)
+    assert cmap.count == count
     return cmap
 
 
