@@ -323,7 +323,8 @@ def _eliminated_cells(shape):
 def _eliminate(G, sigma, cells, m):
     """For G - sigma = [[diag(d), B], [B^T, C]] with its rows and columns
     in the order `cells`, the first m of them eliminated: 1/d,
-    diag(d)^-1 B and the Schur complement C - B^T diag(d)^-1 B (CSC)."""
+    diag(d)^-1 B and the Schur complement C - B^T diag(d)^-1 B (CSC).
+    m may be 0: the Schur complement is then the whole shifted matrix."""
     P = G.tocsr()[cells][:, cells]
     d_block, B = P[:m, :m], P[:m, m:]
     if d_block.nnz != m:
@@ -352,17 +353,17 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     """k smallest eigenpairs of A^T A via shift-invert at a small negative
     shift; eigenvalues sorted ascending, floor = 100 eps ||A^T A||.
 
-    On a grid of one or two dimensions the cells of even index sum,
-    whose block of the shifted matrix is diagonal, are eliminated first,
-    and SuperLU factors the Schur complement on the others; on a 3D grid
-    none is eliminated and it factors the whole shifted matrix.  The
-    factored cells are taken in their order in `ordering`, a permutation
-    of the cells, when one is given (an earlier result's `ordering` on
-    the same grid: the stencil's sparsity does not depend on h), else in
-    SuperLU's minimum-degree order, which is returned with the eliminated
-    cells first.  ARPACK runs to relative tolerance ARPACK_TOL
-    from a fixed start vector, so repeated calls with the same arguments
-    return the same values and vectors.  Each pair's residual
+    The m cells that `_eliminated_cells` picks, whose block of the
+    shifted matrix is diagonal, are eliminated first, and SuperLU factors
+    the Schur complement on the others.  m may be 0: on a 3D grid no cell
+    is eliminated, and the same path factors the whole shifted matrix.
+    The factored cells are taken in their order in `ordering`, a
+    permutation of the cells, when one is given (an earlier result's
+    `ordering` on the same grid: the stencil's sparsity does not depend
+    on h), else in SuperLU's minimum-degree order, which is returned with
+    the eliminated cells first.  ARPACK runs to relative tolerance
+    ARPACK_TOL from a fixed start vector, so repeated calls with the same
+    arguments return the same values and vectors.  Each pair's residual
     ||G v - lambda v|| is checked against the floor: if one is above it,
     one block step solves every vector once more and takes `ritz` on
     their span, and a pair still above it raises RuntimeError.
@@ -415,14 +416,7 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
     sigma = -1e-8 * max(norm, 1.0)
     cells = np.arange(n) if ordering is None else ordering
     cells = np.concatenate([cells[first[cells]], cells[~first[cells]]])
-    if m:
-        d_inv, DB, schur = _eliminate(G, sigma, cells, m)
-    else:
-        # nothing eliminated (3D): the Schur complement is the shifted
-        # matrix itself
-        P = G if ordering is None else G.tocsr()[cells][:, cells]
-        schur = (P - sigma * sparse.identity(n, format="csr")).tocsc()
-        del P
+    d_inv, DB, schur = _eliminate(G, sigma, cells, m)
     # the factorization's scratch sets the peak memory: hold nothing but
     # the elimination's pieces through it, and build G again for the
     # residual check
@@ -440,19 +434,16 @@ def smallest_eigs(op, k, ordering=None) -> EigenResult:
         lu = splu(schur, permc_spec="NATURAL")
     del schur
     _release_freed_heap()
-    if m:
-        # [[diag(d), B], [B^T, C]] x = b: x[m:] solves the Schur complement
-        # system, then x[:m] = (b[:m] - B x[m:]) / d; B^T diag(d)^-1 is
-        # DB's transpose, a view of its arrays
-        DBt = DB.T
+    # [[diag(d), B], [B^T, C]] x = b: x[m:] solves the Schur complement
+    # system, then x[:m] = (b[:m] - B x[m:]) / d; B^T diag(d)^-1 is DB's
+    # transpose, a view of its arrays
+    DBt = DB.T
 
-        def solve(b):
-            x = np.empty_like(b)
-            x[m:] = lu.solve(b[m:] - DBt @ b[:m])
-            x[:m] = d_inv * b[:m] - DB @ x[m:]
-            return x
-    else:
-        solve = lu.solve
+    def solve(b):
+        x = np.empty_like(b)
+        x[m:] = lu.solve(b[m:] - DBt @ b[:m])
+        x[:m] = d_inv * b[:m] - DB @ x[m:]
+        return x
     # ARPACK works on the cells in the order `cells`, so a solve gathers
     # nothing; with its dtype given, LinearOperator spares a solve on zeros
     op_inv = LinearOperator((n, n), matvec=solve, dtype=float)

@@ -570,44 +570,45 @@ def test_eliminated_solve_matches_dense_eigh(monkeypatch, expression, box,
     assert res.values == pytest.approx(dense, rel=1e-9, abs=0.0)
 
 
-def test_3d_solve_factors_the_shifted_matrix_directly(monkeypatch):
-    # no cell is eliminated on a 3D grid, so the solve skips the empty
-    # elimination blocks; SuperLU gets, entry for entry, the matrix that
-    # `_eliminate` forms with nothing eliminated, so the values and vectors
-    # are those of the solve through it
+def test_3d_solve_goes_through_the_elimination_with_none_eliminated(
+        monkeypatch):
+    # no cell is eliminated on a 3D grid, so the solve calls `_eliminate`
+    # with m = 0 and SuperLU gets the Schur complement it returns: the
+    # whole shifted matrix, entry for entry, in the order of the cells;
+    # the values and vectors are those of the solve through that matrix
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # coarse 3D grid
         W = assemble_witten(parse_potential("(x1^2 + x2^2 + x3^2)/2", 3),
                             [[-3.0, 3.0]] * 3, 12, 0.5)
-    eliminate = spectral._eliminate
-    real_splu, real_eigsh = spectral.splu, spectral.eigsh
-    factored, shifts = [], []
+    real_eliminate, real_splu = spectral._eliminate, spectral.splu
+    eliminated, factored = [], []
 
-    def no_eliminate(*args):
-        raise AssertionError("_eliminate called with no cell eliminated")
+    def recording_eliminate(G, sigma, cells, m):
+        out = real_eliminate(G, sigma, cells, m)
+        eliminated.append((sigma, cells.copy(), m, out[2]))
+        return out
 
     def recording_splu(matrix, **kwargs):
         factored.append(matrix)
         return real_splu(matrix, **kwargs)
-
-    def recording_eigsh(*args, **kwargs):
-        shifts.append(kwargs["sigma"])
-        return real_eigsh(*args, **kwargs)
-    monkeypatch.setattr(spectral, "_eliminate", no_eliminate)
+    monkeypatch.setattr(spectral, "_eliminate", recording_eliminate)
     monkeypatch.setattr(spectral, "splu", recording_splu)
-    monkeypatch.setattr(spectral, "eigsh", recording_eigsh)
     first = smallest_eigs(W, 5)
     again = smallest_eigs(W, 5, ordering=first.ordering)
+    assert len(eliminated) == len(factored) == 2
     runs = [(first, None), (again, first.ordering)]
-    for (res, ordering), matrix, sigma in zip(runs, list(factored),
-                                              list(shifts)):
-        cells = np.arange(W.n_cells) if ordering is None else ordering
-        want = eliminate(W.gram(), sigma, cells, 0)[2]
+    for (res, ordering), (sigma, cells, m, schur), matrix in zip(
+            runs, list(eliminated), list(factored)):
+        assert m == 0
+        assert matrix is schur
+        want_cells = np.arange(W.n_cells) if ordering is None else ordering
+        assert np.array_equal(cells, want_cells)
+        want = real_eliminate(W.gram(), sigma, want_cells, 0)[2]
         for got_a, want_a in ((matrix.data, want.data),
                               (matrix.indices, want.indices),
                               (matrix.indptr, want.indptr)):
             assert np.array_equal(got_a, want_a)
-        # the same solve through the factor of `_eliminate`'s matrix
+        # the same solve through the factor of that matrix
         monkeypatch.setattr(spectral, "splu", lambda _, **kwargs: real_splu(
             want, **kwargs))
         ref = smallest_eigs(W, 5, ordering=ordering)
